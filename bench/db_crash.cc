@@ -69,13 +69,13 @@
 #include <thread>
 #include <vector>
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "base/logging.hh"
 #include "baseline/interp.hh"
+#include "bench_support/daemon.hh"
 #include "bench_support/harness.hh"
 #include "bench_support/json_report.hh"
 #include "db/clause_store.hh"
@@ -109,18 +109,6 @@ prune(K) :- retract(f(K, _)).
 )PROLOG";
 
 bool verbose = false;
-
-/** Deterministic tiny PRNG (stable across runs, no global state). */
-uint32_t
-mix(uint32_t x)
-{
-    x ^= x >> 16;
-    x *= 0x7feb352d;
-    x ^= x >> 15;
-    x *= 0x846ca68b;
-    x ^= x >> 16;
-    return x;
-}
 
 std::string
 stripVarNumbers(const std::string &s)
@@ -291,101 +279,17 @@ storesIdentical(db::ClauseStore &got, db::ClauseStore &want,
 // Daemon management.
 // ------------------------------------------------------------------ //
 
-std::string
-toolPath(const std::string &override_path, const char *env_var,
-         const char *sibling)
-{
-    if (!override_path.empty())
-        return override_path;
-    if (const char *env = std::getenv(env_var))
-        return env;
-    char exe[4096];
-    ssize_t n = readlink("/proc/self/exe", exe, sizeof exe - 1);
-    if (n <= 0)
-        return sibling;
-    exe[n] = '\0';
-    std::string dir(exe);
-    size_t slash = dir.rfind('/');
-    dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-    return dir + "/../tools/" + sibling;
-}
-
-struct Daemon
-{
-    pid_t pid = -1;
-    int outFd = -1;
-    uint16_t port = 0;
-
-    void
-    closeFd()
-    {
-        if (outFd >= 0) {
-            ::close(outFd);
-            outFd = -1;
-        }
-    }
-};
-
-std::string
-readLineFd(int fd)
-{
-    std::string line;
-    char c;
-    while (read(fd, &c, 1) == 1) {
-        if (c == '\n')
-            break;
-        line += c;
-    }
-    return line;
-}
-
+/** Spawn kcm_serverd with the torture loop's base flags plus
+ *  @p extra. The recovery info line repeats hundreds of times across
+ *  a torture run, so daemon stderr is kept for --verbose only. */
 Daemon
-spawnDaemon(const std::string &path, const std::vector<std::string> &extra)
+spawnTortureDaemon(const std::string &path,
+                   const std::vector<std::string> &extra)
 {
-    int pipefd[2];
-    if (pipe(pipefd) < 0)
-        fatal("pipe(): ", strerror(errno));
-
-    pid_t pid = fork();
-    if (pid < 0)
-        fatal("fork(): ", strerror(errno));
-    if (pid == 0) {
-        dup2(pipefd[1], STDOUT_FILENO);
-        ::close(pipefd[0]);
-        ::close(pipefd[1]);
-        if (!verbose) {
-            // The recovery info line repeats hundreds of times across
-            // a torture run; keep stderr for --verbose only.
-            int null = ::open("/dev/null", O_WRONLY);
-            if (null >= 0) {
-                dup2(null, STDERR_FILENO);
-                ::close(null);
-            }
-        }
-        std::vector<std::string> args = {path, "--workers", "1",
-                                         "--no-stdlib"};
-        args.insert(args.end(), extra.begin(), extra.end());
-        std::vector<char *> argv;
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-        execv(path.c_str(), argv.data());
-        fprintf(stderr, "exec %s: %s\n", path.c_str(), strerror(errno));
-        _exit(127);
-    }
-    ::close(pipefd[1]);
-
-    Daemon d;
-    d.pid = pid;
-    d.outFd = pipefd[0];
-    std::string line = readLineFd(d.outFd);
-    service::JsonObject obj;
-    std::string err;
-    if (!service::parseJsonObject(line, obj, err) ||
-        obj.find("listening") == obj.end())
-        fatal("daemon did not report a port (got '", line, "')");
-    d.port = uint16_t(obj["listening"].asInt());
-    return d;
+    std::vector<std::string> args = {path, "--workers", "1",
+                                     "--no-stdlib"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return spawnDaemon(std::move(args), /*quiet_stderr=*/!verbose);
 }
 
 void
@@ -697,7 +601,7 @@ tortureLoop(int iterations, const std::string &serverd,
 
         // Phase A and phase B: kill, verify, restart, kill, verify.
         for (int phase = 0; phase < 2 && !failed; ++phase) {
-            Daemon daemon = spawnDaemon(serverd, jflags);
+            Daemon daemon = spawnTortureDaemon(serverd, jflags);
             uint64_t delay = 10 + mix(seed + 31u * uint32_t(phase)) % 140;
             PhaseResult res =
                 runKillPhase(daemon, sched, applied, delay);
@@ -747,7 +651,7 @@ tortureLoop(int iterations, const std::string &serverd,
 
         // Final restart: differential probes + clean SIGTERM drain.
         if (!failed) {
-            Daemon daemon = spawnDaemon(serverd, jflags);
+            Daemon daemon = spawnTortureDaemon(serverd, jflags);
             if (!runProbes(daemon, sched, applied, oracle, tally, why)) {
                 failed = true;
                 reapKilled(daemon);

@@ -105,6 +105,7 @@
 
 #include "base/logging.hh"
 #include "baseline/interp.hh"
+#include "bench_support/daemon.hh"
 #include "bench_support/json_report.hh"
 #include "core/snapshot.hh"
 #include "db/clause_store.hh"
@@ -226,101 +227,20 @@ class Oracle
 // drain assertion.
 // ------------------------------------------------------------------ //
 
-std::string
-serverdPath(const std::string &override_path)
-{
-    if (!override_path.empty())
-        return override_path;
-    if (const char *env = std::getenv("KCM_SERVERD"))
-        return env;
-    // Sibling of this binary: build/bench/server_chaos →
-    // build/tools/kcm_serverd.
-    char exe[4096];
-    ssize_t n = readlink("/proc/self/exe", exe, sizeof exe - 1);
-    if (n <= 0)
-        return "kcm_serverd";
-    exe[n] = '\0';
-    std::string dir(exe);
-    size_t slash = dir.rfind('/');
-    dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-    return dir + "/../tools/kcm_serverd";
-}
-
-struct Daemon
-{
-    pid_t pid = -1;
-    int outFd = -1; ///< daemon stdout (port line, final drain line)
-    uint16_t port = 0;
-
-    void
-    closeFd()
-    {
-        if (outFd >= 0) {
-            ::close(outFd);
-            outFd = -1;
-        }
-    }
-};
-
-/** Read one '\n'-terminated line from @p fd (blocking, short reads). */
-std::string
-readLineFd(int fd)
-{
-    std::string line;
-    char c;
-    while (read(fd, &c, 1) == 1) {
-        if (c == '\n')
-            break;
-        line += c;
-    }
-    return line;
-}
-
+/** Spawn kcm_serverd with the sweep's base flags plus @p extra. */
 Daemon
-spawnDaemon(const std::string &path,
-            const std::vector<std::string> &extra = {})
+spawnChaosDaemon(const std::string &path,
+                 const std::vector<std::string> &extra = {})
 {
-    int pipefd[2];
-    if (pipe(pipefd) < 0)
-        fatal("pipe(): ", strerror(errno));
-
-    pid_t pid = fork();
-    if (pid < 0)
-        fatal("fork(): ", strerror(errno));
-    if (pid == 0) {
-        // Child: stdout → pipe, exec the daemon.
-        dup2(pipefd[1], STDOUT_FILENO);
-        ::close(pipefd[0]);
-        ::close(pipefd[1]);
-        std::vector<std::string> args = {
-            path,        "--chaos-hooks",     "--workers",
-            "4",         "--queue-depth",     "256",
-            "--deadline-ms", "20000",         "--checkpoint-every",
-            "1",         "--read-deadline-ms", "800",
-            "--idle-timeout-ms", "30000",     "--drain-grace-ms",
-            "8000"};
-        args.insert(args.end(), extra.begin(), extra.end());
-        std::vector<char *> argv;
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-        execv(path.c_str(), argv.data());
-        fprintf(stderr, "exec %s: %s\n", path.c_str(), strerror(errno));
-        _exit(127);
-    }
-    ::close(pipefd[1]);
-
-    Daemon d;
-    d.pid = pid;
-    d.outFd = pipefd[0];
-    std::string line = readLineFd(d.outFd);
-    service::JsonObject obj;
-    std::string err;
-    if (!service::parseJsonObject(line, obj, err) ||
-        obj.find("listening") == obj.end())
-        fatal("daemon did not report a port (got '", line, "')");
-    d.port = uint16_t(obj["listening"].asInt());
-    return d;
+    std::vector<std::string> args = {
+        path,        "--chaos-hooks",     "--workers",
+        "4",         "--queue-depth",     "256",
+        "--deadline-ms", "20000",         "--checkpoint-every",
+        "1",         "--read-deadline-ms", "800",
+        "--idle-timeout-ms", "30000",     "--drain-grace-ms",
+        "8000"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return spawnDaemon(std::move(args), /*quiet_stderr=*/false);
 }
 
 // ------------------------------------------------------------------ //
@@ -351,17 +271,6 @@ struct SweepShared
     std::map<std::string, Tally> tallies; ///< per family
 };
 
-/** Deterministic tiny PRNG (no global state, stable across runs). */
-uint32_t
-mix(uint32_t x)
-{
-    x ^= x >> 16;
-    x *= 0x7feb352d;
-    x ^= x >> 15;
-    x *= 0x846ca68b;
-    x ^= x >> 16;
-    return x;
-}
 
 std::string
 goalFor(uint32_t seed)
@@ -724,7 +633,7 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
 
     // Build a small committed history, then drain cleanly.
     {
-        Daemon daemon = spawnDaemon(serverd, jflags);
+        Daemon daemon = spawnChaosDaemon(serverd, jflags);
         Client client;
         if (!client.connect("127.0.0.1", daemon.port, 2'000)) {
             diverge("cannot connect to the durable daemon");
@@ -801,7 +710,7 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
     // the corruption, truncate the suffix, and serve the surviving
     // prefix — bit rot is loud, never a wrong answer.
     {
-        Daemon daemon = spawnDaemon(serverd, jflags);
+        Daemon daemon = spawnChaosDaemon(serverd, jflags);
         Client client;
         if (!client.connect("127.0.0.1", daemon.port, 2'000)) {
             diverge("cannot reconnect after corruption");
@@ -868,7 +777,7 @@ hedgePhase(const std::string &serverd, SweepShared &shared)
         fprintf(stderr, "hedge: %s\n", why.c_str());
     };
 
-    Daemon daemon = spawnDaemon(
+    Daemon daemon = spawnChaosDaemon(
         serverd, {"--workers", "2", "--hedge-min-ms", "10",
                   "--hedge-poll-ms", "1"});
     Client client;
@@ -945,7 +854,7 @@ breakerPhase(const std::string &serverd, SweepShared &shared)
         fprintf(stderr, "breaker: %s\n", why.c_str());
     };
 
-    Daemon daemon = spawnDaemon(
+    Daemon daemon = spawnChaosDaemon(
         serverd, {"--retries", "0", "--breaker-threshold", "2",
                   "--breaker-open-ms", "300"});
     Client client;
@@ -1038,7 +947,7 @@ chaosSweep(int clients, int queries_per_client,
     hedgePhase(serverd, shared);
     breakerPhase(serverd, shared);
 
-    Daemon daemon = spawnDaemon(serverd);
+    Daemon daemon = spawnChaosDaemon(serverd);
     shared.endpoint.port.store(daemon.port);
     printf("server_chaos: daemon pid %d on port %u; %d clients x %d "
            "queries\n",
@@ -1068,7 +977,7 @@ chaosSweep(int clients, int queries_per_client,
         daemon.closeFd();
         printf("server_chaos: SIGKILLed daemon pid %d mid-run\n",
                int(daemon.pid));
-        daemon = spawnDaemon(serverd);
+        daemon = spawnChaosDaemon(serverd);
         shared.endpoint.port.store(daemon.port);
         shared.endpoint.generation.fetch_add(1);
         shared.endpoint.restarting.store(false);
@@ -1255,7 +1164,7 @@ cacheBench(const std::string &serverd, const std::string &json_path)
 
     // Client-observed: end-to-end latency of the first (miss) query
     // vs the mean of the warm repeats, against a real daemon.
-    Daemon daemon = spawnDaemon(serverd);
+    Daemon daemon = spawnChaosDaemon(serverd);
     Client client;
     if (!client.connect("127.0.0.1", daemon.port, 2'000)) {
         fprintf(stderr, "cache-bench: cannot connect\n");
@@ -1362,7 +1271,7 @@ main(int argc, char **argv)
 
     signal(SIGPIPE, SIG_IGN);
     try {
-        std::string path = serverdPath(serverd);
+        std::string path = toolPath(serverd, "KCM_SERVERD", "kcm_serverd");
         return cache_bench
                    ? cacheBench(path, json_path)
                    : chaosSweep(clients, queries, path, json_path,

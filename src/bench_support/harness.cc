@@ -4,13 +4,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "core/predecode.hh"
 #include "service/session.hh"
 
 namespace kcm
@@ -18,8 +16,7 @@ namespace kcm
 
 PreparedBenchmark
 preparePlmBenchmark(const PlmBenchmark &bench, bool pure,
-                    const KcmOptions &base_options,
-                    SequenceProfile *profile_out)
+                    const KcmOptions &base_options)
 {
     KcmOptions options = base_options;
     // Table 2 convention: write/1 and nl/0 compiled as unit clauses so
@@ -34,25 +31,6 @@ preparePlmBenchmark(const PlmBenchmark &bench, bool pure,
     prep.name = bench.name;
     prep.image = system.compileOnly(pure ? bench.queryPure : bench.queryIo);
     prep.machine = options.machine;
-
-    if (prep.machine.fusion.mode == FusionConfig::Mode::Profiled &&
-        prep.machine.fusion.sequences.empty()) {
-        // Profile-guided fusion: run the prepared image once unfused
-        // with the sequence monitor and select the hottest catalog
-        // sequences. The profiling run is part of preparation — the
-        // measured execution phase sees only the fused machine.
-        MachineConfig prof = prep.machine;
-        prof.fusion.mode = FusionConfig::Mode::Off;
-        prof.profile = true;
-        prof.profileSequences = true;
-        Machine machine(prof);
-        machine.load(prep.image);
-        machine.run();
-        prep.machine.fusion.sequences =
-            selectFusedSequences(machine.profiler(), 12);
-        if (profile_out)
-            profile_out->merge(sequenceProfileOf(machine.profiler()));
-    }
     return prep;
 }
 
@@ -180,8 +158,6 @@ fillBenchRun(BenchRun &run, Machine &machine, RunStatus status)
     run.shallowFails = machine.shallowFails.value();
     run.deepFails = machine.deepFails.value();
     run.trailPushes = machine.trailPushes.value();
-    run.dispatches = machine.dispatches();
-    run.fusedDispatches = machine.fusedDispatches();
 
     DataCache &dcache = machine.mem().dataCache();
     run.dataReads = dcache.readHits.value() + dcache.readMisses.value();
@@ -270,12 +246,10 @@ benchExitCode(const std::vector<BenchRun> &runs)
 
 BenchRun
 runPlmBenchmark(const PlmBenchmark &bench, bool pure,
-                const KcmOptions &base_options, double watchdog_seconds,
-                SequenceProfile *profile_out)
+                const KcmOptions &base_options, double watchdog_seconds)
 {
     try {
-        return runPrepared(preparePlmBenchmark(bench, pure, base_options,
-                                               profile_out),
+        return runPrepared(preparePlmBenchmark(bench, pure, base_options),
                            watchdog_seconds);
     } catch (const std::exception &err) {
         BenchRun run;
@@ -377,60 +351,6 @@ benchWatchdogFromArgs(int argc, char **argv)
             return std::max(0.0, std::strtod(argv[i + 1], nullptr));
     }
     return 0;
-}
-
-namespace
-{
-
-std::string
-stringArg(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    }
-    return "";
-}
-
-} // namespace
-
-std::string
-benchProfileInFromArgs(int argc, char **argv)
-{
-    return stringArg(argc, argv, "--profile-in");
-}
-
-std::string
-benchProfileOutFromArgs(int argc, char **argv)
-{
-    return stringArg(argc, argv, "--profile-out");
-}
-
-SequenceProfile
-loadSequenceProfileFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open sequence profile ", path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    try {
-        return loadSequenceProfile(os.str());
-    } catch (const std::exception &err) {
-        fatal(path, ": ", err.what());
-    }
-}
-
-void
-saveSequenceProfileFile(const std::string &path,
-                        const SequenceProfile &profile)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write sequence profile ", path);
-    out << saveSequenceProfile(profile);
-    if (!out)
-        fatal("write failed for sequence profile ", path);
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)

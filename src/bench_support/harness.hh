@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_support/plm_suite.hh"
-#include "core/predecode.hh"
 #include "kcm/kcm.hh"
 
 namespace kcm
@@ -61,11 +60,6 @@ struct BenchRun
     double hostSeconds = 0;
     double simCyclesPerHostSecond = 0;
 
-    // Dispatch behaviour of the fast core (host-side; equal to
-    // instructions when fusion is off or on the oracle).
-    uint64_t dispatches = 0;      ///< host dispatch operations
-    uint64_t fusedDispatches = 0; ///< fused-sequence heads executed
-
     // Robustness counters (nonzero only under supervision —
     // runPreparedResilient — when recovery actually happened).
     unsigned retries = 0;          ///< checkpoint restores
@@ -92,17 +86,9 @@ struct PreparedBenchmark
  * Compile one PLM benchmark (the serial phase).
  * @param pure use the Table 3 form (I/O removed); otherwise the
  *        Table 2 form with write/nl compiled as unit clauses.
- * @param profile_out when non-null and profiled fusion runs its
- *        per-benchmark pre-pass, the pre-pass's pair/triple histogram
- *        is merged into *profile_out (--profile-out persistence). To
- *        seed fusion from a persisted profile instead of the pre-pass
- *        (--profile-in), set base_options.machine.fusion.sequences =
- *        selectFusedSequences(profile, k) before calling — a
- *        non-empty selection skips the pre-pass entirely.
  */
 PreparedBenchmark preparePlmBenchmark(const PlmBenchmark &bench, bool pure,
-                                      const KcmOptions &base_options = {},
-                                      SequenceProfile *profile_out = nullptr);
+                                      const KcmOptions &base_options = {});
 
 /**
  * Execute a prepared benchmark on a fresh Machine (thread-safe).
@@ -135,8 +121,7 @@ BenchRun runPreparedResilient(const PreparedBenchmark &prep,
 /** Compile and run one PLM benchmark (prepare + runPrepared). */
 BenchRun runPlmBenchmark(const PlmBenchmark &bench, bool pure,
                          const KcmOptions &base_options = {},
-                         double watchdog_seconds = 0,
-                         SequenceProfile *profile_out = nullptr);
+                         double watchdog_seconds = 0);
 
 /**
  * Run the named benchmarks. Results come back in the order of
@@ -166,25 +151,6 @@ unsigned benchJobsFromArgs(int argc, char **argv);
 /** Parse a --timeout SECONDS argument for the bench drivers: the
  *  per-benchmark wall-clock watchdog (0 = off, the default). */
 double benchWatchdogFromArgs(int argc, char **argv);
-
-/** Parse --profile-in FILE for the bench drivers: a persisted
- *  sequence profile that seeds profiled fusion instead of the
- *  per-benchmark pre-pass (empty string when absent). */
-std::string benchProfileInFromArgs(int argc, char **argv);
-
-/** Parse --profile-out FILE for the bench drivers: where to persist
- *  the accumulated pre-pass histogram (empty string when absent). */
-std::string benchProfileOutFromArgs(int argc, char **argv);
-
-/** Load a persisted sequence profile. Fatal (with a diagnostic naming
- *  the file) on an unreadable file or a malformed/mismatched
- *  profile. */
-SequenceProfile loadSequenceProfileFile(const std::string &path);
-
-/** Persist @p profile to @p path in the text format. Fatal on an
- *  unwritable path. */
-void saveSequenceProfileFile(const std::string &path,
-                             const SequenceProfile &profile);
 
 /** Exit code for drivers whose run ended in traps/timeouts (kept
  *  distinct from 1, the metrics-mismatch code). */

@@ -5,35 +5,13 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "service/wire.hh"
+
 namespace kcm
 {
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 jsonDouble(double v)
@@ -51,7 +29,7 @@ benchRunsJson(const std::string &label, const std::vector<BenchRun> &runs,
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"label\": \"" << jsonEscape(label) << "\",\n";
+    os << "  \"label\": " << service::jsonQuote(label) << ",\n";
     os << "  \"jobs\": " << jobs << ",\n";
     os << "  \"hostWallSeconds\": " << jsonDouble(host_wall_seconds)
        << ",\n";
@@ -59,10 +37,10 @@ benchRunsJson(const std::string &label, const std::vector<BenchRun> &runs,
     for (size_t i = 0; i < runs.size(); ++i) {
         const BenchRun &r = runs[i];
         os << "    {";
-        os << "\"name\": \"" << jsonEscape(r.name) << "\", ";
+        os << "\"name\": " << service::jsonQuote(r.name) << ", ";
         os << "\"success\": " << (r.success ? "true" : "false") << ", ";
         if (!r.failure.empty()) {
-            os << "\"failure\": \"" << jsonEscape(r.failure) << "\", ";
+            os << "\"failure\": " << service::jsonQuote(r.failure) << ", ";
             os << "\"trapped\": " << (r.trapped ? "true" : "false")
                << ", ";
             os << "\"timedOut\": " << (r.timedOut ? "true" : "false")
@@ -82,8 +60,6 @@ benchRunsJson(const std::string &label, const std::vector<BenchRun> &runs,
         os << "\"checkpoints\": " << r.checkpoints << ", ";
         os << "\"checkpointBytes\": " << r.checkpointBytes << ", ";
         os << "\"recoveryCycles\": " << r.recoveryCycles << ", ";
-        os << "\"dispatches\": " << r.dispatches << ", ";
-        os << "\"fusedDispatches\": " << r.fusedDispatches << ", ";
         os << "\"hostSeconds\": " << jsonDouble(r.hostSeconds) << ", ";
         os << "\"simCyclesPerHostSecond\": "
            << jsonDouble(r.simCyclesPerHostSecond);

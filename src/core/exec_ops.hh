@@ -334,94 +334,6 @@ Machine::opBadInstruction(const DecodedInstr &)
     exec_detail::trapBadInstruction(p_);
 }
 
-// ------------------------------------------- static single-op dispatch
-
-/**
- * Execute exactly one opcode, selected at compile time — the
- * constituent step of the fused superinstruction handlers
- * (exec_threaded.cc). The routing below mirrors the execInstr switch
- * case for case (grouped opcodes go to their microcode unit), so a
- * fused constituent runs the very same handler the generic dispatch
- * would have picked.
- */
-template <Opcode OP>
-inline void
-Machine::execOne(const DecodedInstr &instr)
-{
-    if constexpr (OP == Opcode::Halt)
-        opHalt(instr);
-    else if constexpr (OP == Opcode::Noop)
-        (void)instr;
-    else if constexpr (OP == Opcode::Jump)
-        opJump(instr);
-    else if constexpr (OP == Opcode::Call)
-        opCall(instr);
-    else if constexpr (OP == Opcode::Execute)
-        opExecute(instr);
-    else if constexpr (OP == Opcode::Proceed)
-        opProceed(instr);
-    else if constexpr (OP == Opcode::Allocate)
-        opAllocate(instr);
-    else if constexpr (OP == Opcode::Deallocate)
-        opDeallocate(instr);
-    else if constexpr (OP == Opcode::FailOp)
-        fail();
-    else if constexpr (OP >= Opcode::TryMeElse &&
-                       OP <= Opcode::SwitchOnStructure)
-        execIndex(instr);
-    else if constexpr (OP == Opcode::GetVariableX)
-        opGetVariableX(instr);
-    else if constexpr (OP == Opcode::GetVariableY)
-        opGetVariableY(instr);
-    else if constexpr (OP == Opcode::GetValueX)
-        opGetValueX(instr);
-    else if constexpr (OP == Opcode::GetValueY)
-        opGetValueY(instr);
-    else if constexpr (OP == Opcode::GetConstant || OP == Opcode::GetNil)
-        opGetConstant(instr);
-    else if constexpr (OP == Opcode::GetList)
-        opGetList(instr);
-    else if constexpr (OP == Opcode::GetStructure)
-        opGetStructure(instr);
-    else if constexpr (OP == Opcode::PutVariableX)
-        opPutVariableX(instr);
-    else if constexpr (OP == Opcode::PutVariableY)
-        opPutVariableY(instr);
-    else if constexpr (OP == Opcode::PutValueX)
-        opPutValueX(instr);
-    else if constexpr (OP == Opcode::PutValueY)
-        opPutValueY(instr);
-    else if constexpr (OP == Opcode::PutUnsafeValue)
-        opPutUnsafeValue(instr);
-    else if constexpr (OP == Opcode::PutConstant)
-        opPutConstant(instr);
-    else if constexpr (OP == Opcode::PutNil)
-        opPutNil(instr);
-    else if constexpr (OP == Opcode::PutList)
-        opPutList(instr);
-    else if constexpr (OP == Opcode::PutStructure)
-        opPutStructure(instr);
-    else if constexpr (OP >= Opcode::UnifyVariableX &&
-                       OP <= Opcode::UnifyVoid)
-        execUnifyClass(instr);
-    else if constexpr (OP >= Opcode::NativeAdd && OP <= Opcode::CmpNe)
-        execArith(instr);
-    else if constexpr (OP == Opcode::Escape)
-        execEscape(instr);
-    else if constexpr (OP == Opcode::Move2)
-        opMove2(instr);
-    else if constexpr (OP == Opcode::Load)
-        opLoad(instr);
-    else if constexpr (OP == Opcode::Store)
-        opStore(instr);
-    else if constexpr (OP == Opcode::LoadImm)
-        opLoadImm(instr);
-    else if constexpr (OP == Opcode::SwapTV)
-        opSwapTV(instr);
-    else
-        static_assert(OP != OP, "execOne: unhandled opcode");
-}
-
 } // namespace kcm
 
 #endif // KCM_CORE_EXEC_OPS_HH

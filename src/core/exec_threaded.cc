@@ -2,33 +2,21 @@
  * @file
  * The token-threaded run loop over the predecoded image.
  *
- * Under GCC/Clang each dispatch token indexes a computed-goto label
- * table and every handler tail re-dispatches directly (classic
- * token threading, as in B-Prolog's TOAM emulator loop); elsewhere
- * a plain switch loop is used. Either way the per-step work is
- * fetchDecoded() + the shared opcode handler + finishStep() — the
- * exact sequence the oracle step() performs — so cycles, instruction
- * counts and cache statistics cannot diverge between the paths.
- *
- * Superinstructions: the predecode peephole (core/predecode.cc)
- * rewrites the dispatch token at the head of a hot sequence
- * (isa/fusion.hh) to a fused token whose handler executes every
- * constituent with a single dispatch. The full per-instruction
- * boundary still runs between constituents — finishStep accounting,
- * the run-loop stop flags, the cycle-stop check, and the
- * fetchDecoded prologue (fault injection, GC threshold, prefetch and
- * code-cache accounting, trace, profiler) — so a trap, fault, or
- * stop anywhere inside a fused sequence behaves bit-identically to
- * the unfused execution. If a constituent transfers control away
- * from the straight line (call, jump, failure), the handler bails
- * back to generic dispatch at the exact same boundary the unfused
- * path would take.
+ * Each dispatch token indexes a computed-goto label table and every
+ * handler tail re-dispatches directly (classic token threading, as in
+ * B-Prolog's TOAM emulator loop). The per-step work is fetchDecoded()
+ * + the shared opcode handler + finishStep() — the exact sequence the
+ * oracle step() performs — so cycles, instruction counts and cache
+ * statistics cannot diverge between the paths. Toolchains without
+ * computed goto (and -DKCM_FORCE_SWITCH_DISPATCH builds) compile none
+ * of this: runLoop() drives step() over the same predecoded image.
  */
 
 #include "core/exec_ops.hh"
 
 #include "core/machine.hh"
-#include "isa/fusion.hh"
+
+#ifdef KCM_THREADED_DISPATCH
 
 namespace kcm
 {
@@ -49,21 +37,11 @@ static_assert(static_cast<int>(Opcode::NumOpcodes) == 67);
 RunStatus
 Machine::runFast()
 {
-    // -DKCM_FORCE_SWITCH_DISPATCH builds the portable switch loop
-    // even under GCC/Clang, so CI can exercise the fallback that
-    // non-computed-goto toolchains get. Both loops must produce
-    // bit-identical simulated metrics; only host dispatch differs.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(KCM_FORCE_SWITCH_DISPATCH)
-
-    // Token-threaded dispatch. One table entry per opcode plus the
-    // invalid-word token plus one per superinstruction; grouped
+    // One table entry per opcode plus the invalid-word token; grouped
     // opcodes (indexing, unify class, arithmetic) share a label and
     // re-dispatch inside their microcode unit, exactly as the oracle
     // switch does.
-#define KCM_FUSED_LABEL2_(nm, A, B) &&l_f_##nm,
-#define KCM_FUSED_LABEL3_(nm, A, B, C) &&l_f_##nm,
-    static const void *const table[numDispatchTokens] = {
+    static const void *const table[numOpcodeTokens] = {
         &&l_halt, &&l_noop, &&l_jump, &&l_call, &&l_execute,
         &&l_proceed, &&l_allocate, &&l_deallocate, &&l_fail,
         // choice points / indexing
@@ -90,12 +68,7 @@ Machine::runFast()
         &&l_move2, &&l_load, &&l_store, &&l_load_imm, &&l_swap_tv,
         // invalid-word token
         &&l_bad,
-        // superinstructions, in catalog order (isa/fusion.hh)
-        KCM_FUSION_CATALOG(KCM_FUSED_LABEL2_, KCM_FUSED_LABEL3_,
-                           KCM_FUSED_LABEL2_)
     };
-#undef KCM_FUSED_LABEL2_
-#undef KCM_FUSED_LABEL3_
 
     const DecodedInstr *d;
 
@@ -110,7 +83,7 @@ Machine::runFast()
             return RunStatus::CycleLimit;                               \
         }                                                               \
         d = &fetchDecoded();                                            \
-        goto *table[d->tok];                                            \
+        goto *table[d->op];                                             \
     } while (0)
 
     // Per-step epilogue: accounting, stop-flag test (the run() exit
@@ -121,46 +94,6 @@ Machine::runFast()
         if (solutionReady_ || haltFailed_ || halted_) [[unlikely]]      \
             goto l_stopped;                                             \
         KCM_DISPATCH();                                                 \
-    } while (0)
-
-    // Boundary between fused constituents: the identical epilogue +
-    // prologue sequence, minus the indirect dispatch. If the
-    // constituent moved P off the straight line (call, jump,
-    // failure, shallow backtrack), fall back to generic dispatch —
-    // which re-fetches at the transfer target exactly as the unfused
-    // path would. Otherwise the next word is the statically verified
-    // constituent and execution falls through into its handler.
-#define KCM_FUSE_NEXT()                                                 \
-    do {                                                                \
-        finishStep(*d);                                                 \
-        if (solutionReady_ || haltFailed_ || halted_) [[unlikely]]      \
-            goto l_stopped;                                             \
-        if (p_ != expectedNextP_) [[unlikely]]                          \
-            KCM_DISPATCH();                                             \
-        if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]] {       \
-            if (stopKind_ != StopKind::Limit)                           \
-                trapCycleBudget();                                      \
-            return RunStatus::CycleLimit;                               \
-        }                                                               \
-        d = &fetchDecoded();                                            \
-        ++fusedInlineSteps_;                                            \
-    } while (0)
-
-    // Likely-target boundary (switch_on_term heads): the constituent
-    // always transfers control through its dispatch table, so fetch
-    // the dynamic target unconditionally; the handler then tests
-    // whether it is the expected opcode before running it inline.
-#define KCM_FUSE_NEXT_ANY()                                             \
-    do {                                                                \
-        finishStep(*d);                                                 \
-        if (solutionReady_ || haltFailed_ || halted_) [[unlikely]]      \
-            goto l_stopped;                                             \
-        if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]] {       \
-            if (stopKind_ != StopKind::Limit)                           \
-                trapCycleBudget();                                      \
-            return RunStatus::CycleLimit;                               \
-        }                                                               \
-        d = &fetchDecoded();                                            \
     } while (0)
 
     KCM_DISPATCH();
@@ -201,48 +134,8 @@ Machine::runFast()
   l_swap_tv:          opSwapTV(*d);         KCM_NEXT();
   l_bad:              opBadInstruction(*d); // noreturn
 
-    // Superinstruction handlers, generated from the catalog. Each
-    // constituent runs through its statically selected opcode
-    // handler (execOne) with the full boundary between them.
-#define KCM_FUSED_PAIR_(nm, A, B)                                       \
-  l_f_##nm:                                                             \
-    ++fusedDispatches_;                                                 \
-    execOne<Opcode::A>(*d);                                             \
-    KCM_FUSE_NEXT();                                                    \
-    execOne<Opcode::B>(*d);                                             \
-    KCM_NEXT();
-
-#define KCM_FUSED_TRIPLE_(nm, A, B, C)                                  \
-  l_f_##nm:                                                             \
-    ++fusedDispatches_;                                                 \
-    execOne<Opcode::A>(*d);                                             \
-    KCM_FUSE_NEXT();                                                    \
-    execOne<Opcode::B>(*d);                                             \
-    KCM_FUSE_NEXT();                                                    \
-    execOne<Opcode::C>(*d);                                             \
-    KCM_NEXT();
-
-#define KCM_FUSED_JUMP_(nm, A, B)                                       \
-  l_f_##nm:                                                             \
-    ++fusedDispatches_;                                                 \
-    execOne<Opcode::A>(*d);                                             \
-    KCM_FUSE_NEXT_ANY();                                                \
-    if (d->op != static_cast<uint8_t>(Opcode::B)) [[unlikely]]          \
-        goto *table[d->tok];                                            \
-    ++fusedInlineSteps_;                                                \
-    execOne<Opcode::B>(*d);                                             \
-    KCM_NEXT();
-
-    KCM_FUSION_CATALOG(KCM_FUSED_PAIR_, KCM_FUSED_TRIPLE_,
-                       KCM_FUSED_JUMP_)
-
-#undef KCM_FUSED_PAIR_
-#undef KCM_FUSED_TRIPLE_
-#undef KCM_FUSED_JUMP_
 #undef KCM_DISPATCH
 #undef KCM_NEXT
-#undef KCM_FUSE_NEXT
-#undef KCM_FUSE_NEXT_ANY
 
   l_stopped:
     if (solutionReady_) {
@@ -252,49 +145,8 @@ Machine::runFast()
     if (haltFailed_)
         return RunStatus::Failed;
     return RunStatus::Halted;
-
-#else // no computed goto: switch loop over the predecoded image
-
-    while (true) {
-        if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]] {
-            if (stopKind_ != StopKind::Limit)
-                trapCycleBudget();
-            return RunStatus::CycleLimit;
-        }
-        const DecodedInstr *d = &fetchDecoded();
-        // A fused head executes its whole sequence off this one
-        // dispatch; remaining counts the constituents still owed.
-        unsigned remaining = 1;
-        if (d->tok >= numOpcodeTokens) [[unlikely]] {
-            remaining = fusionCatalog()[d->tok - numOpcodeTokens].length;
-            ++fusedDispatches_;
-        }
-        for (;;) {
-            execInstr(*d);
-            finishStep(*d);
-            if (solutionReady_ || haltFailed_ || halted_) [[unlikely]]
-                break;
-            if (--remaining == 0 || p_ != expectedNextP_)
-                break;
-            if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]] {
-                if (stopKind_ != StopKind::Limit)
-                    trapCycleBudget();
-                return RunStatus::CycleLimit;
-            }
-            d = &fetchDecoded();
-            ++fusedInlineSteps_;
-        }
-        if (solutionReady_) {
-            solutionReady_ = false;
-            return RunStatus::SolutionFound;
-        }
-        if (haltFailed_)
-            return RunStatus::Failed;
-        if (halted_)
-            return RunStatus::Halted;
-    }
-
-#endif
 }
 
 } // namespace kcm
+
+#endif // KCM_THREADED_DISPATCH

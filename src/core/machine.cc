@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "base/logging.hh"
-#include "core/predecode.hh"
 #include "isa/disasm.hh"
 #include "prolog/parser.hh"
 #include "prolog/writer.hh"
@@ -90,8 +89,6 @@ Machine::resetMeasurement()
     cycles_ = 0;
     instructions_ = 0;
     inferences_ = 0;
-    fusedDispatches_ = 0;
-    fusedInlineSteps_ = 0;
     stats_.reset();
 }
 
@@ -127,20 +124,7 @@ Machine::load(const CodeImage &image, bool cold_caches)
     for (size_t i = 0; i < image_.words.size(); ++i)
         mem_->pokeCode(image_.base + static_cast<Addr>(i), image_.words[i]);
 
-    if (config_.profile) {
-        profiler_.attach(image_);
-        profiler_.enableSequences(config_.profileSequences);
-        profiler_.reset();
-    }
-
-    // Predecode the image for the fast core, fusing superinstruction
-    // heads per the configuration. The oracle keeps decoded_ empty so
-    // every fetch takes the decode-per-step path.
-    decoded_.clear();
-    if (config_.fastDispatch)
-        predecodeImage(image_.words, config_.fusion, decoded_);
-    fusedDispatches_ = 0;
-    fusedInlineSteps_ = 0;
+    attachImage();
 
     // The download wrote through the code cache; a first run starts
     // cold, as the real machine does after a download from the host.
@@ -254,12 +238,6 @@ Machine::seedDynamicDb()
             fatal("dynamic init: bad clause head in: ", text);
         db_->assertClause(head->functor(), head, body, false);
     }
-}
-
-std::vector<uint64_t>
-Machine::fusedHeadProfile() const
-{
-    return fusedHeadCounts(decoded_);
 }
 
 // ------------------------------------------------------------- core ops
@@ -1070,8 +1048,10 @@ Machine::run()
 RunStatus
 Machine::runLoop()
 {
+#ifdef KCM_THREADED_DISPATCH
     if (config_.fastDispatch)
         return runFast();
+#endif
     while (true) {
         if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]] {
             if (stopKind_ != StopKind::Limit)
@@ -1362,6 +1342,23 @@ Machine::solutions(size_t max)
         status = nextSolution();
     }
     return out;
+}
+
+void
+Machine::attachImage()
+{
+    // Predecode the image for the fast core. The oracle keeps decoded_
+    // empty so every fetch takes the decode-per-step path.
+    decoded_.clear();
+    if (config_.fastDispatch) {
+        decoded_.reserve(image_.words.size());
+        for (uint64_t raw : image_.words)
+            decoded_.push_back(decodeInstr(raw));
+    }
+    if (config_.profile) {
+        profiler_.attach(image_);
+        profiler_.reset();
+    }
 }
 
 void

@@ -35,6 +35,14 @@
 #include "mem/mem_system.hh"
 #include "prolog/term.hh"
 
+// Token-threaded dispatch (runFast) needs computed goto, a GCC/Clang
+// extension. -DKCM_FORCE_SWITCH_DISPATCH leaves it out even there, so
+// CI runs the portable step() loop that other toolchains get.
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(KCM_FORCE_SWITCH_DISPATCH)
+#define KCM_THREADED_DISPATCH 1
+#endif
+
 namespace kcm
 {
 
@@ -214,30 +222,6 @@ class Machine
     /** The profiler (meaningful when config().profile is set). */
     const Profiler &profiler() const { return profiler_; }
 
-    /**
-     * Superinstruction dispatches taken by the fast core since
-     * load(): executed fused-sequence heads (isa/fusion.hh). A pure
-     * host-side metric — not simulated state, not serialized in
-     * snapshots — reported by the dispatch benches.
-     */
-    uint64_t fusedDispatches() const { return fusedDispatches_; }
-
-    /** Constituents executed inline inside a fused handler beyond the
-     *  head — i.e. dispatches the fusion layer avoided. */
-    uint64_t fusedInlineSteps() const { return fusedInlineSteps_; }
-
-    /** Host dispatch operations performed by the execution core:
-     *  every instruction costs one except fused-inline constituents. */
-    uint64_t
-    dispatches() const
-    {
-        return instructions_ - fusedInlineSteps_;
-    }
-
-    /** Fused heads per catalog entry in the current predecoded image
-     *  (empty for the oracle / fusion off). */
-    std::vector<uint64_t> fusedHeadProfile() const;
-
     /** The instruction prefetch unit's pipeline statistics (§3.1.3). */
     const PrefetchUnit &prefetch() const { return prefetch_; }
 
@@ -399,12 +383,15 @@ class Machine
     void execRetract();
 
     // --- instruction execution ---
+    /** Rebuild the host-side views of image_ — the predecoded image
+     *  (fast core only) and the profiler's predicate tables — after
+     *  load() or a snapshot restore replaced it. */
+    void attachImage();
     void step();
     /** Dispatch-core selection inside the run-loop trap boundary. */
     RunStatus runLoop();
     /** The token-threaded run loop over the predecoded image
-     *  (exec_threaded.cc); falls back to switch dispatch on
-     *  toolchains without computed goto. */
+     *  (exec_threaded.cc); built only with KCM_THREADED_DISPATCH. */
     RunStatus runFast();
 
     // --- trap delivery and the resource governor ---
@@ -434,11 +421,6 @@ class Machine
      *  inference accounting and the PC advance. */
     void finishStep(const DecodedInstr &instr);
     void execInstr(const DecodedInstr &instr);
-    /** Statically-dispatched single-opcode step: the constituent
-     *  executor of the fused superinstruction handlers
-     *  (exec_ops.hh); routes grouped opcodes to their microcode
-     *  unit exactly like the execInstr switch. */
-    template <Opcode OP> void execOne(const DecodedInstr &instr);
     void execUnifyClass(const DecodedInstr &instr);
     void execIndex(const DecodedInstr &instr);
     void execArith(const DecodedInstr &instr);
@@ -575,11 +557,6 @@ class Machine
 
     Profiler profiler_;
     PrefetchUnit prefetch_;
-
-    /** Fused-sequence dispatches since load() (host-side metric). */
-    uint64_t fusedDispatches_ = 0;
-    /** Constituents run inline off a fused head (host-side metric). */
-    uint64_t fusedInlineSteps_ = 0;
 
     /** The predecoded image (index i = address image_.base + i);
      *  empty unless config_.fastDispatch. */

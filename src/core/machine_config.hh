@@ -8,9 +8,6 @@
 #define KCM_CORE_MACHINE_CONFIG_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <vector>
 
 #include "db/clause_store.hh"
 #include "mem/fault_plan.hh"
@@ -89,56 +86,9 @@ struct ResourceGovernor
     }
 };
 
-/**
- * Superinstruction fusion in the predecoded fast core (isa/fusion.hh).
- * Fusion rewrites the dispatch token at the head of a recognized hot
- * sequence so the threaded core executes it with one dispatch; it is
- * purely a host-side routing change — simulated cycles, memory
- * traffic and trap semantics stay bit-identical, and KCMSNAP2
- * snapshots (which serialize machine state, not predecode state) are
- * portable across any fusion mode.
- */
-struct FusionConfig
-{
-    enum class Mode : uint8_t
-    {
-        Off,      ///< plain one-token-per-instruction predecode
-        Static,   ///< fuse every catalog sequence found in the image
-        /** Fuse only the catalog entries listed in @ref sequences —
-         *  chosen from a profiling run's opcode pair/triple
-         *  histogram (the bench harness's --fusion profiled pass). */
-        Profiled,
-    };
-
-    /** Defaults from the KCM_FUSION environment variable ("off"
-     *  disables, anything else / unset = Static), read once — the CI
-     *  matrix leg uses KCM_FUSION=off to keep the unfused predecode
-     *  path exercised by the full test suite. */
-    static Mode
-    defaultMode()
-    {
-        static const Mode mode = [] {
-            const char *env = std::getenv("KCM_FUSION");
-            if (env && (!std::strcmp(env, "off") || !std::strcmp(env, "0")))
-                return Mode::Off;
-            return Mode::Static;
-        }();
-        return mode;
-    }
-
-    Mode mode = defaultMode();
-
-    /** Catalog indices enabled in Profiled mode (ignored otherwise). */
-    std::vector<uint16_t> sequences;
-};
-
 struct MachineConfig
 {
     MemSystemConfig mem;
-
-    /** Superinstruction fusion in the fast core (no effect on the
-     *  oracle, which predecodes nothing). */
-    FusionConfig fusion;
 
     /** Per-query resource limits (all off by default). */
     ResourceGovernor governor;
@@ -186,11 +136,6 @@ struct MachineConfig
     /** Enable the instruction/predicate profiler (small host-side
      *  overhead; no effect on simulated cycles). */
     bool profile = false;
-
-    /** With profile: also collect the opcode pair/triple sequence
-     *  histogram that drives profile-guided fusion selection
-     *  (core/predecode.hh). Allocates a few MB of host memory. */
-    bool profileSequences = false;
 
     /** Collect global-stack garbage automatically when usage exceeds
      *  this many words (0 = never collect automatically). */

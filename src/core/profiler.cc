@@ -35,32 +35,11 @@ Profiler::attach(const CodeImage &image)
 }
 
 void
-Profiler::enableSequences(bool on)
-{
-    sequences_ = on;
-    if (on) {
-        pairCounts_.assign(size_t(numOpcodeTokens) * numOpcodeTokens, 0);
-        tripleCounts_.assign(size_t(numOpcodeTokens) * numOpcodeTokens *
-                                 numOpcodeTokens,
-                             0);
-    } else {
-        pairCounts_.clear();
-        pairCounts_.shrink_to_fit();
-        tripleCounts_.clear();
-        tripleCounts_.shrink_to_fit();
-    }
-    hasPrev_ = hasPrev2_ = false;
-}
-
-void
 Profiler::reset()
 {
     for (auto &count : opcodeCounts_)
         count = 0;
     std::fill(predicateCounts_.begin(), predicateCounts_.end(), 0);
-    std::fill(pairCounts_.begin(), pairCounts_.end(), 0);
-    std::fill(tripleCounts_.begin(), tripleCounts_.end(), 0);
-    hasPrev_ = hasPrev2_ = false;
 }
 
 std::vector<std::pair<Opcode, uint64_t>>
@@ -93,50 +72,6 @@ Profiler::predicateProfile() const
     return out;
 }
 
-std::vector<std::pair<std::array<Opcode, 2>, uint64_t>>
-Profiler::topPairs(size_t n) const
-{
-    std::vector<std::pair<std::array<Opcode, 2>, uint64_t>> out;
-    for (size_t a = 0; a < numOpcodeTokens; ++a) {
-        for (size_t b = 0; b < numOpcodeTokens; ++b) {
-            uint64_t c = pairCounts_.empty()
-                             ? 0
-                             : pairCounts_[a * numOpcodeTokens + b];
-            if (c)
-                out.push_back({{Opcode(a), Opcode(b)}, c});
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto &x, const auto &y) {
-                  return x.second > y.second;
-              });
-    if (out.size() > n)
-        out.resize(n);
-    return out;
-}
-
-std::vector<std::pair<std::array<Opcode, 3>, uint64_t>>
-Profiler::topTriples(size_t n) const
-{
-    std::vector<std::pair<std::array<Opcode, 3>, uint64_t>> out;
-    for (size_t i = 0; i < tripleCounts_.size(); ++i) {
-        if (!tripleCounts_[i])
-            continue;
-        size_t c = i % numOpcodeTokens;
-        size_t b = (i / numOpcodeTokens) % numOpcodeTokens;
-        size_t a = i / (size_t(numOpcodeTokens) * numOpcodeTokens);
-        out.push_back({{Opcode(a), Opcode(b), Opcode(c)},
-                       tripleCounts_[i]});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto &x, const auto &y) {
-                  return x.second > y.second;
-              });
-    if (out.size() > n)
-        out.resize(n);
-    return out;
-}
-
 std::string
 Profiler::report(size_t top) const
 {
@@ -160,23 +95,6 @@ Profiler::report(size_t top) const
             break;
         os << "  " << padRight(name, 22)
            << padLeft(std::to_string(count), 10) << "\n";
-    }
-    if (sequences_) {
-        os << "=== sequence monitor (dynamic opcode pairs) ===\n";
-        for (const auto &[ops, count] : topPairs(top)) {
-            os << "  " << padRight(opcodeName(ops[0]) + ";" +
-                                       opcodeName(ops[1]),
-                                   34)
-               << padLeft(std::to_string(count), 10) << "\n";
-        }
-        os << "=== sequence monitor (dynamic opcode triples) ===\n";
-        for (const auto &[ops, count] : topTriples(top)) {
-            os << "  " << padRight(opcodeName(ops[0]) + ";" +
-                                       opcodeName(ops[1]) + ";" +
-                                       opcodeName(ops[2]),
-                                   34)
-               << padLeft(std::to_string(count), 10) << "\n";
-        }
     }
     return os.str();
 }

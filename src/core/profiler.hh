@@ -5,9 +5,7 @@
  *
  * The macrocode monitor is an opcode histogram; the Prolog-level
  * monitor counts invocations per predicate (resolved through the
- * loaded image's symbol table). An optional sequence monitor counts
- * dynamically adjacent opcode pairs and triples — the input of the
- * profile-guided superinstruction selector (core/predecode.hh).
+ * loaded image's symbol table).
  *
  * Everything on the record() hot path is flat-array indexing: the
  * predicate map is resolved at attach() time into a dense entry→index
@@ -18,7 +16,6 @@
 #ifndef KCM_CORE_PROFILER_HH
 #define KCM_CORE_PROFILER_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,11 +33,6 @@ class Profiler
     /** Prepare the predicate tables from a loaded image. */
     void attach(const CodeImage &image);
 
-    /** Turn the opcode pair/triple sequence monitor on or off
-     *  (allocates the histograms lazily; off by default). */
-    void enableSequences(bool on);
-    bool sequencesEnabled() const { return sequences_; }
-
     /** Record one executed instruction. */
     void
     record(Opcode op, Addr target_of_call = 0)
@@ -56,22 +48,6 @@ class Profiler
                     predicateCounts_[size_t(pred)]++;
             }
         }
-        if (sequences_) {
-            uint8_t tok = static_cast<uint8_t>(op);
-            if (hasPrev_) {
-                pairCounts_[size_t(prev1_) * numOpcodeTokens + tok]++;
-                if (hasPrev2_) {
-                    tripleCounts_[(size_t(prev2_) * numOpcodeTokens +
-                                   prev1_) *
-                                      numOpcodeTokens +
-                                  tok]++;
-                }
-            }
-            prev2_ = prev1_;
-            hasPrev2_ = hasPrev_;
-            prev1_ = tok;
-            hasPrev_ = true;
-        }
     }
 
     void reset();
@@ -81,34 +57,6 @@ class Profiler
 
     /** Per-predicate invocation counts, most frequent first. */
     std::vector<std::pair<std::string, uint64_t>> predicateProfile() const;
-
-    /** Dynamic successor-pair count (0 unless sequences enabled). */
-    uint64_t
-    pairCount(Opcode a, Opcode b) const
-    {
-        if (pairCounts_.empty())
-            return 0;
-        return pairCounts_[size_t(a) * numOpcodeTokens + size_t(b)];
-    }
-
-    /** Dynamic triple count (0 unless sequences enabled). */
-    uint64_t
-    tripleCount(Opcode a, Opcode b, Opcode c) const
-    {
-        if (tripleCounts_.empty())
-            return 0;
-        return tripleCounts_[(size_t(a) * numOpcodeTokens + size_t(b)) *
-                                 numOpcodeTokens +
-                             size_t(c)];
-    }
-
-    /** Most frequent dynamic pairs, descending. */
-    std::vector<std::pair<std::array<Opcode, 2>, uint64_t>>
-    topPairs(size_t n) const;
-
-    /** Most frequent dynamic triples, descending. */
-    std::vector<std::pair<std::array<Opcode, 3>, uint64_t>>
-    topTriples(size_t n) const;
 
     /** Formatted report of the enabled monitors. */
     std::string report(size_t top = 16) const;
@@ -133,13 +81,6 @@ class Profiler
     std::vector<int32_t> entryIndex_;
     std::vector<std::string> predicateNames_;
     std::vector<uint64_t> predicateCounts_;
-
-    // Sequence monitor.
-    bool sequences_ = false;
-    std::vector<uint64_t> pairCounts_;   ///< numOpcodeTokens^2
-    std::vector<uint64_t> tripleCounts_; ///< numOpcodeTokens^3
-    uint8_t prev1_ = 0, prev2_ = 0;
-    bool hasPrev_ = false, hasPrev2_ = false;
 };
 
 } // namespace kcm

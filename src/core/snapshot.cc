@@ -8,7 +8,6 @@
 #include "base/logging.hh"
 #include "compiler/image_io.hh"
 #include "core/machine.hh"
-#include "core/predecode.hh"
 
 namespace kcm
 {
@@ -550,20 +549,10 @@ struct SnapshotAccess
     {
         std::istringstream image_text(r.str());
         m.image_ = loadImage(image_text);
-
         // Rebuild the predecoded image per the *target's* dispatch
-        // core and fusion mode: a snapshot is portable between the
-        // oracle and the threaded core, and across fusion on/off
-        // (all cycle-identical by construction — fusion rewrites
-        // dispatch tokens only, never simulated state).
-        m.decoded_.clear();
-        if (m.config_.fastDispatch)
-            predecodeImage(m.image_.words, m.config_.fusion, m.decoded_);
-        if (m.config_.profile) {
-            m.profiler_.attach(m.image_);
-            m.profiler_.enableSequences(m.config_.profileSequences);
-            m.profiler_.reset();
-        }
+        // core: a snapshot is portable between the oracle and the
+        // threaded core (cycle-identical by construction).
+        m.attachImage();
     }
 
     static void

@@ -35,19 +35,10 @@ struct DecodedInstr
     Word constant;     ///< the Format B tagged constant, prebuilt
     uint32_t value = 0;
     int16_t offset = 0;
-    /** Dense opcode token: the opcode if valid, otherwise
-     *  numOpcodeTokens - 1 (the bad-instruction handler). Never
-     *  rewritten — handlers that re-examine the instruction
-     *  (execUnifyClass, get_nil vs get_constant) rely on it. */
+    /** Dense opcode token, the dispatch index of both cores: the
+     *  opcode if valid, otherwise numOpcodeTokens - 1 (the
+     *  bad-instruction handler). */
     uint8_t op = 0;
-    /**
-     * Dispatch token: equal to op after plain decoding; the fusion
-     * peephole rewrites it at the head of a recognized sequence to a
-     * superinstruction token (>= numOpcodeTokens) so the threaded
-     * core executes the whole sequence with one dispatch. Purely a
-     * host-side routing byte: simulated semantics come from op.
-     */
-    uint8_t tok = 0;
     uint8_t r1 = 0, r2 = 0, r3 = 0, r4 = 0;
     uint8_t baseCycles = 0;
     bool inferenceMark = false;
@@ -79,7 +70,6 @@ decodeInstr(uint64_t raw)
         d.op = invalidOpcodeToken;
         d.baseCycles = 0;
     }
-    d.tok = d.op;
     d.constant = in.constant();
     d.value = in.value();
     d.offset = in.offset();

@@ -15,8 +15,8 @@ imageCacheKey(const std::string &program, const std::string &goal,
     fnvMixStr(h, goal);
 
     // Machine-config fingerprint: every knob that changes what a
-    // restored template computes or reports. (fastDispatch and fusion
-    // participate even though snapshots are portable across them —
+    // restored template computes or reports. (fastDispatch
+    // participates even though snapshots are portable across cores —
     // conservative, and it keeps per-tenant config isolation simple.)
     fnvMixPod(h, config.mem.memoryWords);
     fnvMixPod(h, config.shallowBacktracking);
@@ -30,9 +30,6 @@ imageCacheKey(const std::string &program, const std::string &goal,
     fnvMixPod(h, config.racBlockMoves);
     fnvMixPod(h, config.dualPortRegisterFile);
     fnvMixPod(h, config.catchUnwindCycles);
-    fnvMixPod(h, config.fusion.mode);
-    for (uint16_t s : config.fusion.sequences)
-        fnvMixPod(h, s);
     // Dynamic clause store: index ablation changes scanned counts
     // (and therefore cycles), the cost knobs change them directly.
     fnvMixPod(h, config.dyndb.hashIndex);

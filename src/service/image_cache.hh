@@ -58,9 +58,9 @@ struct ImageCacheStats
 
 /**
  * Content-hash key for one warm template. The machine configuration
- * participates because predecode layout, fusion mode and memory
- * geometry are baked into the snapshot's restore target; two tenants
- * with different configs must never share a template.
+ * participates because the dispatch core and memory geometry are
+ * baked into the snapshot's restore target; two tenants with
+ * different configs must never share a template.
  */
 uint64_t imageCacheKey(const std::string &program,
                        const std::string &goal,

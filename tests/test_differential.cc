@@ -10,6 +10,7 @@
  */
 
 #include <cctype>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "baseline/interp.hh"
 #include "bench_support/harness.hh"
 #include "bench_support/plm_suite.hh"
+#include "core/machine.hh"
 #include "kcm/kcm.hh"
 
 using namespace kcm;
@@ -290,4 +292,115 @@ INSTANTIATE_TEST_SUITE_P(
                       "queens", "query", "times10"),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
+    });
+
+namespace
+{
+
+/** Every simulated quantity one run reports. */
+std::vector<uint64_t>
+simulatedMetrics(Machine &m)
+{
+    DataCache &dcache = m.mem().dataCache();
+    CodeCache &ccache = m.mem().codeCache();
+    return {m.cycles(),
+            m.instructions(),
+            m.inferences(),
+            dcache.readHits.value(),
+            dcache.writeHits.value(),
+            dcache.readMisses.value(),
+            dcache.writeMisses.value(),
+            ccache.readHits.value(),
+            ccache.readMisses.value(),
+            m.mem().memory().readWords.value(),
+            m.mem().memory().writtenWords.value(),
+            m.choicePointsCreated.value(),
+            m.trailPushes.value(),
+            m.derefSteps.value()};
+}
+
+struct CorpusProgram
+{
+    const char *name;
+    const char *text; ///< defines go/0
+};
+
+// Small programs whose instruction sequences the PLM suite reaches
+// rarely or never: put_variable_x before a call, a switch_on_term
+// whose list bucket is a try block, unify_value_x list cells on both
+// the get and the put side, structure recursion and deep retries.
+const CorpusProgram corpusPrograms[] = {
+    {"nrev",
+     "app([], L, L).\n"
+     "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+     "nrev([], []).\n"
+     "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+     "l16([a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p]).\n"
+     "go :- l16(L), nrev(L, _).\n"},
+    {"qsort",
+     "part([], _, [], []).\n"
+     "part([X|Xs], P, [X|S], B) :- X =< P, part(Xs, P, S, B).\n"
+     "part([X|Xs], P, S, [X|B]) :- X > P, part(Xs, P, S, B).\n"
+     "qs([], R, R).\n"
+     "qs([P|Xs], R, R0) :-\n"
+     "    part(Xs, P, S, B), qs(S, R, [P|R1]), qs(B, R1, R0).\n"
+     "go :- qs([27,74,17,33,94,18,46,83,65,2,32,53,28,85,99,47], R, []),\n"
+     "      R = [_|_].\n"},
+    {"choice",
+     "color(red). color(green). color(blue).\n"
+     "num(1). num(2). num(3).\n"
+     "pair(C, N) :- color(C), num(N).\n"
+     "go :- pair(C1, N1), pair(C2, N2), C1 \\== C2, N1 > N2,\n"
+     "      C2 == blue.\n"},
+    {"struct",
+     "tree(leaf).\n"
+     "tree(node(L, _, R)) :- tree(L), tree(R).\n"
+     "build(0, leaf).\n"
+     "build(N, node(L, N, L)) :- N > 0, M is N - 1, build(M, L).\n"
+     "go :- build(6, T), tree(T).\n"},
+    {"dispatch",
+     "m(a).\n"
+     "m([_|_]).\n"
+     "m([x|_]).\n"
+     "q(1).\n"
+     "r.\n"
+     "go :- q(_A), r, m([y]), m([x]).\n"},
+    {"listValue",
+     "pv([X|_], [X|_]).\n"
+     "q(_, _, _).\n"
+     "pl([H|T]) :- q([H|X], T, X).\n"
+     "go :- pv([1,2], [1,3]), pl([a,b]).\n"},
+};
+
+} // namespace
+
+class CorpusFastOracle : public ::testing::TestWithParam<CorpusProgram>
+{
+};
+
+TEST_P(CorpusFastOracle, CoresBitIdentical)
+{
+    KcmSystem host;
+    host.consult(GetParam().text);
+    CodeImage image = host.compileOnly("go");
+
+    MachineConfig fast_config;
+    fast_config.fastDispatch = true;
+    Machine fast(fast_config);
+    fast.load(image);
+    ASSERT_EQ(fast.run(), RunStatus::SolutionFound);
+
+    MachineConfig oracle_config;
+    oracle_config.fastDispatch = false;
+    Machine oracle(oracle_config);
+    oracle.load(image);
+    ASSERT_EQ(oracle.run(), RunStatus::SolutionFound);
+
+    EXPECT_EQ(simulatedMetrics(fast), simulatedMetrics(oracle));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, CorpusFastOracle, ::testing::ValuesIn(corpusPrograms),
+    [](const ::testing::TestParamInfo<CorpusProgram> &info) {
+        return std::string(info.param.name);
     });

@@ -240,6 +240,46 @@ TEST(Traps, CycleBudgetAbortIdenticalOnBothCores)
     EXPECT_GE(out.cycle, 1000u);
 }
 
+TEST(Traps, CycleBudgetSweepIdenticalOnBothCores)
+{
+    // Sweep a cycle budget across a whole compiled run: wherever the
+    // Abort lands, the threaded loop must stop at the same
+    // instruction boundary as the oracle — same pc, cycle and
+    // completed instruction count.
+    KcmSystem host;
+    host.consult("app([], L, L).\n"
+                 "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+                 "nrev([], []).\n"
+                 "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+                 "l16([a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p]).\n"
+                 "go :- l16(L), nrev(L, _).\n");
+    CodeImage image = host.compileOnly("go");
+
+    Machine full;
+    full.load(image);
+    ASSERT_EQ(full.run(), RunStatus::SolutionFound);
+    uint64_t total = full.cycles();
+    ASSERT_GT(total, 100u);
+
+    // Every 7th cycle: dense enough to land inside every clause of
+    // the run many times, sparse enough to keep the sweep fast.
+    MachineConfig config;
+    for (uint64_t budget = 3; budget < total; budget += 7) {
+        config.governor.cycleBudget = budget;
+        TrapOutcome fast = runCore(image, config, /*fast=*/true);
+        TrapOutcome oracle = runCore(image, config, /*fast=*/false);
+        ASSERT_EQ(fast.status, oracle.status) << "budget " << budget;
+        if (fast.status != RunStatus::Trapped)
+            continue; // the budget fell inside the final instruction
+        EXPECT_EQ(fast.kind, TrapKind::Abort) << "budget " << budget;
+        EXPECT_EQ(oracle.kind, TrapKind::Abort) << "budget " << budget;
+        EXPECT_EQ(fast.pc, oracle.pc) << "budget " << budget;
+        EXPECT_EQ(fast.cycle, oracle.cycle) << "budget " << budget;
+        EXPECT_EQ(fast.instructions, oracle.instructions)
+            << "budget " << budget;
+    }
+}
+
 // ----------------------------------------------- fault-plan scripts
 
 TEST(Traps, TightenZoneFaultTrapsIdentically)

@@ -11,14 +11,6 @@
  *   -e TEXT        consult program text given inline
  *   --stats        dump machine statistics after the run
  *   --profile      print the macrocode/Prolog-level monitor report
- *   --profile-seq  with --profile: also collect and print the opcode
- *                  pair/triple sequence monitor (the input of
- *                  profile-guided fusion selection)
- *   --fusion M     superinstruction fusion in the fast core:
- *                  off | static (default; KCM_FUSION env overrides) |
- *                  profiled (runs the query once with the sequence
- *                  monitor to pick the fused sequences, then again
- *                  fused; measurements reported for the fused run)
  *   --disasm       print the disassembled code image and exit
  *   --save FILE    save the compiled image and exit
  *   --load FILE    run a previously saved image (no sources needed)
@@ -49,9 +41,9 @@
  * Exit codes: 0 = solutions found, 1 = clean "no", 2 = query failed
  * (trap, resource exhaustion, blown deadline, usage error, or a
  * missing/unreadable program or --db-facts file — always a one-line
- * diagnostic, never an uncaught exception), 3 = shed by an overloaded
- * service (kcm_serve semantics, reserved here), 4 = interrupted by
- * SIGINT/SIGTERM (partial solutions flushed).
+ * diagnostic, never an uncaught exception), 3 = reserved (shed by an
+ * overloaded service), 4 = interrupted by SIGINT/SIGTERM (partial
+ * solutions flushed).
  */
 
 #include <csignal>
@@ -65,7 +57,6 @@
 
 #include "base/logging.hh"
 #include "compiler/image_io.hh"
-#include "core/predecode.hh"
 #include "isa/disasm.hh"
 #include "kcm/kcm.hh"
 #include "service/session.hh"
@@ -170,22 +161,6 @@ main(int argc, char **argv)
         } else if (arg == "--profile") {
             want_profile = true;
             options.machine.profile = true;
-        } else if (arg == "--profile-seq") {
-            want_profile = true;
-            options.machine.profile = true;
-            options.machine.profileSequences = true;
-        } else if (arg == "--fusion") {
-            std::string mode = next();
-            if (mode == "off")
-                options.machine.fusion.mode = kcm::FusionConfig::Mode::Off;
-            else if (mode == "static")
-                options.machine.fusion.mode =
-                    kcm::FusionConfig::Mode::Static;
-            else if (mode == "profiled")
-                options.machine.fusion.mode =
-                    kcm::FusionConfig::Mode::Profiled;
-            else
-                usage();
         } else if (arg == "--disasm") {
             want_disasm = true;
         } else if (arg == "--save") {
@@ -261,28 +236,6 @@ main(int argc, char **argv)
                     (unsigned long long)machine.cycles(),
                     machine.seconds() * 1e3);
             return shown ? 0 : 1;
-        }
-
-        if (options.machine.fusion.mode ==
-                kcm::FusionConfig::Mode::Profiled &&
-            options.machine.fusion.sequences.empty() && !query.empty()) {
-            // Profile-guided fusion: run the query once unfused with
-            // the sequence monitor, select the hottest catalog
-            // sequences, then run fused below. Only the fused run is
-            // reported.
-            kcm::KcmOptions prof = options;
-            prof.machine.profile = true;
-            prof.machine.profileSequences = true;
-            prof.machine.fusion.mode = kcm::FusionConfig::Mode::Off;
-            prof.machine.captureOutput = true;
-            kcm::KcmSystem profSystem(prof);
-            for (const auto &source : sources)
-                profSystem.consult(source);
-            for (const auto &path : fact_files)
-                profSystem.preloadFacts(readFile(path), path);
-            profSystem.query(query);
-            options.machine.fusion.sequences = kcm::selectFusedSequences(
-                profSystem.machine().profiler(), 12);
         }
 
         kcm::KcmSystem system(options);
@@ -390,10 +343,6 @@ main(int argc, char **argv)
         if (want_stats) {
             std::ostringstream os;
             system.machine().stats().dump(os);
-            os << "host dispatch: " << system.machine().dispatches()
-               << " dispatches, " << system.machine().fusedDispatches()
-               << " fused heads, " << system.machine().fusedInlineSteps()
-               << " inline constituents\n";
             fputs(os.str().c_str(), stderr);
         }
         if (want_profile)
