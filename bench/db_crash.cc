@@ -193,7 +193,9 @@ makeSchedule(uint32_t seed, size_t n)
 // ------------------------------------------------------------------ //
 // In-process oracle: re-execute schedule entries on a private store
 // with the real compiler + machine — byte-for-byte what the daemon's
-// sessions did for the same prefix.
+// sessions did for the same prefix. The daemon's durable store
+// reclaims retracted clauses after every commit and after recovery,
+// so the oracle reclaims after every entry and every journal replay.
 // ------------------------------------------------------------------ //
 
 void
@@ -212,6 +214,7 @@ applyEntryInProcess(const std::shared_ptr<db::ClauseStore> &store,
               trapDiagnosis(machine.lastTrap()));
     if (status != RunStatus::SolutionFound)
         fatal("oracle mutation failed: ", e.goal);
+    store->reclaimAll();
 }
 
 Functor
@@ -398,6 +401,7 @@ verifyRecovery(const std::string &jpath, const std::vector<MutEntry> &sched,
 {
     db::ClauseStore recovered(db::DynDbConfig{});
     scan = db::Journal::scanFile(jpath, &recovered);
+    recovered.reclaimAll();
 
     if (scan.corrupt) {
         why = cat("corrupt_record after a plain kill: ", scan.reason);
@@ -639,6 +643,7 @@ tortureLoop(int iterations, const std::string &serverd,
                 db::ClauseStore compacted(db::DynDbConfig{});
                 db::JournalScan cs =
                     db::Journal::scanFile(jpath, &compacted);
+                compacted.reclaimAll();
                 if (!cs.clean() || cs.lastCommitId != commits ||
                     cs.snapshots != 1 ||
                     !storesIdentical(compacted, *oracle, {}, why)) {

@@ -1,5 +1,6 @@
 #include "core/snapshot.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <sstream>
@@ -30,7 +31,13 @@ namespace
  * snapshots, which restore with three sections). The memory payload
  * leads with a geometry header (memory size, page-table size, cache
  * cell counts) so a snapshot taken on a differently configured
- * machine is rejected up front. restoreSnapshot() validates the whole
+ * machine is rejected up front. Main memory is recorded sparsely, as
+ * (address, value) pairs for its nonzero words; the MMU hands out
+ * physical pages as a dense prefix and every physical write goes
+ * through it, so words at or past allocatedPages() << pageShift are
+ * always zero and save and restore touch only that prefix. The bytes
+ * do not depend on that: a scan of the whole board writes the same
+ * ones. restoreSnapshot() validates the whole
  * container — structure, lengths, every checksum, geometry — before
  * mutating one word of the target machine: a truncated or bit-flipped
  * blob is reported with a diagnostic and the target stays untouched.
@@ -287,25 +294,35 @@ struct SnapshotAccess
                   " cells, machine ", mem.codeCache().cells_.size(), ")");
     }
 
+    /** Words in the physical prefix the MMU has handed out. Every
+     *  physical write goes through Mmu::translate, which allocates
+     *  pages densely from zero, so every word at or past this bound
+     *  is zero. */
+    static size_t
+    allocatedWords(MemSystem &mem)
+    {
+        return std::min(size_t(mem.mmu().allocatedPages()) << pageShift,
+                        mem.memory().sizeWords());
+    }
+
     static void
     saveMem(MemSystem &mem, ByteWriter &w)
     {
         saveMemGeometry(mem, w);
 
-        // Main memory, sparse: only nonzero words are recorded (the
-        // board is zero-initialized, and restore clears it first).
+        // Main memory, sparse: only nonzero words are recorded, and
+        // only the allocated prefix can hold one.
         MainMemory &mm = mem.memory();
+        const uint64_t *words = mm.data_.get();
+        const size_t live = allocatedWords(mem);
         size_t nonzero = 0;
-        for (size_t a = 0; a < mm.sizeWords(); ++a) {
-            if (mm.peek(PhysAddr(a)))
-                ++nonzero;
-        }
+        for (size_t a = 0; a < live; ++a)
+            nonzero += words[a] != 0;
         w.u64(nonzero);
-        for (size_t a = 0; a < mm.sizeWords(); ++a) {
-            uint64_t v = mm.peek(PhysAddr(a));
-            if (v) {
+        for (size_t a = 0; a < live; ++a) {
+            if (words[a]) {
                 w.u64(a);
-                w.u64(v);
+                w.u64(words[a]);
             }
         }
         w.counter(mm.readWords);
@@ -370,11 +387,10 @@ struct SnapshotAccess
             r.u64();
 
         MainMemory &mm = mem.memory();
-        // Clear, then apply the recorded nonzero words.
-        for (size_t a = 0; a < mm.sizeWords(); ++a) {
-            if (mm.peek(PhysAddr(a)))
-                mm.poke(PhysAddr(a), 0);
-        }
+        // Clear the target's allocated prefix (past it every word is
+        // already zero; read it before the page table below replaces
+        // it), then apply the recorded nonzero words.
+        std::fill_n(mm.data_.get(), allocatedWords(mem), uint64_t(0));
         uint64_t nonzero = r.u64();
         for (uint64_t i = 0; i < nonzero; ++i) {
             uint64_t a = r.u64();

@@ -4,8 +4,8 @@
  *
  * takeSnapshot() serializes the complete architectural and
  * micro-architectural state of a Machine — register file, state
- * registers, shallow-backtracking shadows, every memory word, page
- * table, both cache arrays (tags, data, dirty bits), zone limits,
+ * registers, shallow-backtracking shadows, every nonzero memory word,
+ * page table, both cache arrays (tags, data, dirty bits), zone limits,
  * prefetch pipeline, governor state and every statistics counter —
  * into a self-contained byte image. restoreSnapshot() loads that image
  * into a Machine built with the same MachineConfig; continuing
@@ -20,6 +20,13 @@
  * before mutating the target, so a truncated or bit-flipped blob is
  * rejected with a diagnostic and the target machine is left exactly
  * as it was (no partial restore).
+ *
+ * Cost is proportional to live state, not to the board: the MMU hands
+ * out physical pages as a dense prefix (Mmu::allocatedPages()) and
+ * every physical write goes through it, so every word at or past
+ * allocatedPages() << pageShift is zero. Saving scans only that prefix
+ * and restoring clears only the target's; the bytes are the ones a
+ * scan of the whole board would write.
  *
  * Scope and caveats:
  *  - Take snapshots at a run boundary (between run()/nextSolution()

@@ -140,7 +140,8 @@ ArgKey::forHead(const TermRef &head)
 }
 
 /** One skiplist over clause sequence numbers. The sentinel head has a
- *  full-height tower; node towers are `towerHeight(seq)` tall. */
+ *  full-height tower; node towers are `towerHeight(seq)` tall. The
+ *  list links nodes its owner allocates (see Pred::Entry). */
 struct ClauseStore::SeqList
 {
     struct Node
@@ -152,7 +153,6 @@ struct ClauseStore::SeqList
     };
 
     Node head;
-    std::deque<Node> nodes;
 
     SeqList()
     {
@@ -161,8 +161,11 @@ struct ClauseStore::SeqList
         head.next.fill(nullptr);
     }
 
+    bool empty() const { return head.next[0] == nullptr; }
+
+    /** Link @p n, standing for @p c, in sequence order. */
     void
-    insert(const StoredClause *c)
+    insert(Node *n, const StoredClause *c)
     {
         Node *update[kMaxLevel];
         Node *x = &head;
@@ -171,8 +174,6 @@ struct ClauseStore::SeqList
                 x = x->next[i];
             update[i] = x;
         }
-        nodes.emplace_back();
-        Node *n = &nodes.back();
         n->clause = c;
         n->seq = c->seq;
         n->level = towerHeight(c->seq);
@@ -180,6 +181,26 @@ struct ClauseStore::SeqList
             n->next[i] = update[i]->next[i];
             update[i]->next[i] = n;
         }
+    }
+
+    /** Unlink the node of @p seq, which must be linked: O(log n) hops
+     *  down the express lanes (always built; the skiplist ablation
+     *  only changes how lookups seek). */
+    void
+    unlink(int64_t seq)
+    {
+        bool found = false;
+        Node *x = &head;
+        for (int i = kMaxLevel - 1; i >= 0; --i) {
+            while (x->next[i] && x->next[i]->seq < seq)
+                x = x->next[i];
+            if (x->next[i] && x->next[i]->seq == seq) {
+                x->next[i] = x->next[i]->next[i];
+                found = true;
+            }
+        }
+        if (!found)
+            panic("skiplist unlink: seq ", seq, " is not linked");
     }
 
     /**
@@ -220,41 +241,74 @@ struct ClauseStore::SeqList
         }
         return n ? n->clause : nullptr;
     }
-
-    /** Unlink the most recently inserted node, which must be @p c's.
-     *  Transaction rollback only: ops are undone newest-first and
-     *  per-list insertion order is chronological, so the node to
-     *  remove is always nodes.back() — making removal O(log n) with
-     *  no tombstone or reindex. */
-    void
-    removeLast(const StoredClause *c)
-    {
-        if (nodes.empty() || nodes.back().clause != c)
-            panic("skiplist removeLast: node is not the newest insert");
-        Node *target = &nodes.back();
-        Node *x = &head;
-        for (int i = kMaxLevel - 1; i >= 0; --i) {
-            while (x->next[i] && x->next[i] != target &&
-                   x->next[i]->seq < target->seq)
-                x = x->next[i];
-            if (x->next[i] == target)
-                x->next[i] = target->next[i];
-        }
-        nodes.pop_back();
-    }
 };
 
 struct ClauseStore::Pred
 {
+    /** One clause with its two skiplist nodes: one in the master
+     *  list, one in its key bucket or the variable list. Each entry
+     *  is one allocation of `clauses`, so its address is stable and
+     *  erasing it frees all three. */
+    struct Entry
+    {
+        StoredClause clause;
+        SeqList::Node inMaster;
+        SeqList::Node inKey;
+    };
+
     Functor f{};
     bool declared = false;
     int64_t minSeq = 0; ///< lowest seq ever allocated (asserta side)
     int64_t maxSeq = 0; ///< highest seq ever allocated (assertz side)
-    std::deque<StoredClause> clauses;
-    std::unordered_map<int64_t, StoredClause *> bySeq;
+    std::unordered_map<int64_t, Entry> clauses; ///< by seq
     SeqList master;
     SeqList varList;
     std::unordered_map<ArgKey, std::unique_ptr<SeqList>, ArgKeyHash> buckets;
+
+    /** Store @p c and index it under its seq and first-argument key. */
+    const StoredClause &
+    link(StoredClause c)
+    {
+        auto [it, fresh] = clauses.try_emplace(c.seq);
+        if (!fresh)
+            fatal("clause store: duplicate clause seq ", c.seq);
+        Entry &e = it->second;
+        e.clause = std::move(c);
+        master.insert(&e.inMaster, &e.clause);
+        keyList(ArgKey::forHead(e.clause.head))
+            .insert(&e.inKey, &e.clause);
+        return e.clause;
+    }
+
+    /** Remove clause @p seq from every index and free it (rollback of
+     *  its assert, or reclaim of a dead clause). O(log n). */
+    void
+    unlink(int64_t seq)
+    {
+        auto it = clauses.find(seq);
+        if (it == clauses.end())
+            panic("clause store: unlink of absent seq ", seq);
+        master.unlink(seq);
+        ArgKey key = ArgKey::forHead(it->second.clause.head);
+        SeqList &list = keyList(key);
+        list.unlink(seq);
+        if (&list != &varList && list.empty())
+            buckets.erase(key);
+        clauses.erase(it);
+    }
+
+    /** The list a clause filed under @p key lives in (created on
+     *  first use). */
+    SeqList &
+    keyList(const ArgKey &key)
+    {
+        if (key.isAny())
+            return varList;
+        auto &bucket = buckets[key];
+        if (!bucket)
+            bucket = std::make_unique<SeqList>();
+        return *bucket;
+    }
 };
 
 ClauseStore::ClauseStore(DynDbConfig config) : config_(config) {}
@@ -313,30 +367,18 @@ ClauseStore::assertClause(const Functor &f, const TermRef &head,
     c.birth = ++generation_;
     ++updates_;
 
-    p.clauses.push_back(std::move(c));
-    StoredClause *stored = &p.clauses.back();
-    p.bySeq.emplace(stored->seq, stored);
-    p.master.insert(stored);
-    ArgKey key = ArgKey::forHead(stored->head);
-    if (key.isAny()) {
-        p.varList.insert(stored);
-    } else {
-        auto &bucket = p.buckets[key];
-        if (!bucket)
-            bucket = std::make_unique<SeqList>();
-        bucket->insert(stored);
-    }
+    const StoredClause &stored = p.link(std::move(c));
     if (txnActive_) {
         TxnOp op;
         op.kind = at_front ? TxnOp::Kind::AssertA : TxnOp::Kind::AssertZ;
         op.f = f;
-        op.head = stored->head;
-        op.body = stored->body;
-        op.seq = stored->seq;
+        op.head = stored.head;
+        op.body = stored.body;
+        op.seq = stored.seq;
         op.createdPred = created;
         txn_.push_back(std::move(op));
     }
-    return *stored;
+    return stored;
 }
 
 void
@@ -345,13 +387,13 @@ ClauseStore::eraseClause(const Functor &f, int64_t seq)
     auto it = preds_.find(f);
     if (it == preds_.end())
         return;
-    auto cit = it->second->bySeq.find(seq);
-    if (cit == it->second->bySeq.end())
+    auto cit = it->second->clauses.find(seq);
+    if (cit == it->second->clauses.end())
         return;
-    StoredClause *c = cit->second;
-    if (c->death != ~0ull)
+    StoredClause &c = cit->second.clause;
+    if (c.death != ~0ull)
         return; // already a tombstone
-    c->death = ++generation_;
+    c.death = ++generation_;
     ++updates_;
     if (txnActive_) {
         TxnOp op;
@@ -405,8 +447,8 @@ ClauseStore::liveClauseCount(const Functor &f) const
     if (!p)
         return 0;
     uint64_t n = 0;
-    for (const auto &c : p->clauses)
-        n += c.visibleAt(generation_);
+    for (const auto &[seq, e] : p->clauses)
+        n += e.clause.visibleAt(generation_);
     return n;
 }
 
@@ -434,11 +476,12 @@ ClauseStore::clear()
 // Transactions. Every mutation between beginTxn() and commit/rollback
 // is recorded as a TxnOp; rollback replays the record newest-first and
 // restores the exact pre-transaction state. The exactness argument:
-// per-predicate containers (clauses deque, each SeqList's nodes deque)
-// append in chronological order, so undoing the globally newest op
-// always pops the newest element of every container it touched, and
-// the sequence/generation/update counters — each bumped exactly once
-// per op — are restored by one decrement per op.
+// an assert is undone by unlinking its seq from every index it joined
+// (the skiplists are a function of the linked seqs alone), an erase
+// by clearing its death stamp, and the sequence/generation/update
+// counters — each bumped exactly once per op — by one decrement per
+// op; newest-first order keeps each undone assert at its predicate's
+// minSeq/maxSeq end.
 
 void
 ClauseStore::beginTxn()
@@ -472,32 +515,17 @@ ClauseStore::rollbackTxn()
             panic("transaction rollback: predicate vanished");
         Pred &p = *pit->second;
         if (op.kind == TxnOp::Kind::Erase) {
-            auto cit = p.bySeq.find(op.seq);
-            if (cit == p.bySeq.end())
+            auto cit = p.clauses.find(op.seq);
+            if (cit == p.clauses.end())
                 panic("transaction rollback: erased clause vanished");
-            cit->second->death = ~0ull;
+            cit->second.clause.death = ~0ull;
         } else {
-            if (p.clauses.empty() || p.clauses.back().seq != op.seq)
+            int64_t &end =
+                op.kind == TxnOp::Kind::AssertA ? p.minSeq : p.maxSeq;
+            if (op.seq != end)
                 panic("transaction rollback: out-of-order assert undo");
-            StoredClause *c = &p.clauses.back();
-            ArgKey key = ArgKey::forHead(c->head);
-            if (key.isAny()) {
-                p.varList.removeLast(c);
-            } else {
-                auto bit = p.buckets.find(key);
-                if (bit == p.buckets.end())
-                    panic("transaction rollback: missing index bucket");
-                bit->second->removeLast(c);
-                if (bit->second->nodes.empty())
-                    p.buckets.erase(bit);
-            }
-            p.master.removeLast(c);
-            p.bySeq.erase(op.seq);
-            if (op.kind == TxnOp::Kind::AssertA)
-                ++p.minSeq;
-            else
-                --p.maxSeq;
-            p.clauses.pop_back();
+            p.unlink(op.seq);
+            end += op.kind == TxnOp::Kind::AssertA ? 1 : -1;
             if (op.createdPred)
                 preds_.erase(pit);
         }
@@ -506,6 +534,36 @@ ClauseStore::rollbackTxn()
     }
     txn_.clear();
     txnActive_ = false;
+}
+
+void
+ClauseStore::reclaim(const std::vector<TxnOp> &ops)
+{
+    for (const TxnOp &op : ops) {
+        if (op.kind != TxnOp::Kind::Erase)
+            continue;
+        auto pit = preds_.find(op.f);
+        if (pit == preds_.end())
+            continue;
+        Pred &p = *pit->second;
+        auto cit = p.clauses.find(op.seq);
+        if (cit != p.clauses.end() && cit->second.clause.death != ~0ull)
+            p.unlink(op.seq);
+    }
+}
+
+void
+ClauseStore::reclaimAll()
+{
+    for (auto &[f, p] : preds_) {
+        std::vector<int64_t> dead;
+        for (const auto &[seq, e] : p->clauses) {
+            if (e.clause.death != ~0ull)
+                dead.push_back(seq);
+        }
+        for (int64_t seq : dead)
+            p->unlink(seq);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -824,19 +882,7 @@ ClauseStore::loadFrom(const uint8_t *data, size_t size)
             c.head = decodeTerm(r, atoms, vars);
             if (has_body)
                 c.body = decodeTerm(r, atoms, vars);
-            p.clauses.push_back(std::move(c));
-            StoredClause *stored = &p.clauses.back();
-            p.bySeq.emplace(stored->seq, stored);
-            p.master.insert(stored);
-            ArgKey key = ArgKey::forHead(stored->head);
-            if (key.isAny()) {
-                p.varList.insert(stored);
-            } else {
-                auto &bucket = p.buckets[key];
-                if (!bucket)
-                    bucket = std::make_unique<SeqList>();
-                bucket->insert(stored);
-            }
+            p.link(std::move(c));
         }
     }
     if (r.p != r.end)

@@ -24,7 +24,11 @@
  * unlinks — it stamps the death generation — so the visible set at
  * any captured G is immutable and cursors survive arbitrary
  * concurrent-in-the-Prolog-sense mutation (retract while iterating,
- * assert during backtracking).
+ * assert during backtracking). Dead clauses are unlinked only by
+ * reclaim(), once no goal can hold an older generation: a durable
+ * store (db::JournaledStore) reclaims what each commit retracted, so
+ * its size and its lookups' scanned counts track the live clauses, not
+ * the history of retracts.
  *
  * Determinism contract: lookups report how many index nodes they
  * touched (`LookupResult::scanned`) and the engines charge simulated
@@ -41,7 +45,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -293,6 +296,20 @@ class ClauseStore
 
     /** Undo every recorded op in reverse order and stop recording. */
     void rollbackTxn();
+
+    // -- reclaim -----------------------------------------------------
+    //
+    // Unlink dead clauses from every index and free them. Sequence
+    // numbers, generation() and updateCount() do not change. Only
+    // safe once no goal holds a generation in which the clauses were
+    // still alive, and never ahead of a rollback of the transaction
+    // that erased them.
+
+    /** Reclaim the clauses @p ops erased: O(k log n) for k erasures. */
+    void reclaim(const std::vector<TxnOp> &ops);
+
+    /** Reclaim every dead clause (after a journal replay). */
+    void reclaimAll();
 
     // -- op-batch codec (journal record payloads) -------------------
     //

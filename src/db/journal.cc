@@ -475,6 +475,8 @@ JournaledStore::JournaledStore(const std::string &dir,
     : store_(std::make_shared<ClauseStore>(db_config)), opts_(opts)
 {
     journal_.open(dir, opts, *store_, recovery_);
+    // No goal has seen the replayed store yet.
+    store_->reclaimAll();
     bytes_.store(0);
     if (recovery_.records > 0) {
         inform("journal: ", journal_.path(), ": recovered ",
@@ -493,6 +495,10 @@ uint64_t
 JournaledStore::commit(const std::vector<TxnOp> &ops)
 {
     uint64_t id = journal_.commit(ops);
+    // The committing session is the only one running (it holds
+    // mutex()) and its machine is discarded after the commit, so
+    // nothing can see the retracted clauses any more.
+    store_->reclaim(ops);
     commits_.fetch_add(1);
     ops_.fetch_add(ops.size());
     if (opts_.snapshotEvery &&

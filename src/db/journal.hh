@@ -203,8 +203,10 @@ class Journal
  * worker sessions: a durable query locks mutex(), runs against
  * store() inside a transaction, and on success journals the op batch
  * via commit() *before* the reply is written (commit-before-ack).
- * Live counters are atomics so the stats endpoint can read them
- * without the mutex.
+ * The store holds only live clauses after construction (recovery)
+ * and after every commit: both reclaim what was retracted (the
+ * Journal itself stays a raw log). Live counters are atomics so the
+ * stats endpoint can read them without the mutex.
  */
 class JournaledStore
 {
@@ -220,8 +222,10 @@ class JournaledStore
     /** What open-time recovery found (immutable after construction). */
     const JournalScan &recoveryReport() const { return recovery_; }
 
-    /** Journal an applied op batch; auto-snapshots every
-     *  JournalOptions::snapshotEvery commits. Caller holds mutex().
+    /** Journal an applied op batch, then reclaim the clauses it
+     *  erased; auto-snapshots every JournalOptions::snapshotEvery
+     *  commits. Caller holds mutex() and then closes its transaction
+     *  with commitTxn() (a committed batch is never rolled back).
      *  Returns the commit id. */
     uint64_t commit(const std::vector<TxnOp> &ops);
 

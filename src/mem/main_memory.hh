@@ -64,6 +64,8 @@ class MainMemory
     Counter transactions;
 
   private:
+    friend struct SnapshotAccess;
+
     void checkRange(PhysAddr addr, unsigned count) const;
 
     struct FreeDeleter

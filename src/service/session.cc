@@ -71,15 +71,17 @@ Session::Session(std::shared_ptr<const Snapshot> warm_template,
 Session::~Session() = default;
 
 void
-Session::takeCheckpoint(std::vector<Solution> &solutions,
-                        bool resume_after)
+Session::checkpoint(std::shared_ptr<const Snapshot> state,
+                    size_t solution_count, bool resume_after)
 {
-    checkpoint_.snap = takeSnapshot(*machine_);
-    checkpoint_.solutionCount = solutions.size();
+    checkpoint_.snap =
+        state ? std::move(state)
+              : std::make_shared<const Snapshot>(takeSnapshot(*machine_));
+    checkpoint_.solutionCount = solution_count;
     checkpoint_.resumeAfterRestore = resume_after;
     checkpoint_.cycle = machine_->cycles();
     ++counters_.checkpoints;
-    counters_.checkpointBytes += checkpoint_.snap.bytes.size();
+    counters_.checkpointBytes += checkpoint_.snap->bytes.size();
 }
 
 bool
@@ -174,8 +176,11 @@ Session::run()
         machine_->attachDynamicDb(durable->storePtr());
         durable->store().beginTxn();
     }
+    // Checkpoint zero. A warm machine fresh from coldStart() is the
+    // template plus this session's quotas, so the template itself
+    // serves: recover() restores it the way coldStart() does.
     if (recovery)
-        takeCheckpoint(out.solutions, /*resume_after=*/false);
+        checkpoint(template_, 0, /*resume_after=*/false);
 
     const size_t max_solutions =
         options_.maxSolutions == 0 ? SIZE_MAX : options_.maxSolutions;
@@ -294,7 +299,12 @@ Session::run()
         if (progressed) {
             counters_.recoveryCycles +=
                 fail_cycle - checkpoint_.cycle;
-            restoreSnapshot(*machine_, checkpoint_.snap);
+            if (checkpoint_.snap == template_) {
+                if (!coldStart()) // warm checkpoint zero
+                    return false;
+            } else {
+                restoreSnapshot(*machine_, *checkpoint_.snap);
+            }
             machine_->dismissPendingFaults();
             out.solutions.resize(checkpoint_.solutionCount);
             mode = checkpoint_.resumeAfterRestore ? Mode::Resume
@@ -308,7 +318,7 @@ Session::run()
             if (!restartFresh())
                 return false;
             out.solutions.clear();
-            takeCheckpoint(out.solutions, /*resume_after=*/false);
+            checkpoint(template_, 0, /*resume_after=*/false);
             mode = Mode::Run;
         }
         if (backoff_ms) {
@@ -335,18 +345,10 @@ Session::run()
                                   : budget;
         if (eff_slice)
             machine_->setSliceStop(machine_->cycles() + eff_slice);
-        RunStatus status;
-        switch (mode) {
-          case Mode::Run:
-            status = machine_->run();
-            break;
-          case Mode::Next:
-            status = machine_->nextSolution();
-            break;
-          case Mode::Resume:
-            status = machine_->resume();
-            break;
-        }
+        const RunStatus status = mode == Mode::Run ? machine_->run()
+                                 : mode == Mode::Next
+                                     ? machine_->nextSolution()
+                                     : machine_->resume();
 
         switch (status) {
           case RunStatus::SolutionFound:
@@ -409,7 +411,8 @@ Session::run()
                 continue;
             }
             if (checkpoint_cycles)
-                takeCheckpoint(out.solutions, /*resume_after=*/true);
+                checkpoint(nullptr, out.solutions.size(),
+                           /*resume_after=*/true);
             mode = Mode::Resume;
             continue;
         }

@@ -26,7 +26,10 @@
  *
  * Checkpoint slicing rides on Machine::setSliceStop(), which is pure
  * host machinery: a fault-free run with checkpointing enabled reports
- * bit-identical simulated cycles and counters to one without.
+ * bit-identical simulated cycles and counters to one without. A
+ * warm-started session's checkpoint zero is the shared template
+ * itself: nothing is snapshotted before the first slice, and a
+ * recovery to it restores the template exactly as the warm start did.
  */
 
 #ifndef KCM_SERVICE_SESSION_HH
@@ -242,14 +245,18 @@ class Session
   private:
     struct Checkpoint
     {
-        Snapshot snap;
+        /** The machine state to restore; for a warm session's
+         *  checkpoint zero, the shared template itself. */
+        std::shared_ptr<const Snapshot> snap;
         size_t solutionCount = 0; ///< host-collected solutions so far
         bool resumeAfterRestore = false; ///< restore into resume()?
         uint64_t cycle = 0;       ///< cycles() at snapshot time
     };
 
-    void takeCheckpoint(std::vector<Solution> &solutions,
-                        bool resume_after);
+    /** Make @p state (a fresh snapshot of the machine when null) the
+     *  checkpoint recover() returns to. */
+    void checkpoint(std::shared_ptr<const Snapshot> state,
+                    size_t solution_count, bool resume_after);
     bool coldStart(); ///< load the image / restore the template
     bool restartFresh();
 

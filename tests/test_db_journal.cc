@@ -509,6 +509,79 @@ TEST(Journal, SnapshotRecordsBoundReplayAndCompactionPreservesState)
     removeTree(dir);
 }
 
+TEST(Journal, DurableStoreReclaimsRetractedClausesAtCommit)
+{
+    // A durable counter bumped 200 times: retract + assertz per
+    // commit. Reclaim keeps the store at its 16 live clauses, so its
+    // saveTo size and a keyed lookup's scanned count stay constant;
+    // sequence numbers and the generation/update counters keep
+    // counting as if nothing were reclaimed.
+    std::string dir = scratchDir();
+    db::JournalOptions opts;
+    opts.snapshotEvery = 64; // snapshot records in the history too
+    const Functor cnt = fn("cnt", 2);
+    const db::ArgKey key3 = db::ArgKey::forTerm(Term::makeInt(3));
+    std::vector<uint8_t> committed;
+    uint64_t scanned = 0;
+    {
+        db::JournaledStore js(dir, opts, db::DynDbConfig{});
+        std::lock_guard<std::mutex> lock(js.mutex());
+        db::ClauseStore &s = js.store();
+        s.beginTxn();
+        for (int64_t k = 0; k < 16; ++k)
+            s.assertClause(cnt, fact2("cnt", k, 0), nullptr, false);
+        js.commit(s.txnOps());
+        s.commitTxn();
+        const size_t size = storeBytes(s).size();
+        scanned = walkScanned(s, cnt, key3);
+
+        auto bump = [&](int64_t k) {
+            db::ClauseStore::LookupResult r = s.first(
+                cnt, db::ArgKey::forTerm(Term::makeInt(k)),
+                s.generation());
+            ASSERT_NE(r.clause, nullptr);
+            int64_t v = r.clause->head->arg(1)->intValue();
+            s.eraseClause(cnt, r.clause->seq);
+            s.assertClause(cnt, fact2("cnt", k, v + 1), nullptr, false);
+        };
+        for (int i = 0; i < 200; ++i) {
+            s.beginTxn();
+            bump(i % 16);
+            js.commit(s.txnOps());
+            s.commitTxn();
+            ASSERT_EQ(storeBytes(s).size(), size) << "commit " << i;
+            ASSERT_EQ(walkScanned(s, cnt, key3), scanned)
+                << "commit " << i;
+        }
+        EXPECT_EQ(s.liveClauseCount(cnt), 16u);
+        EXPECT_EQ(s.updateCount(), 16u + 2 * 200);
+        EXPECT_EQ(s.generation(), 16u + 2 * 200);
+        committed = storeBytes(s);
+
+        // A rollback after a reclaim is exact, retracts and asserts
+        // of both ends and a new predicate alike.
+        s.beginTxn();
+        bump(3);
+        bump(3);
+        s.assertClause(cnt, fact2("cnt", 99, 0), nullptr, true);
+        s.assertClause(fn("fresh", 2), fact2("fresh", 1, 1), nullptr,
+                       false);
+        s.rollbackTxn();
+        EXPECT_EQ(storeBytes(s), committed);
+        EXPECT_EQ(walkScanned(s, cnt, key3), scanned);
+        EXPECT_FALSE(s.isKnown(fn("fresh", 2)));
+    }
+
+    // Reopening recovers the reclaimed store byte for byte.
+    {
+        db::JournaledStore js(dir, opts, db::DynDbConfig{});
+        std::lock_guard<std::mutex> lock(js.mutex());
+        EXPECT_EQ(storeBytes(js.store()), committed);
+        EXPECT_EQ(walkScanned(js.store(), cnt, key3), scanned);
+    }
+    removeTree(dir);
+}
+
 TEST(Journal, SyncModesProduceByteIdenticalJournals)
 {
     auto write_with = [](db::JournalSync sync) {

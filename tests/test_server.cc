@@ -461,7 +461,7 @@ TEST(Server, RetryAfterJitterIsDeterministicUnderTheSeed)
     // happen against a deterministic queue: query "a" straggles on a
     // chaos slice delay — long enough that it is dequeued and still
     // running when "b" arrives — leaving the queue itself empty.
-    auto overload_hint = [](service::Server &server, Client &client) {
+    auto overload_hint = [](Client &client) {
         service::JsonWriter slow;
         slow.field("op", "query")
             .field("id", "a")
@@ -495,8 +495,8 @@ TEST(Server, RetryAfterJitterIsDeterministicUnderTheSeed)
     options.retryJitterSeed = 0xfeedfacecafebeefull;
     Harness first(options);
     Harness second(options);
-    int64_t a = overload_hint(*first.server, first.client);
-    int64_t b = overload_hint(*second.server, second.client);
+    int64_t a = overload_hint(first.client);
+    int64_t b = overload_hint(second.client);
 
     // Empty queue: base hint 25ms, jitter adds at most 12ms.
     ASSERT_GE(a, 25);

@@ -79,6 +79,19 @@ runSession(const std::string &goal, service::SessionOptions options)
     return session.run();
 }
 
+/** Run one supervised query warm-started, as the server's image cache
+ *  does, from a template snapped under the default config. */
+service::QueryOutcome
+runWarmSession(const std::string &goal, service::SessionOptions options)
+{
+    options.backoffBaseMs = 0;
+    Machine loaded;
+    loaded.load(compileQuery(goal, MachineConfig{}));
+    auto tmpl = std::make_shared<const Snapshot>(takeSnapshot(loaded));
+    service::Session session(std::move(tmpl), std::move(options));
+    return session.run();
+}
+
 /** The session's absolute-deadline clock: steady ns since epoch. */
 uint64_t
 steadyNowNs()
@@ -157,6 +170,61 @@ TEST(Session, RecoversFromInjectedPageFault)
               want.solutions[0].toString());
     EXPECT_GE(out.counters.retries + out.counters.restarts, 1u);
     EXPECT_GT(out.counters.recoveryCycles, 0u);
+}
+
+TEST(Session, WarmRecoveryRestoresTheTemplateAsCheckpointZero)
+{
+    // A warm session's checkpoint zero is the shared template itself.
+    // Recovering to it must land exactly where the image path's
+    // post-load snapshot does: same answer, same simulated cost.
+    const char *goal = "sumto(500, S)";
+    service::SessionOptions faulty;
+    FaultAction fault;
+    fault.cycle = 4000;
+    fault.kind = FaultKind::InjectPageFault;
+    faulty.machine.faultPlan.actions.push_back(fault);
+
+    service::QueryOutcome image = runSession(goal, faulty);
+    ASSERT_TRUE(image.success) << image.failure.classification;
+    service::QueryOutcome warm = runWarmSession(goal, faulty);
+    EXPECT_EQ(warm.status, service::QueryStatus::Completed);
+    ASSERT_TRUE(warm.success) << warm.failure.classification;
+    EXPECT_EQ(warm.counters.retries, 1u);
+    EXPECT_EQ(warm.counters.restarts, 0u);
+    EXPECT_EQ(warm.counters.checkpoints, image.counters.checkpoints);
+    EXPECT_EQ(warm.solutions[0].toString(),
+              image.solutions[0].toString());
+    EXPECT_EQ(warm.cycles, image.cycles);
+    EXPECT_EQ(warm.instructions, image.instructions);
+    EXPECT_EQ(warm.inferences, image.inferences);
+}
+
+TEST(Session, WarmRecoveryKeepsTheSessionsTighterQuota)
+{
+    // The template carries the default config's zone table; this
+    // session's 1 MiB byte budget must be re-imposed when recovery
+    // restores checkpoint zero, so the catch still sees
+    // resource_error(memory) after the injected fault.
+    const char *goal =
+        "catch(mklist(200000, _), resource_error(E), true)";
+    service::SessionOptions options;
+    options.machine.governor.memoryBudgetBytes = 1u << 20;
+    FaultAction fault;
+    fault.cycle = 4000;
+    fault.kind = FaultKind::InjectPageFault;
+    options.machine.faultPlan.actions.push_back(fault);
+
+    service::QueryOutcome image = runSession(goal, options);
+    ASSERT_TRUE(image.success) << image.failure.classification;
+    service::QueryOutcome warm = runWarmSession(goal, options);
+    ASSERT_TRUE(warm.success) << warm.failure.classification;
+    EXPECT_GE(warm.counters.retries, 1u);
+    EXPECT_NE(warm.solutions[0].toString().find("E = memory"),
+              std::string::npos)
+        << warm.solutions[0].toString();
+    EXPECT_EQ(warm.solutions[0].toString(),
+              image.solutions[0].toString());
+    EXPECT_EQ(warm.cycles, image.cycles);
 }
 
 TEST(Session, RecoversFromTightenedZone)

@@ -8,6 +8,9 @@
  * the resumed run equals the uninterrupted reference run, including
  * across firmware stack-zone growth, and a snapshot of the restored
  * machine is byte-identical to the snapshot it was restored from.
+ * Save and restore cover only the MMU's allocated physical prefix,
+ * which is sound because every word past it is zero; that invariant
+ * is pinned down here too.
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +84,23 @@ const char *countProgram =
 const char *mklistProgram =
     "mklist(0, []).\n"
     "mklist(N, [N|T]) :- N > 0, M is N - 1, mklist(M, T).\n";
+
+/** Every physical word at or past the MMU's allocated prefix is zero:
+ *  the invariant that lets snapshots skip the rest of the board. */
+::testing::AssertionResult
+zeroPastAllocatedPrefix(Machine &m)
+{
+    const MainMemory &mm = m.mem().memory();
+    const size_t prefix = size_t(m.mem().mmu().allocatedPages())
+                          << pageShift;
+    for (size_t a = prefix; a < mm.sizeWords(); ++a) {
+        if (mm.peek(PhysAddr(a)))
+            return ::testing::AssertionFailure()
+                   << "physical word " << a << " is nonzero past the "
+                   << prefix << "-word allocated prefix";
+    }
+    return ::testing::AssertionSuccess();
+}
 
 } // namespace
 
@@ -427,4 +447,73 @@ TEST(Snapshot, ValidateSnapshotCatchesBitFlipWithoutAMachine)
         EXPECT_FALSE(validateSnapshot(corrupt, &why))
             << "flip at byte " << pos << " went undetected";
     }
+}
+
+TEST(Snapshot, WordsPastTheAllocatedPrefixStayZero)
+{
+    // Load, a run cut short by a trap, a collection, the finished run,
+    // and a restore: none may leave a nonzero word past the prefix.
+    CodeImage image = compileQuery(mklistProgram, "mklist(3000, L)");
+    MachineConfig config;
+    config.governor.cycleBudget = 20000;
+    Machine m(config);
+    m.load(image);
+    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after load";
+
+    ASSERT_EQ(m.run(), RunStatus::Trapped);
+    ASSERT_EQ(m.lastTrap().kind, TrapKind::Abort);
+    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after a trap";
+
+    m.collectGarbage();
+    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after a collection";
+
+    m.setCycleBudget(0);
+    ASSERT_EQ(m.resume(), RunStatus::SolutionFound);
+    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after the run";
+
+    Snapshot snap = takeSnapshot(m);
+    Machine restored;
+    restoreSnapshot(restored, snap);
+    EXPECT_EQ(restored.mem().mmu().allocatedPages(),
+              m.mem().mmu().allocatedPages());
+    EXPECT_TRUE(zeroPastAllocatedPrefix(restored)) << "after a restore";
+}
+
+TEST(Snapshot, RestoreOverALargerPrefixClearsItAndContinuesExactly)
+{
+    // A small-prefix snapshot restored into a machine that has already
+    // run a bigger program: restore clears only the target's own
+    // prefix, which must be enough to leave nothing of the old run.
+    CodeImage small = compileQuery(countProgram, "count(200)");
+    Machine reference;
+    reference.load(small);
+    ASSERT_EQ(reference.run(), RunStatus::SolutionFound);
+    const Metrics full = metricsOf(reference);
+
+    MachineConfig config;
+    config.governor.cycleBudget = full.cycles / 2;
+    Machine source(config);
+    source.load(small);
+    ASSERT_EQ(source.run(), RunStatus::Trapped);
+    const Snapshot snap = takeSnapshot(source);
+
+    Machine target(config);
+    target.load(compileQuery(mklistProgram, "mklist(20000, L)"));
+    target.setCycleBudget(0);
+    ASSERT_EQ(target.run(), RunStatus::SolutionFound);
+    ASSERT_GT(target.mem().mmu().allocatedPages(),
+              source.mem().mmu().allocatedPages())
+        << "test premise: the target's prefix must be the larger one";
+
+    restoreSnapshot(target, snap);
+    EXPECT_EQ(target.mem().mmu().allocatedPages(),
+              source.mem().mmu().allocatedPages());
+    EXPECT_TRUE(zeroPastAllocatedPrefix(target));
+    EXPECT_EQ(takeSnapshot(target).bytes, snap.bytes);
+
+    target.setCycleBudget(0);
+    ASSERT_EQ(target.resume(), RunStatus::SolutionFound);
+    EXPECT_EQ(metricsOf(target), full);
+    EXPECT_EQ(target.lastSolution().toString(),
+              reference.lastSolution().toString());
 }
