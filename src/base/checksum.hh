@@ -7,18 +7,19 @@
 
 /**
  * FNV-1a-64 checksum helpers shared by every on-disk container and
- * content-hash key in the tree (KCMSNAP2 snapshot sections, the
+ * content-hash key in the tree (KCMSNAP3 snapshot sections, the
  * image-template cache key, the clause-store journal).
  *
  * Two offset bases are exposed:
  *
  *  - fnvOffsetBasis: the standard FNV-1a-64 offset basis. New formats
  *    and keys use this.
- *  - fnvLegacyBasis: the basis the KCMSNAP2 container and the clause
+ *  - fnvLegacyBasis: the basis the snapshot container and the clause
  *    store's ArgKey hash shipped with (a historical truncation of the
- *    standard constant). It is load-bearing: changing it would
- *    invalidate every existing snapshot checksum, so it is preserved
- *    verbatim and documented here instead of silently duplicated.
+ *    standard constant). It is load-bearing: the clause store's ArgKey
+ *    hash and skiplist heights, and so its scanned counts and
+ *    simulated cycles, depend on it, so it is preserved verbatim and
+ *    documented here instead of silently duplicated.
  */
 
 namespace kcm

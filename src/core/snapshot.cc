@@ -17,32 +17,43 @@ namespace
 {
 
 /**
- * Container format (version 2 — hardened against corrupt blobs):
+ * Container format (version 3):
  *
- *   magic "KCMSNAP2"
- *   u32   section count (== 3)
+ *   magic "KCMSNAP3"
+ *   u32   section count (== 4)
  *   per section: u32 id, u64 payload length, u64 FNV-1a checksum,
  *                payload bytes
  *
  * Sections, in order: the code image (its textual container), the
  * processor state (registers, counters, prefetch pipeline), the
  * memory system (main memory, MMU, caches, zones), and the dynamic
- * clause store (assert/retract database; absent in pre-dynamic
- * snapshots, which restore with three sections). The memory payload
- * leads with a geometry header (memory size, page-table size, cache
- * cell counts) so a snapshot taken on a differently configured
- * machine is rejected up front. Main memory is recorded sparsely, as
- * (address, value) pairs for its nonzero words; the MMU hands out
- * physical pages as a dense prefix and every physical write goes
- * through it, so words at or past allocatedPages() << pageShift are
- * always zero and save and restore touch only that prefix. The bytes
- * do not depend on that: a scan of the whole board writes the same
- * ones. restoreSnapshot() validates the whole
- * container — structure, lengths, every checksum, geometry — before
- * mutating one word of the target machine: a truncated or bit-flipped
- * blob is reported with a diagnostic and the target stays untouched.
+ * clause store (assert/retract database). The memory payload leads
+ * with a geometry header (memory size, page-table size, cache cell
+ * counts) so a snapshot taken on a differently configured machine is
+ * rejected up front.
+ *
+ * The memory payload is sparse throughout, so its size tracks live
+ * state rather than the board:
+ *  - Main memory is recorded as (address, value) pairs for its
+ *    nonzero words. The MMU hands out physical pages as a dense
+ *    prefix and every physical write goes through it, so words at or
+ *    past allocatedPages() << pageShift are always zero and save and
+ *    restore touch only that prefix. The bytes do not depend on that:
+ *    a scan of the whole board writes the same ones.
+ *  - The page table is recorded as (index, raw) pairs for its nonzero
+ *    entries, and each cache array as one (index, fields) entry per
+ *    valid cell. No simulated behaviour reads an invalid cell's tag or
+ *    data (every cache path tests `valid` first; invalidateAll leaves
+ *    stale tags behind), so restore resets the whole table and both
+ *    arrays to their default (invalid, zero) state and then applies
+ *    the entries: continuations and re-snapshots stay exact.
+ *
+ * restoreSnapshot() validates the whole container — structure,
+ * lengths, every checksum, geometry — before mutating one word of the
+ * target machine: a truncated or bit-flipped blob is reported with a
+ * diagnostic and the target stays untouched.
  */
-constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '2'};
+constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '3'};
 
 enum : uint32_t
 {
@@ -54,11 +65,8 @@ enum : uint32_t
 
 constexpr uint32_t sectionOrder[] = {secImage, secCpu, secMem, secDb};
 constexpr size_t numSections = 4;
-/** Snapshots written before the dynamic clause store existed carry
- *  three sections; they restore with an empty store. */
-constexpr size_t numLegacySections = 3;
 
-/** KCMSNAP2 section checksum: FNV-1a-64 from the container's
+/** KCMSNAP3 section checksum: FNV-1a-64 from the container's
  *  historical (legacy) offset basis — see base/checksum.hh. */
 uint64_t
 fnv1a64(const uint8_t *data, size_t size)
@@ -190,6 +198,42 @@ struct SectionView
 };
 
 /**
+ * Record a fixed hardware array sparsely: a count, then the index and
+ * the fields (@p save) of each entry @p live accepts. The arrays (page
+ * table, cache cells) hold tens of thousands of entries, so count and
+ * index are u32.
+ */
+template <typename T, typename Live, typename Save>
+void
+saveSparse(ByteWriter &w, const std::vector<T> &cells, Live live, Save save)
+{
+    w.u32(uint32_t(std::count_if(cells.begin(), cells.end(), live)));
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (live(cells[i])) {
+            w.u32(uint32_t(i));
+            save(cells[i]);
+        }
+    }
+}
+
+/** Mirror of saveSparse(): reset every entry to its default (invalid,
+ *  zero) state, then apply the recorded ones with @p load. */
+template <typename T, typename Load>
+void
+restoreSparse(ByteReader &r, std::vector<T> &cells, const char *what,
+              Load load)
+{
+    std::fill(cells.begin(), cells.end(), T{});
+    uint32_t count = r.u32();
+    for (uint32_t k = 0; k < count; ++k) {
+        uint32_t i = r.u32();
+        if (i >= cells.size())
+            fatal("snapshot: ", what, " index out of range");
+        load(cells[i]);
+    }
+}
+
+/**
  * Phase one of restoreSnapshot(): parse the container, bounds-check
  * every length, verify every checksum. Throws FatalError with a
  * diagnostic on the first problem; nothing has been mutated yet.
@@ -199,7 +243,7 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
 {
     if (bytes.size() < 8 ||
         std::memcmp(bytes.data(), snapshotMagic, 8) != 0) {
-        fatal("snapshot: bad magic (not a KCMSNAP2 image)");
+        fatal("snapshot: bad magic (not a KCMSNAP3 image)");
     }
 
     size_t pos = 8;
@@ -222,7 +266,7 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
 
     need(4, "section count");
     uint32_t count = read_u32();
-    if (count != numSections && count != numLegacySections)
+    if (count != numSections)
         fatal("snapshot: unexpected section count ", count);
 
     std::vector<SectionView> sections(count);
@@ -329,36 +373,40 @@ struct SnapshotAccess
         w.counter(mm.writtenWords);
         w.counter(mm.transactions);
 
-        // Page table.
+        // Page table, sparse: only nonzero entries are recorded.
         Mmu &mmu = mem.mmu();
-        for (const PageEntry &e : mmu.table_)
-            w.u16(e.raw);
+        saveSparse(
+            w, mmu.table_, [](const PageEntry &e) { return e.raw != 0; },
+            [&](const PageEntry &e) { w.u16(e.raw); });
         w.u16(mmu.nextPhysPage_);
         w.boolean(mmu.injectFault_);
         w.counter(mmu.translations);
         w.counter(mmu.demandFaults);
 
-        // Data cache array (tags, data, dirty bits).
+        // Data cache array, sparse: valid cells only (dirty bit, tag,
+        // data). An invalid cell's tag and data are never read.
         DataCache &dc = mem.dataCache();
-        for (const auto &c : dc.cells_) {
-            w.boolean(c.valid);
-            w.boolean(c.dirty);
-            w.u64(c.vaddr);
-            w.u64(c.data);
-        }
+        saveSparse(
+            w, dc.cells_, [](const DataCache::Cell &c) { return c.valid; },
+            [&](const DataCache::Cell &c) {
+                w.boolean(c.dirty);
+                w.u32(c.vaddr);
+                w.u64(c.data);
+            });
         w.counter(dc.readHits);
         w.counter(dc.readMisses);
         w.counter(dc.writeHits);
         w.counter(dc.writeMisses);
         w.counter(dc.writeBacks);
 
-        // Code cache array.
+        // Code cache array, sparse: valid cells only (tag, data).
         CodeCache &cc = mem.codeCache();
-        for (const auto &c : cc.cells_) {
-            w.boolean(c.valid);
-            w.u64(c.vaddr);
-            w.u64(c.data);
-        }
+        saveSparse(
+            w, cc.cells_, [](const CodeCache::Cell &c) { return c.valid; },
+            [&](const CodeCache::Cell &c) {
+                w.u32(c.vaddr);
+                w.u64(c.data);
+            });
         w.counter(cc.readHits);
         w.counter(cc.readMisses);
         w.counter(cc.writes);
@@ -403,20 +451,21 @@ struct SnapshotAccess
         r.counter(mm.transactions);
 
         Mmu &mmu = mem.mmu();
-        for (PageEntry &e : mmu.table_)
-            e.raw = r.u16();
+        restoreSparse(r, mmu.table_, "page-table entry",
+                      [&](PageEntry &e) { e.raw = r.u16(); });
         mmu.nextPhysPage_ = r.u16();
         mmu.injectFault_ = r.boolean();
         r.counter(mmu.translations);
         r.counter(mmu.demandFaults);
 
         DataCache &dc = mem.dataCache();
-        for (auto &c : dc.cells_) {
-            c.valid = r.boolean();
-            c.dirty = r.boolean();
-            c.vaddr = Addr(r.u64());
-            c.data = r.u64();
-        }
+        restoreSparse(r, dc.cells_, "data-cache cell",
+                      [&](DataCache::Cell &c) {
+                          c.valid = true;
+                          c.dirty = r.boolean();
+                          c.vaddr = Addr(r.u32());
+                          c.data = r.u64();
+                      });
         r.counter(dc.readHits);
         r.counter(dc.readMisses);
         r.counter(dc.writeHits);
@@ -424,11 +473,12 @@ struct SnapshotAccess
         r.counter(dc.writeBacks);
 
         CodeCache &cc = mem.codeCache();
-        for (auto &c : cc.cells_) {
-            c.valid = r.boolean();
-            c.vaddr = Addr(r.u64());
-            c.data = r.u64();
-        }
+        restoreSparse(r, cc.cells_, "code-cache cell",
+                      [&](CodeCache::Cell &c) {
+                          c.valid = true;
+                          c.vaddr = Addr(r.u32());
+                          c.data = r.u64();
+                      });
         r.counter(cc.readHits);
         r.counter(cc.readMisses);
         r.counter(cc.writes);
@@ -797,15 +847,11 @@ restoreSnapshot(Machine &machine, const Snapshot &snapshot)
         if (!r.atEnd())
             fatal("snapshot: trailing bytes in memory section");
     }
-    if (sections.size() > 3) {
+    {
         ByteReader r = sections[3].reader();
         SnapshotAccess::restoreDb(machine, r);
         if (!r.atEnd())
             fatal("snapshot: trailing bytes in clause-store section");
-    } else if (machine.dynamicDb()) {
-        // Legacy three-section snapshot: the dynamic store did not
-        // exist when it was taken, so restore to empty.
-        machine.dynamicDb()->clear();
     }
 }
 

@@ -5,7 +5,8 @@
  * takeSnapshot() serializes the complete architectural and
  * micro-architectural state of a Machine — register file, state
  * registers, shallow-backtracking shadows, every nonzero memory word,
- * page table, both cache arrays (tags, data, dirty bits), zone limits,
+ * every nonzero page-table entry, every valid cell of both cache arrays
+ * (tag, data, dirty bit), zone limits,
  * prefetch pipeline, governor state and every statistics counter —
  * into a self-contained byte image. restoreSnapshot() loads that image
  * into a Machine built with the same MachineConfig; continuing
@@ -13,9 +14,9 @@
  * metrics (cycles, instructions, inferences, cache hits, ...) to an
  * uninterrupted run.
  *
- * The byte image is a sectioned container ("KCMSNAP2"): code image,
- * processor state and memory system are separate sections, each
- * length-prefixed and FNV-1a-checksummed. restoreSnapshot() validates
+ * The byte image is a sectioned container ("KCMSNAP3"): code image,
+ * processor state, memory system and dynamic clause store are separate
+ * sections, each length-prefixed and FNV-1a-checksummed. restoreSnapshot() validates
  * the whole container — structure, checksums, memory geometry —
  * before mutating the target, so a truncated or bit-flipped blob is
  * rejected with a diagnostic and the target machine is left exactly
@@ -26,7 +27,13 @@
  * every physical write goes through it, so every word at or past
  * allocatedPages() << pageShift is zero. Saving scans only that prefix
  * and restoring clears only the target's; the bytes are the ones a
- * scan of the whole board would write.
+ * scan of the whole board would write. The page table and both cache
+ * arrays are fixed hardware, mostly unused: they are recorded as
+ * (index, fields) entries for nonzero entries and valid cells only.
+ * No simulated behaviour reads an invalid cell's tag or data, so
+ * restore resets the table and both arrays to their default (invalid,
+ * zero) state before applying the entries, and continuations and
+ * re-snapshots stay exact.
  *
  * Scope and caveats:
  *  - Take snapshots at a run boundary (between run()/nextSolution()
@@ -68,7 +75,7 @@ Snapshot takeSnapshot(Machine &machine);
 void restoreSnapshot(Machine &machine, const Snapshot &snapshot);
 
 /**
- * Structural validation only: parse the KCMSNAP2 container and verify
+ * Structural validation only: parse the KCMSNAP3 container and verify
  * every section length and checksum without touching any machine.
  * Returns false (and fills @p why when non-null) on a truncated or
  * bit-flipped image. This is the cheap re-validation a snapshot cache

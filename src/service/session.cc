@@ -88,7 +88,7 @@ bool
 Session::coldStart()
 {
     // Bring the fresh machine to its ready-to-run state: download the
-    // compiled image, or restore the shared post-download KCMSNAP2
+    // compiled image, or restore the shared post-download KCMSNAP3
     // template (the warm-cache path; restoreSnapshot re-validates
     // every section checksum before mutating anything, so a corrupt
     // template is reported here and never executes).

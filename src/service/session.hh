@@ -224,7 +224,7 @@ class Session
 
     /**
      * Warm start: instead of compiling and load()ing an image, the
-     * session restores a post-download KCMSNAP2 template (the state a
+     * session restores a post-download KCMSNAP3 template (the state a
      * load() of the compiled image produces) into its machine — the
      * server's snapshot-template cache path. The template buffer is
      * shared between concurrent sessions and never modified; if its

@@ -203,7 +203,7 @@ class Supervisor
      * including a shed query, whose callback fires with the
      * "overloaded" failure before submitAsync returns. Queries run
      * from the compiled @p image, or warm-start from a shared
-     * post-download KCMSNAP2 @p warm template (Session re-validates
+     * post-download KCMSNAP3 @p warm template (Session re-validates
      * its checksums on restore). Thread-safe against concurrent
      * submitters.
      */

@@ -460,7 +460,7 @@ TEST_P(FuzzSnapshot, CorruptedSnapshotsRejectedWithoutPartialMutation)
     // Every corruption of a snapshot container — truncation anywhere,
     // any byte changed anywhere (magic, section table, payload) — must
     // be rejected with a diagnostic, and a rejected restore must leave
-    // the target machine untouched: KCMSNAP2 validates the whole
+    // the target machine untouched: KCMSNAP3 validates the whole
     // container (lengths + per-section checksums) before mutating
     // anything.
     TermGen gen(GetParam() * 2654435761u);
@@ -492,6 +492,14 @@ TEST_P(FuzzSnapshot, CorruptedSnapshotsRejectedWithoutPartialMutation)
     // against it must throw without mutating it.
     Machine victim(config);
     restoreSnapshot(victim, snap);
+    // The u32 section count after the 8-byte magic, including the
+    // retired three-section layout.
+    for (uint8_t count : {uint8_t(3), uint8_t(5)}) {
+        Snapshot bad = snap;
+        bad.bytes[8] = count;
+        EXPECT_THROW(restoreSnapshot(victim, bad), FatalError)
+            << "section count " << int(count) << " was not rejected";
+    }
     for (int i = 0; i < 24; ++i) {
         Snapshot bad = snap;
         if (gen.pick(3) == 0) {

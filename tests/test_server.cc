@@ -38,6 +38,16 @@ const char *testProgram =
     "sumto(0, 0).\n"
     "sumto(N, S) :- N > 0, M is N - 1, sumto(M, T), S is T + N.\n";
 
+/** Deterministic multi-megacycle work: a query that stays in flight
+ *  (in-flight cap, deadline and breaker tests). */
+const char *slowProgram =
+    "sumc(0, 0).\n"
+    "sumc(N, S) :- N > 0, !, M is N - 1, sumc(M, T), S is T + N.\n"
+    "itc(0, A, A).\n"
+    "itc(N, A, S) :- N > 0, !, sumc(200, T), B is A + T, M is N - 1,\n"
+    "                itc(M, B, S).\n"
+    "loop :- loop.\n";
+
 /** A running server on an ephemeral port plus a connected client. */
 struct Harness
 {
@@ -271,12 +281,14 @@ TEST(Server, PerConnectionInflightCapShedsWithRetryAfter)
 
     // First query occupies the one in-flight slot; firing a second
     // down the same connection before reading the first reply must
-    // get the structured overload answer, with a retry hint.
+    // get the structured overload answer, with a retry hint. The first
+    // runs for megacycles so that it is still in flight when the
+    // server reads the second line, however fast its restore is.
     service::JsonWriter w;
     w.field("op", "query")
         .field("id", "a")
-        .field("program", testProgram)
-        .field("goal", "sumto(2000, S)")
+        .field("program", slowProgram)
+        .field("goal", "itc(500, 0, S)")
         .field("max_solutions", uint64_t(1));
     ASSERT_EQ(h.client.sendLine(w.str()), IoStatus::Ok);
     service::JsonWriter w2;
@@ -409,15 +421,6 @@ wallNowMs()
                         std::chrono::system_clock::now().time_since_epoch())
                         .count());
 }
-
-/** Deterministic multi-megacycle work for deadline/breaker tests. */
-const char *slowProgram =
-    "sumc(0, 0).\n"
-    "sumc(N, S) :- N > 0, !, M is N - 1, sumc(M, T), S is T + N.\n"
-    "itc(0, A, A).\n"
-    "itc(N, A, S) :- N > 0, !, sumc(200, T), B is A + T, M is N - 1,\n"
-    "                itc(M, B, S).\n"
-    "loop :- loop.\n";
 
 /** Heap-hungry work for the memory-governance tests. */
 const char *hungryProgram =

@@ -544,7 +544,7 @@ TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
 TEST(Supervisor, WarmTemplateAsyncMatchesColdImage)
 {
     // The warm snapshot-template path the server's image cache uses:
-    // a query warm-started from a post-download KCMSNAP2 template
+    // a query warm-started from a post-download KCMSNAP3 template
     // must produce the same answer and the same simulated cycle count
     // as one cold-started from the compiled image.
     service::SupervisorOptions options;

@@ -10,7 +10,9 @@
  * machine is byte-identical to the snapshot it was restored from.
  * Save and restore cover only the MMU's allocated physical prefix,
  * which is sound because every word past it is zero; that invariant
- * is pinned down here too.
+ * is pinned down here too. The page table and both cache arrays are
+ * recorded sparsely (nonzero entries, valid cells), so a post-load
+ * template's size tracks its live state.
  */
 
 #include <gtest/gtest.h>
@@ -483,7 +485,10 @@ TEST(Snapshot, RestoreOverALargerPrefixClearsItAndContinuesExactly)
 {
     // A small-prefix snapshot restored into a machine that has already
     // run a bigger program: restore clears only the target's own
-    // prefix, which must be enough to leave nothing of the old run.
+    // prefix and resets the whole page table and both cache arrays,
+    // which must be enough to leave nothing of the old run. Two inputs:
+    // a mid-run snapshot, and the post-load template, in which every
+    // cache cell is invalid and only a few pages are mapped.
     CodeImage small = compileQuery(countProgram, "count(200)");
     Machine reference;
     reference.load(small);
@@ -492,28 +497,51 @@ TEST(Snapshot, RestoreOverALargerPrefixClearsItAndContinuesExactly)
 
     MachineConfig config;
     config.governor.cycleBudget = full.cycles / 2;
+    struct Input
+    {
+        const char *name;
+        Snapshot snap;
+        uint32_t pages;
+    };
     Machine source(config);
     source.load(small);
+    const Input tmpl{"post-load", takeSnapshot(source),
+                     source.mem().mmu().allocatedPages()};
     ASSERT_EQ(source.run(), RunStatus::Trapped);
-    const Snapshot snap = takeSnapshot(source);
+    const Input mid{"mid-run", takeSnapshot(source),
+                    source.mem().mmu().allocatedPages()};
 
-    Machine target(config);
-    target.load(compileQuery(mklistProgram, "mklist(20000, L)"));
-    target.setCycleBudget(0);
-    ASSERT_EQ(target.run(), RunStatus::SolutionFound);
-    ASSERT_GT(target.mem().mmu().allocatedPages(),
-              source.mem().mmu().allocatedPages())
-        << "test premise: the target's prefix must be the larger one";
+    for (const Input *in : {&mid, &tmpl}) {
+        Machine target(config);
+        target.load(compileQuery(mklistProgram, "mklist(20000, L)"));
+        target.setCycleBudget(0);
+        ASSERT_EQ(target.run(), RunStatus::SolutionFound);
+        ASSERT_GT(target.mem().mmu().allocatedPages(), in->pages)
+            << "test premise: the target's prefix must be the larger one";
 
-    restoreSnapshot(target, snap);
-    EXPECT_EQ(target.mem().mmu().allocatedPages(),
-              source.mem().mmu().allocatedPages());
-    EXPECT_TRUE(zeroPastAllocatedPrefix(target));
-    EXPECT_EQ(takeSnapshot(target).bytes, snap.bytes);
+        restoreSnapshot(target, in->snap);
+        EXPECT_EQ(target.mem().mmu().allocatedPages(), in->pages)
+            << in->name;
+        EXPECT_TRUE(zeroPastAllocatedPrefix(target)) << in->name;
+        EXPECT_EQ(takeSnapshot(target).bytes, in->snap.bytes) << in->name;
 
-    target.setCycleBudget(0);
-    ASSERT_EQ(target.resume(), RunStatus::SolutionFound);
-    EXPECT_EQ(metricsOf(target), full);
-    EXPECT_EQ(target.lastSolution().toString(),
-              reference.lastSolution().toString());
+        target.setCycleBudget(0);
+        ASSERT_EQ(in == &mid ? target.resume() : target.run(),
+                  RunStatus::SolutionFound)
+            << in->name;
+        EXPECT_EQ(metricsOf(target), full) << in->name;
+        EXPECT_EQ(target.lastSolution().toString(),
+                  reference.lastSolution().toString())
+            << in->name;
+    }
+}
+
+TEST(Snapshot, PostLoadTemplateBytesTrackLiveState)
+{
+    // A freshly loaded machine maps a few pages and holds no valid
+    // cache cell, so its snapshot is a few pages of live words, not
+    // the whole page table and both cache arrays.
+    Machine loaded;
+    loaded.load(compileQuery(countProgram, "count(200)"));
+    EXPECT_LT(takeSnapshot(loaded).bytes.size(), 64u * 1024);
 }
