@@ -7,7 +7,7 @@
 
 /**
  * FNV-1a-64 checksum helpers shared by every on-disk container and
- * content-hash key in the tree (KCMSNAP3 snapshot sections, the
+ * content-hash key in the tree (KCMSNAP4 snapshot sections, the
  * image-template cache key, the clause-store journal).
  *
  * Two offset bases are exposed:

@@ -168,6 +168,20 @@ class Machine
         dbAttached_ = true;
     }
 
+    /**
+     * Drop an attached store: the machine holds none until the next
+     * load() or snapshot restore makes its own. A snapshot restore
+     * into a machine with an attached store replaces that store's
+     * contents, so a machine whose store is shared with others (a
+     * durable session's) detaches it before being reused.
+     */
+    void
+    detachDynamicDb()
+    {
+        db_ = nullptr;
+        dbAttached_ = false;
+    }
+
     /** The dynamic clause store (created by load(), or attached). */
     const std::shared_ptr<db::ClauseStore> &dynamicDb() const { return db_; }
 

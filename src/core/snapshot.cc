@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
-#include <sstream>
 
 #include "base/checksum.hh"
 #include "base/logging.hh"
-#include "compiler/image_io.hh"
 #include "core/machine.hh"
 
 namespace kcm
@@ -17,20 +16,33 @@ namespace
 {
 
 /**
- * Container format (version 3):
+ * Container format (version 4):
  *
- *   magic "KCMSNAP3"
+ *   magic "KCMSNAP4"
  *   u32   section count (== 4)
  *   per section: u32 id, u64 payload length, u64 FNV-1a checksum,
  *                payload bytes
  *
- * Sections, in order: the code image (its textual container), the
- * processor state (registers, counters, prefetch pipeline), the
- * memory system (main memory, MMU, caches, zones), and the dynamic
- * clause store (assert/retract database). The memory payload leads
- * with a geometry header (memory size, page-table size, cache cell
- * counts) so a snapshot taken on a differently configured machine is
- * rejected up front.
+ * Sections, in order: the code image, the processor state (registers,
+ * counters, prefetch pipeline), the memory system (main memory, MMU,
+ * caches, zones), and the dynamic clause store (assert/retract
+ * database). All values are little-endian; a count is a u64, a string
+ * is a u64 length plus its bytes. The memory payload leads with a
+ * geometry header (memory size, page-table size, cache cell counts)
+ * so a snapshot taken on a differently configured machine is rejected
+ * up front.
+ *
+ * The image payload is the CodeImage field for field: base and the
+ * five entry addresses (u32 each); the code words (count, one u64
+ * each); the predicates (count; name, arity, entry, words,
+ * instructions, fromLibrary each); the dynamic stubs (count; address,
+ * name, arity each); the dynamic declarations (count; name, arity
+ * each); the dynamic-init clauses (count; one string each); the query
+ * solution slots (count; name string, u32 slot each). Atom ids are
+ * recorded raw, with no atom table: a snapshot is process-local (its
+ * memory words embed raw atom ids too), so the ids mean the same
+ * atoms in any restore it can serve. Image files that cross processes
+ * use the text format of compiler/image_io.hh, which re-interns.
  *
  * The memory payload is sparse throughout, so its size tracks live
  * state rather than the board:
@@ -53,7 +65,7 @@ namespace
  * target machine: a truncated or bit-flipped blob is reported with a
  * diagnostic and the target stays untouched.
  */
-constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '3'};
+constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '4'};
 
 enum : uint32_t
 {
@@ -66,7 +78,7 @@ enum : uint32_t
 constexpr uint32_t sectionOrder[] = {secImage, secCpu, secMem, secDb};
 constexpr size_t numSections = 4;
 
-/** KCMSNAP3 section checksum: FNV-1a-64 from the container's
+/** KCMSNAP4 section checksum: FNV-1a-64 from the container's
  *  historical (legacy) offset basis — see base/checksum.hh. */
 uint64_t
 fnv1a64(const uint8_t *data, size_t size)
@@ -74,38 +86,44 @@ fnv1a64(const uint8_t *data, size_t size)
     return kcm::fnv1a64(data, size, fnvLegacyBasis);
 }
 
-/** Little-endian byte-stream writer. */
+/** Store @p v at @p out, little-endian. */
+template <typename T>
+void
+storeLe(uint8_t *out, T v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, &v, sizeof(T));
+    } else {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            out[i] = uint8_t(v >> (8 * i));
+    }
+}
+
+/** Load a little-endian T from @p in. */
+template <typename T>
+T
+loadLe(const uint8_t *in)
+{
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, in, sizeof(T));
+    } else {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            v = T(v | T(T(in[i]) << (8 * i)));
+    }
+    return v;
+}
+
+/** Little-endian byte-stream writer: one append per value. */
 class ByteWriter
 {
   public:
     explicit ByteWriter(std::vector<uint8_t> &bytes) : bytes_(bytes) {}
 
-    void
-    u8(uint8_t v)
-    {
-        bytes_.push_back(v);
-    }
-
-    void
-    u16(uint16_t v)
-    {
-        u8(uint8_t(v));
-        u8(uint8_t(v >> 8));
-    }
-
-    void
-    u32(uint32_t v)
-    {
-        u16(uint16_t(v));
-        u16(uint16_t(v >> 16));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        u32(uint32_t(v));
-        u32(uint32_t(v >> 32));
-    }
+    void u8(uint8_t v) { bytes_.push_back(v); }
+    void u16(uint16_t v) { append(v); }
+    void u32(uint32_t v) { append(v); }
+    void u64(uint64_t v) { append(v); }
 
     void
     str(const std::string &s)
@@ -118,11 +136,38 @@ class ByteWriter
     void word(Word w) { u64(w.raw()); }
     void counter(const Counter &c) { u64(c.value()); }
 
+    void
+    functor(const Functor &f)
+    {
+        u32(f.name);
+        u32(f.arity);
+    }
+
+    /** Offset of the next value: write a placeholder there, then
+     *  patch() it once the real value is known. */
+    size_t tell() const { return bytes_.size(); }
+
+    template <typename T>
+    void
+    patch(size_t offset, T v)
+    {
+        storeLe(bytes_.data() + offset, v);
+    }
+
   private:
+    template <typename T>
+    void
+    append(T v)
+    {
+        const size_t at = bytes_.size();
+        bytes_.resize(at + sizeof(T));
+        storeLe(bytes_.data() + at, v);
+    }
+
     std::vector<uint8_t> &bytes_;
 };
 
-/** Bounds-checked reader over one section's payload. */
+/** Reader over one section's payload: one bounds check per value. */
 class ByteReader
 {
   public:
@@ -130,34 +175,10 @@ class ByteReader
     {
     }
 
-    uint8_t
-    u8()
-    {
-        if (pos_ >= size_)
-            fatal("snapshot: truncated section payload");
-        return data_[pos_++];
-    }
-
-    uint16_t
-    u16()
-    {
-        uint16_t lo = u8();
-        return uint16_t(lo | (uint16_t(u8()) << 8));
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t lo = u16();
-        return lo | (uint32_t(u16()) << 16);
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t lo = u32();
-        return lo | (uint64_t(u32()) << 32);
-    }
+    uint8_t u8() { return fixed<uint8_t>(); }
+    uint16_t u16() { return fixed<uint16_t>(); }
+    uint32_t u32() { return fixed<uint32_t>(); }
+    uint64_t u64() { return fixed<uint64_t>(); }
 
     std::string
     str()
@@ -180,9 +201,39 @@ class ByteReader
         c += u64();
     }
 
+    Functor
+    functor()
+    {
+        AtomId name = u32();
+        return Functor{name, u32()};
+    }
+
+    /** An element count. Every element takes at least one byte, so a
+     *  count past the bytes left is truncation, and rejecting it keeps
+     *  a bad count from sizing a huge allocation. */
+    size_t
+    count()
+    {
+        uint64_t n = u64();
+        if (n > size_ - pos_)
+            fatal("snapshot: truncated section payload");
+        return size_t(n);
+    }
+
     bool atEnd() const { return pos_ == size_; }
 
   private:
+    template <typename T>
+    T
+    fixed()
+    {
+        if (sizeof(T) > size_ - pos_)
+            fatal("snapshot: truncated section payload");
+        T v = loadLe<T>(data_ + pos_);
+        pos_ += sizeof(T);
+        return v;
+    }
+
     const uint8_t *data_;
     size_t size_;
     size_t pos_ = 0;
@@ -201,19 +252,23 @@ struct SectionView
  * Record a fixed hardware array sparsely: a count, then the index and
  * the fields (@p save) of each entry @p live accepts. The arrays (page
  * table, cache cells) hold tens of thousands of entries, so count and
- * index are u32.
+ * index are u32. One pass: the count is a placeholder, patched after.
  */
 template <typename T, typename Live, typename Save>
 void
 saveSparse(ByteWriter &w, const std::vector<T> &cells, Live live, Save save)
 {
-    w.u32(uint32_t(std::count_if(cells.begin(), cells.end(), live)));
+    const size_t count_at = w.tell();
+    w.u32(0);
+    uint32_t count = 0;
     for (size_t i = 0; i < cells.size(); ++i) {
         if (live(cells[i])) {
             w.u32(uint32_t(i));
             save(cells[i]);
+            ++count;
         }
     }
+    w.patch(count_at, count);
 }
 
 /** Mirror of saveSparse(): reset every entry to its default (invalid,
@@ -243,7 +298,7 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
 {
     if (bytes.size() < 8 ||
         std::memcmp(bytes.data(), snapshotMagic, 8) != 0) {
-        fatal("snapshot: bad magic (not a KCMSNAP3 image)");
+        fatal("snapshot: bad magic (not a KCMSNAP4 image)");
     }
 
     size_t pos = 8;
@@ -355,20 +410,22 @@ struct SnapshotAccess
         saveMemGeometry(mem, w);
 
         // Main memory, sparse: only nonzero words are recorded, and
-        // only the allocated prefix can hold one.
+        // only the allocated prefix can hold one. One pass: the count
+        // is a placeholder, patched after.
         MainMemory &mm = mem.memory();
         const uint64_t *words = mm.data_.get();
         const size_t live = allocatedWords(mem);
-        size_t nonzero = 0;
-        for (size_t a = 0; a < live; ++a)
-            nonzero += words[a] != 0;
-        w.u64(nonzero);
+        const size_t count_at = w.tell();
+        w.u64(0);
+        uint64_t nonzero = 0;
         for (size_t a = 0; a < live; ++a) {
             if (words[a]) {
                 w.u64(a);
                 w.u64(words[a]);
+                ++nonzero;
             }
         }
+        w.patch(count_at, nonzero);
         w.counter(mm.readWords);
         w.counter(mm.writtenWords);
         w.counter(mm.transactions);
@@ -497,16 +554,53 @@ struct SnapshotAccess
         r.counter(zc.checksPerformed);
     }
 
+    /** The linked image, field for field: the code words, the symbol
+     *  table metaCall resolves against, the entry stubs and the
+     *  dynamic-database seed. It is what the predecoded core is
+     *  rebuilt from on restore. Atom ids are recorded raw. */
     static void
     saveImageSection(Machine &m, ByteWriter &w)
     {
-        // The linked image, in its own self-contained container (it
-        // carries the symbol table metaCall resolves against and the
-        // entry stubs, and it is what the predecoded core is rebuilt
-        // from on restore).
-        std::ostringstream image_text;
-        saveImage(m.image_, image_text);
-        w.str(image_text.str());
+        const CodeImage &image = m.image_;
+        w.u32(image.base);
+        w.u32(image.queryEntry);
+        w.u32(image.failEntry);
+        w.u32(image.haltFailEntry);
+        w.u32(image.catchFailEntry);
+        w.u32(image.dynRetryEntry);
+
+        w.u64(image.words.size());
+        for (uint64_t word : image.words)
+            w.u64(word);
+
+        w.u64(image.predicates.size());
+        for (const auto &[functor, info] : image.predicates) {
+            w.functor(functor);
+            w.u32(info.entry);
+            w.u64(info.words);
+            w.u64(info.instructions);
+            w.boolean(info.fromLibrary);
+        }
+
+        w.u64(image.dynStubs.size());
+        for (const auto &[addr, functor] : image.dynStubs) {
+            w.u32(addr);
+            w.functor(functor);
+        }
+
+        w.u64(image.dynamicDecls.size());
+        for (const Functor &functor : image.dynamicDecls)
+            w.functor(functor);
+
+        w.u64(image.dynamicInit.size());
+        for (const std::string &clause : image.dynamicInit)
+            w.str(clause);
+
+        w.u64(image.querySolutionSlots.size());
+        for (const auto &[name, slot] : image.querySolutionSlots) {
+            w.str(name);
+            w.u32(uint32_t(slot));
+        }
     }
 
     static void
@@ -613,8 +707,54 @@ struct SnapshotAccess
     static void
     restoreImageSection(Machine &m, ByteReader &r)
     {
-        std::istringstream image_text(r.str());
-        m.image_ = loadImage(image_text);
+        // Decode into a local image and move it in only once it is
+        // whole: a throw leaves the target's image as it was. The
+        // record was written in the containers' own order, so every
+        // insert below lands at the end.
+        CodeImage image;
+        image.base = r.u32();
+        image.queryEntry = r.u32();
+        image.failEntry = r.u32();
+        image.haltFailEntry = r.u32();
+        image.catchFailEntry = r.u32();
+        image.dynRetryEntry = r.u32();
+
+        image.words.resize(r.count());
+        for (uint64_t &word : image.words)
+            word = r.u64();
+
+        for (size_t n = r.count(); n > 0; --n) {
+            PredicateInfo info;
+            info.functor = r.functor();
+            info.entry = r.u32();
+            info.words = size_t(r.u64());
+            info.instructions = size_t(r.u64());
+            info.fromLibrary = r.boolean();
+            image.predicates.emplace_hint(image.predicates.end(),
+                                          info.functor, info);
+        }
+
+        for (size_t n = r.count(); n > 0; --n) {
+            Addr addr = r.u32();
+            image.dynStubs.emplace_hint(image.dynStubs.end(), addr,
+                                        r.functor());
+        }
+
+        for (size_t n = r.count(); n > 0; --n)
+            image.dynamicDecls.emplace_hint(image.dynamicDecls.end(),
+                                            r.functor());
+
+        image.dynamicInit.resize(r.count());
+        for (std::string &clause : image.dynamicInit)
+            clause = r.str();
+
+        image.querySolutionSlots.resize(r.count());
+        for (auto &[name, slot] : image.querySolutionSlots) {
+            name = r.str();
+            slot = int(r.u32());
+        }
+
+        m.image_ = std::move(image);
         // Rebuild the predecoded image per the *target's* dispatch
         // core: a snapshot is portable between the oracle and the
         // threaded core (cycle-identical by construction).

@@ -14,13 +14,15 @@
  * metrics (cycles, instructions, inferences, cache hits, ...) to an
  * uninterrupted run.
  *
- * The byte image is a sectioned container ("KCMSNAP3"): code image,
+ * The byte image is a sectioned container ("KCMSNAP4"): code image,
  * processor state, memory system and dynamic clause store are separate
- * sections, each length-prefixed and FNV-1a-checksummed. restoreSnapshot() validates
- * the whole container — structure, checksums, memory geometry —
- * before mutating the target, so a truncated or bit-flipped blob is
- * rejected with a diagnostic and the target machine is left exactly
- * as it was (no partial restore).
+ * sections, each length-prefixed and FNV-1a-checksummed. The code
+ * image is a binary record of the CodeImage's fields with raw atom
+ * ids, so a restore neither parses text nor re-interns atoms.
+ * restoreSnapshot() validates the whole container — structure,
+ * checksums, memory geometry — before mutating the target, so a
+ * truncated or bit-flipped blob is rejected with a diagnostic and the
+ * target machine is left exactly as it was (no partial restore).
  *
  * Cost is proportional to live state, not to the board: the MMU hands
  * out physical pages as a dense prefix (Mmu::allocatedPages()) and
@@ -39,14 +41,20 @@
  *  - Take snapshots at a run boundary (between run()/nextSolution()
  *    calls, or after a trap): that is an instruction boundary, the
  *    granularity at which the simulator is deterministic.
- *  - Snapshots are process-local: tagged words embed atom ids, which
- *    are interned per process. Restoring in the same process is exact;
- *    a snapshot written to disk is only portable to a process that
- *    interns the same atoms in the same order.
+ *  - Snapshots are process-local: tagged words and the code image
+ *    record embed atom ids, which are interned per process. Restoring
+ *    in the same process is exact; a snapshot written to disk is only
+ *    portable to a process that interns the same atoms in the same
+ *    order.
  *  - The target machine must use the same MachineConfig as the source
  *    (same timing model, quotas and fault plan); the predecoded image
  *    is rebuilt from the embedded code image per the target's
  *    dispatch-core setting.
+ *  - The target need not be fresh: a restore overwrites every part of
+ *    the state listed above, so a machine that has run other queries
+ *    under the same MachineConfig restores exactly. An attached
+ *    clause store is the exception: a restore replaces its contents
+ *    (Machine::attachDynamicDb), so detach a shared one first.
  */
 
 #ifndef KCM_CORE_SNAPSHOT_HH
@@ -75,7 +83,7 @@ Snapshot takeSnapshot(Machine &machine);
 void restoreSnapshot(Machine &machine, const Snapshot &snapshot);
 
 /**
- * Structural validation only: parse the KCMSNAP3 container and verify
+ * Structural validation only: parse the KCMSNAP4 container and verify
  * every section length and checksum without touching any machine.
  * Returns false (and fills @p why when non-null) on a truncated or
  * bit-flipped image. This is the cheap re-validation a snapshot cache

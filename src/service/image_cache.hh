@@ -6,10 +6,10 @@
  * for every query (§3: the compiler links the whole consulted program
  * with the goal into one image). A serving deployment sees the same
  * (program, goal) pair over and over; this cache memoises the
- * *post-download machine state* as a KCMSNAP3 snapshot template keyed
+ * *post-download machine state* as a KCMSNAP4 snapshot template keyed
  * by a content hash of (program text, goal text, machine-config
- * fingerprint). A hit restores the template into a pooled worker —
- * zero recompilation, zero re-linking — and, because KCMSNAP3 restore
+ * fingerprint). A hit restores the template into a pooled machine —
+ * zero recompilation, zero re-linking — and, because KCMSNAP4 restore
  * re-verifies every section checksum before mutating the machine, a
  * corrupt cache entry can only ever produce a classified
  * "corrupt_image_template" failure, never a wrong answer.

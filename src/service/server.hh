@@ -12,7 +12,7 @@
  *  1. **Warm snapshot-template cache** (ImageCache): the first query
  *     for a (program, goal, config) triple pays the full compile +
  *     static link + download and snapshots the post-download machine
- *     as a KCMSNAP3 template; every later identical query restores the
+ *     as a KCMSNAP4 template; every later identical query restores the
  *     template into a pooled worker — zero recompilation. Templates
  *     are checksum re-validated on every lookup AND on every restore;
  *     a corrupt entry is evicted and the query transparently

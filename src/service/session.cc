@@ -61,14 +61,23 @@ Session::Session(CodeImage image, SessionOptions options)
 }
 
 Session::Session(std::shared_ptr<const Snapshot> warm_template,
-                 SessionOptions options)
-    : template_(std::move(warm_template)), options_(std::move(options))
+                 SessionOptions options, std::unique_ptr<Machine> machine)
+    : template_(std::move(warm_template)), options_(std::move(options)),
+      machine_(std::move(machine))
 {
     if (!template_)
         fatal("session: null warm-start template");
 }
 
 Session::~Session() = default;
+
+std::unique_ptr<Machine>
+Session::releaseMachine()
+{
+    if (machine_ && options_.durableDb)
+        machine_->detachDynamicDb();
+    return std::move(machine_);
+}
 
 void
 Session::checkpoint(std::shared_ptr<const Snapshot> state,
@@ -87,8 +96,8 @@ Session::checkpoint(std::shared_ptr<const Snapshot> state,
 bool
 Session::coldStart()
 {
-    // Bring the fresh machine to its ready-to-run state: download the
-    // compiled image, or restore the shared post-download KCMSNAP3
+    // Bring the machine to its ready-to-run state: download the
+    // compiled image, or restore the shared post-download KCMSNAP4
     // template (the warm-cache path; restoreSnapshot re-validates
     // every section checksum before mutating anything, so a corrupt
     // template is reported here and never executes).
@@ -156,7 +165,8 @@ Session::run()
          options_.abortOnInterrupt || options_.cancel))
         slice = options_.watchdogSliceCycles;
 
-    machine_ = std::make_unique<Machine>(options_.machine);
+    if (!machine_)
+        machine_ = std::make_unique<Machine>(options_.machine);
     if (!coldStart()) {
         // The warm-start template failed checksum re-validation: a
         // corrupt cache entry is never executed. Classified so the

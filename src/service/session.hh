@@ -202,11 +202,6 @@ struct QueryOutcome
     SessionCounters counters;
 };
 
-/**
- * One supervised query: machine + image + recovery loop.
- * Construct, call run() once, read the outcome. Not thread-safe;
- * each worker thread owns its sessions exclusively.
- */
 /** Ask every session with abortOnInterrupt set to stop at its next
  *  slice boundary (async-signal-safe; called from signal handlers). */
 void requestServiceInterrupt();
@@ -217,6 +212,12 @@ void clearServiceInterrupt();
 /** Whether requestServiceInterrupt() has been called. */
 bool serviceInterruptRequested();
 
+/**
+ * One supervised query: machine + image + recovery loop.
+ * Construct, call run() once, read the outcome; a warm session's
+ * machine may then be released for the next warm session. Not
+ * thread-safe; each worker thread owns its sessions exclusively.
+ */
 class Session
 {
   public:
@@ -224,21 +225,37 @@ class Session
 
     /**
      * Warm start: instead of compiling and load()ing an image, the
-     * session restores a post-download KCMSNAP3 template (the state a
+     * session restores a post-download KCMSNAP4 template (the state a
      * load() of the compiled image produces) into its machine — the
      * server's snapshot-template cache path. The template buffer is
      * shared between concurrent sessions and never modified; if its
      * checksums fail re-validation on restore the session fails
      * cleanly with classification "corrupt_image_template" so the
      * owner can evict the entry and recompile.
+     *
+     * @p machine, when given, is restored into instead of building a
+     * fresh one: a machine from an earlier session's releaseMachine(),
+     * built under the same MachineConfig as options.machine. The
+     * restore overwrites all of its state, so the run is exactly a
+     * fresh machine's.
      */
     Session(std::shared_ptr<const Snapshot> warm_template,
-            SessionOptions options);
+            SessionOptions options,
+            std::unique_ptr<Machine> machine = nullptr);
 
     ~Session();
 
     /** Execute the query to completion under supervision. */
     QueryOutcome run();
+
+    /**
+     * Hand the machine over for reuse by a later warm session under
+     * the same MachineConfig (null when run() built none). A durable
+     * store is detached first: left attached, the next restore would
+     * load the template's store into the shared durable one. After a
+     * fresh-machine restart this is the replacement machine.
+     */
+    std::unique_ptr<Machine> releaseMachine();
 
     const SessionCounters &counters() const { return counters_; }
 

@@ -399,11 +399,20 @@ Supervisor::monitorMain()
     }
 }
 
+bool
+Supervisor::pooled(const Pending &p)
+{
+    // A job with its own MachineConfig gets a machine built for it;
+    // a cold image session load()s, which is not a full reset.
+    return p.warm && !p.job.machine;
+}
+
 void
 Supervisor::workerMain()
 {
     for (;;) {
         std::shared_ptr<Pending> p;
+        std::unique_ptr<Machine> machine;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             workCv_.wait(lock, [this] {
@@ -458,6 +467,10 @@ Supervisor::workerMain()
                             : p->group->primaryCancel) = p->cancel;
             }
             running_.push_back(p);
+            if (pooled(*p) && !idleMachines_.empty()) {
+                machine = std::move(idleMachines_.back());
+                idleMachines_.pop_back();
+            }
         }
 
         SessionOptions session_options = options_.session;
@@ -472,8 +485,11 @@ Supervisor::workerMain()
         session_options.chaosSliceDelayUs = p->job.chaosSliceDelayUs;
         QueryOutcome outcome;
         if (p->warm) {
-            Session session(p->warm, std::move(session_options));
+            Session session(p->warm, std::move(session_options),
+                            std::move(machine));
             outcome = session.run();
+            if (pooled(*p))
+                machine = session.releaseMachine();
         } else {
             Session session(CodeImage(*p->image),
                             std::move(session_options));
@@ -484,6 +500,8 @@ Supervisor::workerMain()
         bool drop = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
+            if (machine)
+                idleMachines_.push_back(std::move(machine));
             running_.erase(
                 std::remove(running_.begin(), running_.end(), p),
                 running_.end());

@@ -5,7 +5,11 @@
  * The serving half of the host in the paper's Fig. 1 system picture:
  * clients submit compiled queries, a bounded admission queue feeds a
  * pool of worker threads, and each worker runs one Session (machine +
- * checkpoints + retry loop) per query. Robustness policies live here:
+ * checkpoints + retry loop) per query. A warm-template query under the
+ * pool's own MachineConfig restores into an idle machine from a shared
+ * LIFO stack instead of building one; the restore overwrites all of
+ * its state, so reuse is invisible to every simulated metric.
+ * Robustness policies live here:
  *
  *  - load shedding: the admission queue is bounded; when it is full,
  *    the queued query with the *earliest deadline* is evicted (it is
@@ -203,7 +207,7 @@ class Supervisor
      * including a shed query, whose callback fires with the
      * "overloaded" failure before submitAsync returns. Queries run
      * from the compiled @p image, or warm-start from a shared
-     * post-download KCMSNAP3 @p warm template (Session re-validates
+     * post-download KCMSNAP4 @p warm template (Session re-validates
      * its checksums on restore). Thread-safe against concurrent
      * submitters.
      */
@@ -263,6 +267,8 @@ class Supervisor
         Clock::time_point startedAt; ///< set at dequeue
     };
 
+    /** Whether @p p runs on a machine from idleMachines_. */
+    static bool pooled(const Pending &p);
     void workerMain();
     void monitorMain();
     void enqueue(std::shared_ptr<Pending> pending);
@@ -300,6 +306,17 @@ class Supervisor
         uint64_t samples = 0;
     };
     std::map<uint64_t, ShapeStat> shapes_;
+
+    /**
+     * Idle machines built under options_.session.machine, for warm
+     * jobs without a MachineConfig of their own: a worker pops the top
+     * one (or builds one when empty), its Session restores the
+     * template into it, and the worker pushes it back. One LIFO stack
+     * for all workers, so with one query in flight the same machine,
+     * its pages already resident, serves every request, and the stack
+     * never holds more machines than have run at once.
+     */
+    std::vector<std::unique_ptr<Machine>> idleMachines_;
 
     std::vector<std::thread> workers_;
     std::thread monitor_;

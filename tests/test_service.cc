@@ -92,6 +92,48 @@ runWarmSession(const std::string &goal, service::SessionOptions options)
     return session.run();
 }
 
+/** A post-download template of @p goal against @p program, snapped
+ *  under @p machine: what the server's image cache holds. */
+std::shared_ptr<const Snapshot>
+templateFor(const std::string &program, const std::string &goal,
+            const MachineConfig &machine)
+{
+    KcmOptions options;
+    options.machine = machine;
+    KcmSystem host(options);
+    host.consult(program);
+    Machine loaded(machine);
+    loaded.load(host.compileOnly(goal));
+    return std::make_shared<const Snapshot>(takeSnapshot(loaded));
+}
+
+/** Warm jobs and the templates they restore, in submission order. */
+using WarmJobs =
+    std::vector<std::pair<service::QueryJob, std::shared_ptr<const Snapshot>>>;
+
+/** Run @p jobs warm through a supervisor and return their outcomes in
+ *  submission order. With one worker they run one after another, so
+ *  every job under the pool's config reuses the same idle machine. */
+std::vector<service::QueryOutcome>
+runWarmJobs(const service::SupervisorOptions &options, const WarmJobs &jobs)
+{
+    std::mutex mutex;
+    std::vector<service::QueryOutcome> outcomes(jobs.size());
+    {
+        service::Supervisor supervisor(options);
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            supervisor.submitAsync(
+                jobs[i].first, jobs[i].second,
+                [&, i](service::QueryOutcome out) {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    outcomes[i] = std::move(out);
+                });
+        }
+        supervisor.drain();
+    }
+    return outcomes;
+}
+
 /** The session's absolute-deadline clock: steady ns since epoch. */
 uint64_t
 steadyNowNs()
@@ -544,7 +586,7 @@ TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
 TEST(Supervisor, WarmTemplateAsyncMatchesColdImage)
 {
     // The warm snapshot-template path the server's image cache uses:
-    // a query warm-started from a post-download KCMSNAP3 template
+    // a query warm-started from a post-download KCMSNAP4 template
     // must produce the same answer and the same simulated cycle count
     // as one cold-started from the compiled image.
     service::SupervisorOptions options;
@@ -600,6 +642,94 @@ TEST(Supervisor, WarmTemplateAsyncMatchesColdImage)
         EXPECT_EQ(out.cycles, cold_out.cycles)
             << "warm restore must be invisible to simulated time";
     }
+}
+
+TEST(Supervisor, PooledMachineNeverCrossesMachineConfigs)
+{
+    // Warm jobs under the pool's config reuse an idle machine. A job
+    // with its own MachineConfig (here a per-query memory budget) must
+    // run on a machine built for it, and that machine must not go back
+    // to the pool: the next default job must run as it did before.
+    service::SupervisorOptions options;
+    options.workers = 1;
+    options.hedging = false;
+    options.session.backoffBaseMs = 0;
+    options.session.maxRetries = 0;
+    const char *goal = "mklist(200000, _)";
+    auto tmpl = templateFor(serviceProgram, goal, options.session.machine);
+
+    service::QueryJob plain;
+    plain.id = "plain";
+    plain.goal = goal;
+    service::QueryJob budgeted = plain;
+    budgeted.id = "budgeted";
+    MachineConfig tight = options.session.machine;
+    tight.governor.memoryBudgetBytes = 1u << 20;
+    budgeted.machine = tight;
+
+    std::vector<service::QueryOutcome> out = runWarmJobs(
+        options, {{plain, tmpl}, {budgeted, tmpl}, {plain, tmpl}});
+    ASSERT_EQ(out[0].status, service::QueryStatus::Completed);
+    ASSERT_TRUE(out[0].success);
+    EXPECT_EQ(out[1].status, service::QueryStatus::Failed);
+    EXPECT_EQ(out[1].failure.classification, "resource_error(memory)")
+        << "the budgeted job ran on the pool's unbudgeted machine";
+    ASSERT_EQ(out[2].status, service::QueryStatus::Completed)
+        << out[2].failure.classification;
+    EXPECT_EQ(out[2].cycles, out[0].cycles);
+    EXPECT_EQ(out[2].instructions, out[0].instructions);
+    EXPECT_EQ(out[2].inferences, out[0].inferences);
+}
+
+TEST(Supervisor, PooledMachineRunsAlternatingTemplatesLikeAFreshOne)
+{
+    // Two templates take turns on the pool's one machine. One grows
+    // the heap far past the other's allocated prefix and writes
+    // output; every outcome must equal a fresh machine's.
+    service::SupervisorOptions options;
+    options.workers = 1;
+    options.hedging = false;
+    options.session.backoffBaseMs = 0;
+    const std::string program =
+        std::string(serviceProgram) +
+        "shout(N, S) :- revsum(N, S), write(S), nl.\n";
+    auto big = templateFor(program, "shout(300, S)",
+                           options.session.machine);
+    auto small = templateFor(program, "sumto(50, S)",
+                             options.session.machine);
+
+    auto pagesAfterRun = [&](const Snapshot &tmpl) {
+        Machine m(options.session.machine);
+        restoreSnapshot(m, tmpl);
+        m.run();
+        return m.mem().mmu().allocatedPages();
+    };
+    ASSERT_GT(pagesAfterRun(*big), pagesAfterRun(*small))
+        << "test premise: one template must outgrow the other";
+
+    WarmJobs jobs;
+    for (int i = 0; i < 4; ++i) {
+        service::QueryJob job;
+        job.id = cat("q", i);
+        job.goal = i % 2 ? "sumto(50, S)" : "shout(300, S)";
+        jobs.emplace_back(job, i % 2 ? small : big);
+    }
+    std::vector<service::QueryOutcome> out = runWarmJobs(options, jobs);
+
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        service::Session fresh(jobs[i].second, options.session);
+        service::QueryOutcome want = fresh.run();
+        ASSERT_EQ(want.status, service::QueryStatus::Completed);
+        ASSERT_EQ(out[i].status, want.status) << jobs[i].first.goal;
+        ASSERT_EQ(out[i].solutions.size(), 1u) << jobs[i].first.goal;
+        EXPECT_EQ(out[i].solutions[0].toString(),
+                  want.solutions[0].toString());
+        EXPECT_EQ(out[i].output, want.output) << jobs[i].first.goal;
+        EXPECT_EQ(out[i].cycles, want.cycles) << jobs[i].first.goal;
+        EXPECT_EQ(out[i].instructions, want.instructions);
+        EXPECT_EQ(out[i].inferences, want.inferences);
+    }
+    EXPECT_EQ(out[0].output, "45150\n");
 }
 
 // ------------------------------------- absolute deadline propagation

@@ -12,16 +12,21 @@
  * which is sound because every word past it is zero; that invariant
  * is pinned down here too. The page table and both cache arrays are
  * recorded sparsely (nonzero entries, valid cells), so a post-load
- * template's size tracks its live state.
+ * template's size tracks its live state. The code image is a binary
+ * record of every CodeImage field, checked against the text image
+ * codec.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "base/logging.hh"
+#include "compiler/image_io.hh"
 #include "core/machine.hh"
 #include "core/snapshot.hh"
 #include "kcm/kcm.hh"
@@ -544,4 +549,46 @@ TEST(Snapshot, PostLoadTemplateBytesTrackLiveState)
     Machine loaded;
     loaded.load(compileQuery(countProgram, "count(200)"));
     EXPECT_LT(takeSnapshot(loaded).bytes.size(), 64u * 1024);
+}
+
+TEST(Snapshot, ImageSectionRoundTripsEveryField)
+{
+    // The image section records the CodeImage field for field. A
+    // field dropped from both save and restore would still pass the
+    // re-snapshot byte-identity test, so compare the restored image
+    // with the original through the text codec, which writes them all.
+    const char *program =
+        ":- dynamic(seen/1).\n"
+        "seen(a).\n"
+        "seen(b).\n"
+        "probe(X, L) :- catch(seen(X), _, fail), append([X], [X], L).\n";
+    KcmSystem host;
+    host.consultStandardLibrary();
+    host.consult(program);
+    CodeImage image = host.compileOnly("probe(Who, Pair)");
+    // Premise: every optional part of the image is populated.
+    ASSERT_FALSE(image.dynamicInit.empty());
+    ASSERT_FALSE(image.dynamicDecls.empty());
+    ASSERT_FALSE(image.dynStubs.empty());
+    ASSERT_NE(image.dynRetryEntry, 0u);
+    ASSERT_NE(image.catchFailEntry, 0u);
+    ASSERT_NE(image.queryEntry, 0u);
+    ASSERT_EQ(image.querySolutionSlots.size(), 2u);
+    ASSERT_TRUE(std::any_of(image.predicates.begin(),
+                            image.predicates.end(), [](const auto &p) {
+                                return p.second.fromLibrary;
+                            }));
+
+    auto text = [](const CodeImage &i) {
+        std::ostringstream out;
+        saveImage(i, out);
+        return out.str();
+    };
+    Machine source;
+    source.load(image);
+    Machine target;
+    restoreSnapshot(target, takeSnapshot(source));
+    EXPECT_EQ(text(target.image()), text(image));
+    ASSERT_EQ(target.run(), RunStatus::SolutionFound);
+    EXPECT_EQ(target.lastSolution().toString(), "Who = a, Pair = [a,a]");
 }
