@@ -4,8 +4,8 @@
  * clients and a hostile network.
  *
  * Spawns a real kcm_serverd daemon (fork/exec, ephemeral port), then
- * drives it with N concurrent clients whose workload is laced with
- * five fault families:
+ * drives it with N concurrent clients whose queries rotate through
+ * six families, five of them faults:
  *
  *   clean        well-behaved query/reply round trips (the carrier —
  *                every other family also issues real queries)
@@ -22,24 +22,10 @@
  *                warm snapshot-template cache right before a query
  *                that would hit it; the checksum layers must eat the
  *                corruption (evict + recompile) — never a wrong answer
- *   straggler    real queries carrying "chaos_slice_delay_us": the
- *                executing worker sleeps at every governor slice
- *                boundary, simulating a degraded host. The reply must
- *                still be bit-identical (the delay is host-side only);
- *                when the supervisor hedges, the clean duplicate's
- *                answer is the same answer
  *   mem_hog      real queries carrying a 1 MiB "memory_budget_bytes"
  *                with heap-hungry work: every one must fail *classified*
  *                — resource_error(memory), or circuit_open once the
  *                shape's breaker trips — never complete, never hang
- *   journal_corrupt  a sequential pre-phase with its own durable
- *                daemon (--db-journal): commit a few mutations, drain
- *                cleanly, flip one payload byte in a mid-file journal
- *                record, restart — the daemon must classify the scan
- *                as corrupt_record, truncate the suspect suffix, and
- *                serve exactly the surviving-prefix database (verified
- *                against an offline Journal::scanFile replay); never a
- *                silent swallow, never a half-applied batch
  *
  * plus a kill-and-restart event: mid-run the daemon is SIGKILLed and
  * a fresh one spawned; every in-flight query classifies as a
@@ -48,11 +34,14 @@
  * Two deterministic sequential phases run before the sweep, each
  * against its own daemon:
  *
- *   hedge        a single straggler query under aggressive hedging
- *                (--hedge-min-ms 10): the monitor must launch a clean
- *                duplicate, the duplicate must win, and the delivered
- *                answer must match the oracle — asserted via the
- *                hedges / hedge_wins stats counters
+ *   journal_corrupt  a durable daemon (--db-journal): commit a few
+ *                mutations, drain cleanly, flip one payload byte in a
+ *                mid-file journal record, restart — the daemon must
+ *                classify the scan as corrupt_record, truncate the
+ *                suspect suffix, and serve exactly the surviving-prefix
+ *                database (verified against an offline
+ *                Journal::scanFile replay); never a silent swallow,
+ *                never a half-applied batch
  *   breaker      a query shape driven through the full circuit-breaker
  *                lifecycle: two classified failures open it, the next
  *                arrival fast-fails "circuit_open" with a retry hint,
@@ -93,6 +82,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -307,14 +297,11 @@ connectCurrent(Client &client, Endpoint &endpoint)
 }
 
 /** Issue one real query and verify it against the oracle. Returns
- *  false when the connection needs to be re-established. A nonzero
- *  @p slice_delay_us rides along as "chaos_slice_delay_us" (the
- *  straggler family) — host-side only, so the answer contract is
- *  unchanged. */
+ *  false when the connection needs to be re-established. */
 bool
 verifiedQuery(Client &client, SweepShared &shared,
               const std::string &family, const std::string &id,
-              const std::string &goal, uint64_t slice_delay_us = 0)
+              const std::string &goal)
 {
     uint32_t gen = shared.endpoint.generation.load();
     service::JsonWriter w;
@@ -323,8 +310,6 @@ verifiedQuery(Client &client, SweepShared &shared,
         .field("program", chaosProgram)
         .field("goal", goal)
         .field("max_solutions", uint64_t(1));
-    if (slice_delay_us)
-        w.field("chaos_slice_delay_us", slice_delay_us);
     ClientReply reply;
     if (client.sendLine(w.str()) != IoStatus::Ok)
         reply.io = IoStatus::Closed;
@@ -391,13 +376,13 @@ clientMain(SweepShared &shared, int client_id, int queries)
         return;
     }
 
-    static const char *families[] = {"clean",   "garbage",
+    static const char *families[] = {"clean",      "garbage",
                                      "slow_loris", "drop",
-                                     "corrupt", "straggler",
-                                     "mem_hog"};
+                                     "corrupt",    "mem_hog"};
     for (int i = 0; i < queries; ++i) {
         uint32_t seed = uint32_t(client_id) * 10'000 + uint32_t(i);
-        const std::string family = families[(client_id + i) % 7];
+        const std::string family =
+            families[size_t(client_id + i) % std::size(families)];
         const std::string goal = goalFor(seed);
         const std::string id = cat("c", client_id, "/q", i);
 
@@ -545,15 +530,6 @@ clientMain(SweepShared &shared, int client_id, int queries)
                 bump(shared, family, "transport_send");
                 ok = false;
             }
-        } else if (family == "straggler") {
-            // A degraded worker: multi-slice work with a per-slice
-            // host delay. The answer contract is untouched — if the
-            // supervisor hedges it onto a clean worker, the duplicate
-            // is bit-identical by construction and the oracle check
-            // below holds for whichever attempt wins.
-            ok = verifiedQuery(client, shared, family, id,
-                               "itc(200, 0, S)",
-                               /*slice_delay_us=*/20'000);
         } else { // mem_hog
             // A 1 MiB budget against multi-MiB work: the reply must
             // be a *classified* failure — resource_error(memory), or
@@ -761,84 +737,6 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
 }
 
 // ------------------------------------------------------------------ //
-// hedge: a single straggler under aggressive hedging. Deterministic:
-// the primary sleeps 40 ms at every 1-Mcycle slice boundary, the
-// monitor's threshold is 10 ms, and two workers sit idle — the clean
-// duplicate must launch, win, and deliver the oracle's answer.
-// ------------------------------------------------------------------ //
-
-void
-hedgePhase(const std::string &serverd, SweepShared &shared)
-{
-    const char *family = "hedge";
-    auto diverge = [&](const std::string &why) {
-        std::lock_guard<std::mutex> lock(shared.tallyMutex);
-        ++shared.tallies[family].diverged;
-        fprintf(stderr, "hedge: %s\n", why.c_str());
-    };
-
-    Daemon daemon = spawnChaosDaemon(
-        serverd, {"--workers", "2", "--hedge-min-ms", "10",
-                  "--hedge-poll-ms", "1"});
-    Client client;
-    if (!client.connect("127.0.0.1", daemon.port, 2'000)) {
-        diverge("cannot connect to the hedging daemon");
-        return;
-    }
-
-    const std::string goal = "itc(300, 0, S)";
-    service::JsonWriter w;
-    w.field("op", "query")
-        .field("id", "hedge0")
-        .field("program", chaosProgram)
-        .field("goal", goal)
-        .field("max_solutions", uint64_t(1))
-        .field("chaos_slice_delay_us", uint64_t(40'000));
-    if (client.sendLine(w.str()) != IoStatus::Ok) {
-        diverge("cannot send the straggler query");
-        return;
-    }
-    ClientReply reply = client.readReply(120'000);
-    if (reply.io != IoStatus::Ok || reply.status() != "completed") {
-        diverge(cat("straggler did not complete: ", reply.raw));
-        return;
-    }
-    auto [want, want_err] = shared.oracle.answer(goal);
-    std::string got;
-    if (auto it = reply.fields.find("answers"); it != reply.fields.end())
-        for (const auto &a : it->second.items)
-            got += stripVarNumbers(a.str) + ";";
-    if (got != want || reply.str("error") != want_err) {
-        diverge(cat("hedged answer diverges: got '", got, "' want '",
-                    want, "'"));
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(shared.tallyMutex);
-        ++shared.tallies[family].matched;
-    }
-
-    ClientReply s = client.stats();
-    if (s.io != IoStatus::Ok || s.num("hedges") < 1 ||
-        s.num("hedge_wins") < 1) {
-        diverge(cat("no hedge win observed: ", s.raw));
-        return;
-    }
-    bump(shared, family, "hedge_win_observed");
-
-    client.close();
-    kill(daemon.pid, SIGTERM);
-    int status = 0;
-    waitpid(daemon.pid, &status, 0);
-    daemon.closeFd();
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        diverge("hedging daemon drain did not exit 0");
-        return;
-    }
-    bump(shared, family, "drain_clean");
-}
-
-// ------------------------------------------------------------------ //
 // breaker: one query shape driven around the full breaker lifecycle
 // — open on repeated classified failures, fast-fail while open,
 // half-open probe after the cooldown, closed on the probe's success.
@@ -944,7 +842,6 @@ chaosSweep(int clients, int queries_per_client,
     // own daemon; their failures count as divergences in the shared
     // tally.
     journalCorruptPhase(serverd, shared);
-    hedgePhase(serverd, shared);
     breakerPhase(serverd, shared);
 
     Daemon daemon = spawnChaosDaemon(serverd);

@@ -130,19 +130,4 @@ BreakerRegistry::stats() const
     return stats_;
 }
 
-const char *
-BreakerRegistry::stateName(uint64_t key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = breakers_.find(key);
-    if (it == breakers_.end())
-        return "closed";
-    switch (it->second.state) {
-      case State::Closed:   return "closed";
-      case State::Open:     return "open";
-      case State::HalfOpen: return "half_open";
-    }
-    return "closed";
-}
-
 } // namespace kcm::service

@@ -24,8 +24,8 @@
  * What counts as a failure is the *caller's* decision (recordSuccess /
  * recordFailure): the server counts classified service failures —
  * deadline_exceeded, resource_error(...), machine traps — but not
- * "interrupted"/"cancelled" (server-initiated stops) and not shed
- * queries (which never ran). A query that completes — even with a
+ * "interrupted" (a drain's stop) and not shed queries (which never
+ * ran). A query that completes — even with a
  * program-level error term — is a success: the shape is servable.
  *
  * Thread-safe; one registry per server, shared by every connection.
@@ -90,16 +90,12 @@ class BreakerRegistry
      *  against the breaker. */
     void recordFailure(uint64_t key);
 
-    /** A half-open probe ended with a neutral outcome (shed,
-     *  interrupted, cancelled — the shape was never really tried):
+    /** A half-open probe ended with a neutral outcome (shed or
+     *  interrupted — the shape was never really tried):
      *  release the probe slot so the next arrival probes instead. */
     void abandonProbe(uint64_t key);
 
     BreakerStats stats() const;
-
-    /** Current state of @p key's breaker: "closed", "open" or
-     *  "half_open" (tests and the stats op). */
-    const char *stateName(uint64_t key) const;
 
   private:
     using Clock = std::chrono::steady_clock;

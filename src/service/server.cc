@@ -104,10 +104,6 @@ Server::Server(ServerOptions options)
     pool.maxQueueDepth = options_.maxQueueDepth;
     pool.globalMemoryBudgetBytes = options_.globalMemoryBudgetBytes;
     pool.defaultMemoryChargeBytes = options_.defaultMemoryChargeBytes;
-    pool.hedging = options_.hedging;
-    pool.hedgeLatencyFactor = options_.hedgeLatencyFactor;
-    pool.hedgeMinMs = options_.hedgeMinMs;
-    pool.hedgePollMs = options_.hedgePollMs;
     pool_ = std::make_unique<Supervisor>(std::move(pool));
 }
 
@@ -448,8 +444,6 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
             .field("pool_retries", ps.retries)
             .field("pool_restarts", ps.restarts)
             .field("pool_checkpoints", ps.checkpoints)
-            .field("hedges", ps.hedges)
-            .field("hedge_wins", ps.hedgeWins)
             .field("deadline_propagated_sheds",
                    ps.deadlinePropagatedSheds)
             .field("mem_aborts", ps.memAborts)
@@ -588,15 +582,6 @@ Server::handleQuery(const std::shared_ptr<Connection> &conn,
             mc.governor.memoryBudgetBytes = uint64_t(v);
             job.machine = mc;
         }
-    }
-    if (auto it = request.find("chaos_slice_delay_us");
-        it != request.end()) {
-        if (!options_.chaosHooks) {
-            replyError(conn, id, "bad_request",
-                       "chaos hooks are disabled");
-            return;
-        }
-        job.chaosSliceDelayUs = uint64_t(it->second.asInt(0));
     }
 
     // The query shape: image-cache hash over program, goal and the
@@ -761,23 +746,21 @@ Server::onOutcome(std::shared_ptr<QueryCtx> ctx, QueryOutcome outcome)
 
     // Feed the shape's circuit breaker. Completing — even with a
     // program-level error term — proves the shape servable; a
-    // classified failure counts against it, except server-initiated
-    // stops ("interrupted", "cancelled") and sheds, which say nothing
-    // about the shape itself.
+    // classified failure counts against it, except drain stops
+    // ("interrupted") and sheds, which say nothing about the shape
+    // itself.
     switch (outcome.status) {
       case QueryStatus::Completed:
         breakers_.recordSuccess(ctx->key);
         break;
-      case QueryStatus::Failed: {
-        const std::string &cls = outcome.failure.classification;
-        if (cls == "interrupted" || cls == "cancelled") {
+      case QueryStatus::Failed:
+        if (outcome.failure.classification == "interrupted") {
             if (ctx->breakerProbe)
                 breakers_.abandonProbe(ctx->key);
         } else {
             breakers_.recordFailure(ctx->key);
         }
         break;
-      }
       case QueryStatus::Shed:
         if (ctx->breakerProbe)
             breakers_.abandonProbe(ctx->key);

@@ -126,8 +126,7 @@ struct ServerOptions
      *  aborted ("interrupted"). */
     uint64_t drainGraceMs = 5'000;
 
-    /** Enable the chaos hooks ("corrupt_cache" op, the
-     *  "chaos_slice_delay_us" straggler request field). Off in any
+    /** Enable the chaos hook (the "corrupt_cache" op). Off in any
      *  real deployment; the harness turns it on. */
     bool chaosHooks = false;
 
@@ -144,10 +143,6 @@ struct ServerOptions
     // see supervisor.hh for semantics).
     uint64_t globalMemoryBudgetBytes = 0;
     uint64_t defaultMemoryChargeBytes = 32ull << 20;
-    bool hedging = true;
-    double hedgeLatencyFactor = 3.0;
-    uint64_t hedgeMinMs = 50;
-    uint64_t hedgePollMs = 2;
 };
 
 /** Server-level counters (cache and supervisor keep their own). */

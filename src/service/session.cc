@@ -162,7 +162,7 @@ Session::run()
     uint64_t slice = checkpoint_cycles;
     if (!slice &&
         (options_.deadlineMs || options_.deadlineAbsNs ||
-         options_.abortOnInterrupt || options_.cancel))
+         options_.abortOnInterrupt))
         slice = options_.watchdogSliceCycles;
 
     if (!machine_)
@@ -260,10 +260,6 @@ Session::run()
         return options_.deadlineMs &&
                elapsedSeconds(started) * 1000.0 >
                    double(options_.deadlineMs) * double(attempts);
-    };
-    auto cancelled = [&]() {
-        return options_.cancel &&
-               options_.cancel->load(std::memory_order_relaxed);
     };
     // End-to-end deadline → governor cycle slices: size each slice so
     // the machine stops itself at (or just past) the propagated
@@ -382,20 +378,9 @@ Session::run()
         }
 
         if (machine_->sliceExpired()) {
-            // Host machinery, not a fault: poll the cancellation
-            // token, the shutdown flag and the deadlines, take the
-            // periodic checkpoint, continue where we stopped.
-            if (options_.chaosSliceDelayUs) {
-                std::this_thread::sleep_for(std::chrono::microseconds(
-                    options_.chaosSliceDelayUs));
-            }
-            if (cancelled()) {
-                return fail("cancelled", TrapKind::Abort,
-                            cat("cancelled at an instruction boundary "
-                                "after ",
-                                machine_->cycles(),
-                                " simulated cycles"));
-            }
+            // Host machinery, not a fault: poll the shutdown flag
+            // and the deadlines, take the periodic checkpoint,
+            // continue where we stopped.
             if (options_.abortOnInterrupt && serviceInterruptRequested()) {
                 return fail("interrupted", TrapKind::Abort,
                             "aborted by shutdown request at an "

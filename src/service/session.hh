@@ -35,7 +35,6 @@
 #ifndef KCM_SERVICE_SESSION_HH
 #define KCM_SERVICE_SESSION_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -88,24 +87,6 @@ struct SessionOptions
      */
     uint64_t deadlineAbsNs = 0;
 
-    /**
-     * Cooperative cancellation token (null = none), polled at slice
-     * boundaries like the interrupt flag: when set the query stops at
-     * the next instruction boundary with a clean "cancelled" failure.
-     * The supervisor's hedging machinery uses it to stop the losing
-     * attempt of a hedged pair.
-     */
-    std::shared_ptr<std::atomic<bool>> cancel;
-
-    /**
-     * Testing-only straggler injection: sleep this many host
-     * microseconds at every slice boundary, simulating a degraded
-     * worker. Purely host-side — simulated cycles and answers are
-     * unchanged — so a hedged attempt without the delay is
-     * bit-identical and merely faster.
-     */
-    uint64_t chaosSliceDelayUs = 0;
-
     /** Recovery attempts after the first (0 = fail on first trap). */
     unsigned maxRetries = 3;
 
@@ -136,9 +117,8 @@ struct FailureReport
      *  term: "resource_error(<kind>)", "machine_trap(<kind>)",
      *  "deadline_exceeded" (per-attempt or propagated absolute
      *  deadline), "overloaded", "interrupted" (aborted by a shutdown
-     *  request at an instruction boundary), "cancelled" (stopped via
-     *  the session's cancellation token — e.g. the losing attempt of
-     *  a hedged pair) or "corrupt_image_template" (a warm-start
+     *  request at an instruction boundary) or
+     *  "corrupt_image_template" (a warm-start
      *  snapshot failed its checksum re-validation; the caller evicts
      *  and recompiles). */
     std::string classification;

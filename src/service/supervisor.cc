@@ -1,7 +1,5 @@
 #include "service/supervisor.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace kcm::service
@@ -39,12 +37,6 @@ Supervisor::Supervisor(SupervisorOptions options)
     workers_.reserve(options_.workers);
     for (unsigned i = 0; i < options_.workers; ++i)
         workers_.emplace_back([this] { workerMain(); });
-    // Hedging needs a second concurrent attempt of the same query;
-    // durable-db sessions serialize on the store mutex (and commit),
-    // so a hedge there would be a double-commit hazard, not a latency
-    // win.
-    if (options_.hedging && !options_.session.durableDb)
-        monitor_ = std::thread([this] { monitorMain(); });
 }
 
 Supervisor::~Supervisor()
@@ -55,13 +47,10 @@ Supervisor::~Supervisor()
         paused_ = false;
     }
     workCv_.notify_all();
-    monitorCv_.notify_all();
     for (std::thread &t : workers_) {
         if (t.joinable())
             t.join();
     }
-    if (monitor_.joinable())
-        monitor_.join();
 }
 
 uint64_t
@@ -156,7 +145,7 @@ Supervisor::shedOneLocked(Completion &shed_cb)
 }
 
 void
-Supervisor::enqueue(std::shared_ptr<Pending> pending)
+Supervisor::enqueue(std::unique_ptr<Pending> pending)
 {
     Completion refuse_cb;
     QueryOutcome refuse_out;
@@ -222,7 +211,7 @@ Supervisor::enqueue(std::shared_ptr<Pending> pending)
 void
 Supervisor::submit(QueryJob job, CodeImage image)
 {
-    auto p = std::make_shared<Pending>();
+    auto p = std::make_unique<Pending>();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         p->slot = results_.size();
@@ -232,18 +221,18 @@ Supervisor::submit(QueryJob job, CodeImage image)
     p->deadlineKeyMs = job.deadlineMs;
     p->memCharge = memChargeFor(job);
     p->job = std::move(job);
-    p->image = std::make_shared<const CodeImage>(std::move(image));
+    p->image = std::move(image);
     enqueue(std::move(p));
 }
 
 void
 Supervisor::submitAsync(QueryJob job, CodeImage image, Completion done)
 {
-    auto p = std::make_shared<Pending>();
+    auto p = std::make_unique<Pending>();
     p->deadlineKeyMs = job.deadlineMs;
     p->memCharge = memChargeFor(job);
     p->job = std::move(job);
-    p->image = std::make_shared<const CodeImage>(std::move(image));
+    p->image = std::move(image);
     p->done = std::move(done);
     enqueue(std::move(p));
 }
@@ -253,7 +242,7 @@ Supervisor::submitAsync(QueryJob job,
                         std::shared_ptr<const Snapshot> warm,
                         Completion done)
 {
-    auto p = std::make_shared<Pending>();
+    auto p = std::make_unique<Pending>();
     p->deadlineKeyMs = job.deadlineMs;
     p->memCharge = memChargeFor(job);
     p->job = std::move(job);
@@ -267,14 +256,6 @@ Supervisor::queueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return queue_.size();
-}
-
-double
-Supervisor::shapeLatencyMs(uint64_t shape_key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = shapes_.find(shape_key);
-    return it == shapes_.end() ? 0.0 : it->second.ewmaMs;
 }
 
 void
@@ -333,72 +314,6 @@ Supervisor::recordShapeLatencyLocked(uint64_t shape_key, double ms)
     ++s.samples;
 }
 
-void
-Supervisor::launchHedgeLocked(const std::shared_ptr<Pending> &p)
-{
-    auto group = std::make_shared<HedgeGroup>();
-    group->done = std::move(p->done);
-    group->primaryCancel = p->cancel;
-    p->group = group;
-
-    auto h = std::make_shared<Pending>();
-    h->job = p->job;
-    // The straggler injection models a degraded worker; the hedge
-    // runs on a healthy one.
-    h->job.chaosSliceDelayUs = 0;
-    h->image = p->image;
-    h->warm = p->warm;
-    h->deadlineKeyMs = p->deadlineKeyMs;
-    h->memCharge = p->memCharge;
-    h->isHedge = true;
-    h->group = group;
-
-    ++outstanding_;
-    ++stats_.hedges;
-    stats_.memChargedBytes += h->memCharge;
-    queue_.push_back(std::move(h));
-    workCv_.notify_one();
-}
-
-void
-Supervisor::monitorMain()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        monitorCv_.wait_for(
-            lock, std::chrono::milliseconds(options_.hedgePollMs),
-            [this] { return stopping_; });
-        if (stopping_)
-            return;
-        // Hedge only into genuinely idle capacity: never displace a
-        // first attempt.
-        if (paused_ || !queue_.empty() ||
-            running_.size() >= options_.workers)
-            continue;
-        for (const auto &p : running_) {
-            if (p->isHedge || p->group || p->slot != asyncSlot ||
-                !p->done)
-                continue;
-            double threshold = double(options_.hedgeMinMs);
-            auto it = shapes_.find(p->job.shapeKey);
-            if (p->job.shapeKey && it != shapes_.end() &&
-                it->second.samples > 0) {
-                threshold = std::max(
-                    threshold, options_.hedgeLatencyFactor *
-                                   it->second.ewmaMs);
-            }
-            if (elapsedMs(p->startedAt) <= threshold)
-                continue;
-            if (uint64_t budget = options_.globalMemoryBudgetBytes;
-                budget &&
-                stats_.memChargedBytes + p->memCharge > budget)
-                continue;
-            launchHedgeLocked(p);
-            break; // one hedge per poll; the queue is non-empty now
-        }
-    }
-}
-
 bool
 Supervisor::pooled(const Pending &p)
 {
@@ -411,8 +326,9 @@ void
 Supervisor::workerMain()
 {
     for (;;) {
-        std::shared_ptr<Pending> p;
+        std::unique_ptr<Pending> p;
         std::unique_ptr<Machine> machine;
+        Clock::time_point started;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             workCv_.wait(lock, [this] {
@@ -428,18 +344,9 @@ Supervisor::workerMain()
             p = std::move(queue_.front());
             queue_.pop_front();
 
-            // A hedge whose sibling already delivered is abandoned
-            // without burning a machine.
-            if (p->group && p->group->delivered) {
-                stats_.memChargedBytes -= p->memCharge;
-                --outstanding_;
-                doneCv_.notify_all();
-                continue;
-            }
-
             // Deadline propagation at dequeue: the queue wait alone
             // may have consumed the budget.
-            if (!p->group && p->job.deadlineAbsNs &&
+            if (p->job.deadlineAbsNs &&
                 steadyNowNs() >= p->job.deadlineAbsNs) {
                 QueryOutcome out =
                     deadlineShedOutcome(p->job, "dequeue");
@@ -460,13 +367,7 @@ Supervisor::workerMain()
                 continue;
             }
 
-            p->cancel = std::make_shared<std::atomic<bool>>(false);
-            p->startedAt = Clock::now();
-            if (p->group) {
-                (p->isHedge ? p->group->hedgeCancel
-                            : p->group->primaryCancel) = p->cancel;
-            }
-            running_.push_back(p);
+            started = Clock::now();
             if (pooled(*p) && !idleMachines_.empty()) {
                 machine = std::move(idleMachines_.back());
                 idleMachines_.pop_back();
@@ -481,8 +382,6 @@ Supervisor::workerMain()
         if (p->job.maxSolutions)
             session_options.maxSolutions = *p->job.maxSolutions;
         session_options.deadlineAbsNs = p->job.deadlineAbsNs;
-        session_options.cancel = p->cancel;
-        session_options.chaosSliceDelayUs = p->job.chaosSliceDelayUs;
         QueryOutcome outcome;
         if (p->warm) {
             Session session(p->warm, std::move(session_options),
@@ -491,44 +390,21 @@ Supervisor::workerMain()
             if (pooled(*p))
                 machine = session.releaseMachine();
         } else {
-            Session session(CodeImage(*p->image),
+            Session session(std::move(p->image),
                             std::move(session_options));
             outcome = session.run();
         }
 
         Completion cb;
-        bool drop = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (machine)
                 idleMachines_.push_back(std::move(machine));
-            running_.erase(
-                std::remove(running_.begin(), running_.end(), p),
-                running_.end());
             stats_.memChargedBytes -= p->memCharge;
             if (outcome.status == QueryStatus::Completed)
                 recordShapeLatencyLocked(p->job.shapeKey,
-                                         elapsedMs(p->startedAt));
-            if (p->group) {
-                if (p->group->delivered) {
-                    // The sibling already won; this attempt —
-                    // typically stopped through its cancellation
-                    // token — is dropped, not delivered.
-                    drop = true;
-                } else {
-                    p->group->delivered = true;
-                    auto &sibling = p->isHedge
-                                        ? p->group->primaryCancel
-                                        : p->group->hedgeCancel;
-                    if (sibling)
-                        sibling->store(true,
-                                       std::memory_order_relaxed);
-                    if (p->isHedge)
-                        ++stats_.hedgeWins;
-                    bumpStatsLocked(outcome);
-                    cb = std::move(p->group->done);
-                }
-            } else if (p->slot == asyncSlot) {
+                                         elapsedMs(started));
+            if (p->slot == asyncSlot) {
                 bumpStatsLocked(outcome);
                 cb = std::move(p->done);
             } else {
@@ -537,7 +413,7 @@ Supervisor::workerMain()
             }
         }
 
-        if (!drop && cb) {
+        if (cb) {
             // Deliver before retiring the job so drain() cannot
             // return while a completion is still writing its reply.
             cb(std::move(outcome));
@@ -559,13 +435,10 @@ Supervisor::drain()
         stopping_ = true;
     }
     workCv_.notify_all();
-    monitorCv_.notify_all();
     for (std::thread &t : workers_) {
         if (t.joinable())
             t.join();
     }
-    if (monitor_.joinable())
-        monitor_.join();
     std::lock_guard<std::mutex> lock(mutex_);
     return std::move(results_);
 }

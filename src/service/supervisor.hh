@@ -26,16 +26,9 @@
  *    byte budget (or a configured default) against a global resident
  *    budget; admission is refused — classified "overloaded" — when
  *    the aggregate would exceed it;
- *  - hedged retries: a monitor thread watches running queries; one
- *    that exceeds its shape's latency threshold (while the queue is
- *    empty and a worker is idle) gets a second bit-identical attempt
- *    from the same admission state. First finisher wins and delivers;
- *    the loser is stopped through its session's cancellation token
- *    and dropped. Determinism makes hedging safe: both attempts
- *    produce byte-identical answers, so a win changes latency only;
  *  - aggregate robustness counters (retries, restarts, checkpoints,
- *    checkpoint bytes, recovery cycles, shed queries, hedges, memory
- *    aborts) on top of the per-session ones.
+ *    checkpoint bytes, recovery cycles, shed queries, memory aborts)
+ *    on top of the per-session ones.
  *
  * Determinism notes: queries are *compiled on the submitting thread*
  * (atom interning order affects generated switch tables, hence
@@ -48,7 +41,6 @@
 #ifndef KCM_SERVICE_SUPERVISOR_HH
 #define KCM_SERVICE_SUPERVISOR_HH
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -86,7 +78,7 @@ struct QueryJob
 
     /** Query-shape key (the server's image-cache hash over program,
      *  goal and machine config; 0 = untracked). Keys the per-shape
-     *  latency estimate that drives deadline shedding and hedging. */
+     *  latency estimate that drives deadline shedding. */
     uint64_t shapeKey = 0;
 
     /** Per-query machine configuration (e.g. a per-tenant governor,
@@ -97,12 +89,6 @@ struct QueryJob
     /** Per-query solution cap (the server's "max_solutions" request
      *  field); the pool's session default when unset. */
     std::optional<size_t> maxSolutions;
-
-    /** Testing-only straggler injection, copied into the session
-     *  (SessionOptions::chaosSliceDelayUs). Hedged attempts run with
-     *  the delay stripped — the delay models a degraded worker, and
-     *  the hedge lands on a healthy one. */
-    uint64_t chaosSliceDelayUs = 0;
 };
 
 /** A finished query, in submission order. */
@@ -128,8 +114,6 @@ struct ServiceStats
     uint64_t dbOps = 0;     ///< mutations across those commits
 
     // Self-defense counters.
-    uint64_t hedges = 0;    ///< duplicate attempts launched
-    uint64_t hedgeWins = 0; ///< hedged attempt finished first
     uint64_t deadlinePropagatedSheds = 0; ///< shed before execution
     uint64_t memAborts = 0; ///< queries failed resource_error(memory)
     uint64_t memAdmissionRefusals = 0; ///< global memory budget hits
@@ -164,20 +148,6 @@ struct SupervisorOptions
     /** Charge assumed for a query with no per-query memory budget:
      *  the full span of the four governed data zones. */
     uint64_t defaultMemoryChargeBytes = 32ull << 20;
-
-    /** Launch duplicate attempts for stragglers (async submissions
-     *  only; the first finisher wins, the loser is cancelled). */
-    bool hedging = true;
-
-    /** Hedge a running query once its elapsed wall time exceeds
-     *  max(hedgeMinMs, hedgeLatencyFactor × the shape's completed-
-     *  latency EWMA) — and only while the queue is empty and a worker
-     *  is idle, so hedges never displace first attempts. */
-    double hedgeLatencyFactor = 3.0;
-    uint64_t hedgeMinMs = 50;
-
-    /** Straggler-monitor poll period. */
-    uint64_t hedgePollMs = 2;
 };
 
 /**
@@ -220,10 +190,6 @@ class Supervisor
      *  server's retry-after hint scales with it). */
     size_t queueDepth() const;
 
-    /** Completed-latency EWMA for @p shape_key in milliseconds
-     *  (0 = no completed sample yet). */
-    double shapeLatencyMs(uint64_t shape_key) const;
-
     /** Start the workers (after startPaused). */
     void resume();
 
@@ -241,37 +207,21 @@ class Supervisor
      *  no result-vector slot). */
     static constexpr size_t asyncSlot = SIZE_MAX;
 
-    /** Shared state of a hedged pair (guarded by mutex_). The first
-     *  attempt to finish takes `done`, flips `delivered` and cancels
-     *  its sibling; the loser is dropped. */
-    struct HedgeGroup
-    {
-        bool delivered = false;
-        Completion done; ///< moved here from the primary at launch
-        std::shared_ptr<std::atomic<bool>> primaryCancel;
-        std::shared_ptr<std::atomic<bool>> hedgeCancel;
-    };
-
     struct Pending
     {
         size_t slot = asyncSlot; ///< result slot, in submission order
         QueryJob job;
-        std::shared_ptr<const CodeImage> image;
+        CodeImage image;                      ///< cold start (no template)
         std::shared_ptr<const Snapshot> warm; ///< warm-start template
         Completion done;                      ///< async delivery
         uint64_t deadlineKeyMs = 0;           ///< eviction key
         uint64_t memCharge = 0;   ///< bytes charged while admitted
-        bool isHedge = false;
-        std::shared_ptr<HedgeGroup> group; ///< set once hedged
-        std::shared_ptr<std::atomic<bool>> cancel; ///< set at dequeue
-        Clock::time_point startedAt; ///< set at dequeue
     };
 
     /** Whether @p p runs on a machine from idleMachines_. */
     static bool pooled(const Pending &p);
     void workerMain();
-    void monitorMain();
-    void enqueue(std::shared_ptr<Pending> pending);
+    void enqueue(std::unique_ptr<Pending> pending);
     QueryOutcome shedOneLocked(Completion &shed_cb);
     void bumpStatsLocked(const QueryOutcome &outcome);
     void finishLocked(size_t slot, QueryOutcome outcome);
@@ -282,16 +232,13 @@ class Supervisor
     bool deadlineUnmeetableLocked(const QueryJob &job) const;
     QueryOutcome deadlineShedOutcome(const QueryJob &job,
                                      const char *where) const;
-    void launchHedgeLocked(const std::shared_ptr<Pending> &p);
 
     SupervisorOptions options_;
 
     mutable std::mutex mutex_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
-    std::condition_variable monitorCv_;
-    std::deque<std::shared_ptr<Pending>> queue_;
-    std::vector<std::shared_ptr<Pending>> running_;
+    std::deque<std::unique_ptr<Pending>> queue_;
     std::vector<ServiceResult> results_;
     std::vector<bool> done_;
     size_t outstanding_ = 0;
@@ -299,7 +246,8 @@ class Supervisor
     bool stopping_ = false;
     ServiceStats stats_;
 
-    /** Completed-latency EWMA per shape key (ms). */
+    /** Completed-latency EWMA per shape key (ms); its one reader is
+     *  deadlineUnmeetableLocked's predicted queue wait. */
     struct ShapeStat
     {
         double ewmaMs = 0;
@@ -319,7 +267,6 @@ class Supervisor
     std::vector<std::unique_ptr<Machine>> idleMachines_;
 
     std::vector<std::thread> workers_;
-    std::thread monitor_;
 };
 
 } // namespace kcm::service

@@ -461,17 +461,19 @@ TEST(Server, RetryAfterJitterIsDeterministicUnderTheSeed)
     // first hint, and the hint must stay inside [base, 1.5*base].
     //
     // The hint's base scales with queue depth, so the overload has to
-    // happen against a deterministic queue: query "a" straggles on a
-    // chaos slice delay — long enough that it is dequeued and still
-    // running when "b" arrives — leaving the queue itself empty.
+    // happen against a deterministic queue: query "a" runs "loop"
+    // under a 500 ms propagated deadline — dequeued and still running
+    // when "b" arrives 200 ms later, leaving the queue itself empty.
+    // The deadline is terminal (one attempt), so "a" then fails
+    // deadline_exceeded: one failure, far below the breaker threshold.
     auto overload_hint = [](Client &client) {
         service::JsonWriter slow;
         slow.field("op", "query")
             .field("id", "a")
             .field("program", slowProgram)
-            .field("goal", "itc(500, 0, S)")
+            .field("goal", "loop")
             .field("max_solutions", uint64_t(1))
-            .field("chaos_slice_delay_us", uint64_t(400'000));
+            .field("deadline_abs_ms", wallNowMs() + 500);
         EXPECT_EQ(client.sendLine(slow.str()), IoStatus::Ok);
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
         service::JsonWriter quick;
@@ -494,7 +496,6 @@ TEST(Server, RetryAfterJitterIsDeterministicUnderTheSeed)
     service::ServerOptions options;
     options.maxInflightPerConn = 1;
     options.workers = 1;
-    options.chaosHooks = true;
     options.retryJitterSeed = 0xfeedfacecafebeefull;
     Harness first(options);
     Harness second(options);

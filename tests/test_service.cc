@@ -15,12 +15,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "base/logging.hh"
 #include "baseline/interp.hh"
@@ -652,7 +652,6 @@ TEST(Supervisor, PooledMachineNeverCrossesMachineConfigs)
     // to the pool: the next default job must run as it did before.
     service::SupervisorOptions options;
     options.workers = 1;
-    options.hedging = false;
     options.session.backoffBaseMs = 0;
     options.session.maxRetries = 0;
     const char *goal = "mklist(200000, _)";
@@ -688,7 +687,6 @@ TEST(Supervisor, PooledMachineRunsAlternatingTemplatesLikeAFreshOne)
     // output; every outcome must equal a fresh machine's.
     service::SupervisorOptions options;
     options.workers = 1;
-    options.hedging = false;
     options.session.backoffBaseMs = 0;
     const std::string program =
         std::string(serviceProgram) +
@@ -814,26 +812,6 @@ TEST(Session, GenerousAbsoluteDeadlineIsInvisibleToSimulatedMetrics)
               base.solutions[0].toString());
     EXPECT_EQ(out.cycles, base.cycles);
     EXPECT_GT(out.counters.checkpoints, 0u);
-}
-
-TEST(Session, CancelTokenStopsAtInstructionBoundary)
-{
-    // The hedging loser path: an external cancel must stop a runaway
-    // query cleanly, classified "cancelled", without a hang.
-    auto cancel = std::make_shared<std::atomic<bool>>(false);
-    std::thread canceller([cancel] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        cancel->store(true, std::memory_order_relaxed);
-    });
-
-    service::SessionOptions options;
-    options.watchdogSliceCycles = 100'000;
-    options.cancel = cancel;
-    service::QueryOutcome out = runSession("loop", options);
-    canceller.join();
-
-    EXPECT_EQ(out.status, service::QueryStatus::Failed);
-    EXPECT_EQ(out.failure.classification, "cancelled");
 }
 
 // --------------------------------------- per-query memory governance
@@ -974,6 +952,65 @@ TEST(Supervisor, UnmeetableDeadlineShedsAtAdmission)
     EXPECT_EQ(stats.completed, 1u);
 }
 
+TEST(Supervisor, PredictedQueueWaitShedsAtAdmission)
+{
+    // A live deadline shorter than the shape's observed latency is
+    // refused at the door once the shape has three completed samples:
+    // the predicted wait alone makes it unmeetable. A shape with no
+    // samples yet is admitted; it runs "loop", so only its session can
+    // stop it, at the deadline. The deadline is half the fastest
+    // observed run, so the margins scale with the host (and with
+    // sanitizers).
+    service::SupervisorOptions options;
+    options.workers = 1;
+    options.session.backoffBaseMs = 0;
+    CodeImage measured = compileQuery("itc(300, 0, S)",
+                                      options.session.machine);
+    CodeImage runaway = compileQuery("loop", options.session.machine);
+
+    service::Supervisor supervisor(options);
+    auto run = [&](const CodeImage &image, uint64_t shape_key,
+                   uint64_t deadline_abs_ns) {
+        service::QueryJob job;
+        job.id = cat("shape", shape_key);
+        job.shapeKey = shape_key;
+        job.deadlineAbsNs = deadline_abs_ns;
+        // Shared with the callback, so the promise outlives set_value.
+        auto done = std::make_shared<std::promise<service::QueryOutcome>>();
+        std::future<service::QueryOutcome> outcome = done->get_future();
+        supervisor.submitAsync(job, image,
+                               [done](service::QueryOutcome out) {
+                                   done->set_value(std::move(out));
+                               });
+        return outcome.get();
+    };
+
+    const uint64_t seen = 42, unseen = 43;
+    double fastest_s = 1e9;
+    for (int i = 0; i < 3; ++i) {
+        service::QueryOutcome out = run(measured, seen, 0);
+        ASSERT_EQ(out.status, service::QueryStatus::Completed);
+        fastest_s = std::min(fastest_s, out.wallSeconds);
+    }
+
+    const uint64_t deadline =
+        steadyNowNs() + uint64_t(fastest_s / 2 * 1e9);
+    service::QueryOutcome shed = run(measured, seen, deadline);
+    service::QueryOutcome admitted = run(runaway, unseen, deadline);
+    supervisor.drain();
+
+    EXPECT_EQ(shed.status, service::QueryStatus::Failed);
+    EXPECT_EQ(shed.failure.classification, "deadline_exceeded");
+    EXPECT_EQ(shed.cycles, 0u);
+    EXPECT_EQ(shed.failure.attempts, 0u)
+        << "the predicted wait must refuse the query before it runs";
+    EXPECT_EQ(admitted.status, service::QueryStatus::Failed);
+    EXPECT_EQ(admitted.failure.classification, "deadline_exceeded");
+    EXPECT_GT(admitted.cycles, 0u)
+        << "an unseen shape has no prediction: its session must run";
+    EXPECT_EQ(supervisor.stats().deadlinePropagatedSheds, 1u);
+}
+
 TEST(Supervisor, GlobalMemoryBudgetRefusesAdmission)
 {
     // Aggregate admission control: with a 64 MiB global budget and
@@ -1045,123 +1082,4 @@ TEST(Supervisor, PerJobMemoryBudgetAbortIsCounted)
     EXPECT_EQ(results[0].outcome.failure.classification,
               "resource_error(memory)");
     EXPECT_EQ(stats.memAborts, 1u);
-}
-
-// --------------------------------------------------- hedged retries
-
-TEST(Supervisor, HedgedStragglerLosesToBitIdenticalDuplicate)
-{
-    // A worker degraded by the chaos slice delay straggles; past the
-    // hedge threshold the monitor launches a clean duplicate, which
-    // finishes first and must deliver the *same* answer and simulated
-    // cycle count a plain run produces — hedging is a latency tool,
-    // never a semantics tool.
-    const char *goal = "itc(300, 0, S)";
-    service::SessionOptions plain;
-    plain.checkpointEveryMcycles = 1;
-    service::QueryOutcome base = runSession(goal, plain);
-    ASSERT_EQ(base.status, service::QueryStatus::Completed);
-
-    service::SupervisorOptions options;
-    options.workers = 2;
-    options.hedgeMinMs = 20;
-    options.hedgePollMs = 1;
-    options.session.backoffBaseMs = 0;
-    options.session.checkpointEveryMcycles = 1;
-
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-    CodeImage image = host.compileOnly(goal);
-
-    service::Supervisor supervisor(options);
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool have_outcome = false;
-    service::QueryOutcome hedged;
-
-    service::QueryJob job;
-    job.id = "straggler";
-    job.goal = goal;
-    job.shapeKey = 42;
-    job.chaosSliceDelayUs = 40'000; // 40ms per governor slice
-    supervisor.submitAsync(job, image,
-                           [&](service::QueryOutcome out) {
-                               std::lock_guard<std::mutex> lock(mutex);
-                               hedged = std::move(out);
-                               have_outcome = true;
-                               cv.notify_all();
-                           });
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return have_outcome; });
-    }
-    supervisor.drain();
-    service::ServiceStats stats = supervisor.stats();
-
-    ASSERT_EQ(hedged.status, service::QueryStatus::Completed);
-    ASSERT_TRUE(hedged.success);
-    EXPECT_EQ(hedged.solutions[0].toString(),
-              base.solutions[0].toString());
-    EXPECT_EQ(hedged.cycles, base.cycles)
-        << "a hedged attempt must be bit-identical to the primary";
-    EXPECT_GE(stats.hedges, 1u);
-    EXPECT_GE(stats.hedgeWins, 1u)
-        << "the clean duplicate must beat a 40ms-per-slice straggler";
-    EXPECT_EQ(stats.completed, 1u)
-        << "only the winning attempt may be delivered or counted";
-}
-
-TEST(Supervisor, HedgeCancellationRacesCompletionCleanly)
-{
-    // Primary and hedge finishing near-simultaneously: whichever wins
-    // the delivery race, exactly one outcome per job arrives, with
-    // the deterministic answer — and the loser's cancellation must
-    // never deadlock or double-deliver (run under TSan in CI).
-    const char *goal = "itc(120, 0, S)";
-    service::SupervisorOptions options;
-    options.workers = 6;
-    options.hedgeMinMs = 3;
-    options.hedgePollMs = 1;
-    options.session.backoffBaseMs = 0;
-    options.session.checkpointEveryMcycles = 1;
-
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-    CodeImage image = host.compileOnly(goal);
-
-    service::Supervisor supervisor(options);
-    std::mutex mutex;
-    std::map<std::string, int> deliveries;
-    std::map<std::string, service::QueryOutcome> outcomes;
-    const int jobs = 2;
-    for (int i = 0; i < jobs; ++i) {
-        service::QueryJob job;
-        job.id = cat("q", i);
-        job.goal = goal;
-        job.shapeKey = 7;
-        job.chaosSliceDelayUs = 4'000; // mild straggle: a close race
-        supervisor.submitAsync(
-            job, image, [&, id = job.id](service::QueryOutcome out) {
-                std::lock_guard<std::mutex> lock(mutex);
-                ++deliveries[id];
-                outcomes[id] = std::move(out);
-            });
-    }
-    supervisor.drain();
-
-    std::lock_guard<std::mutex> lock(mutex);
-    ASSERT_EQ(outcomes.size(), size_t(jobs));
-    for (const auto &[id, count] : deliveries)
-        EXPECT_EQ(count, 1) << id << " must be delivered exactly once";
-    for (const auto &[id, out] : outcomes) {
-        ASSERT_EQ(out.status, service::QueryStatus::Completed) << id;
-        ASSERT_TRUE(out.success);
-        EXPECT_NE(out.solutions[0].toString().find("2412000"),
-                  std::string::npos)
-            << id << ": " << out.solutions[0].toString();
-    }
 }

@@ -59,11 +59,6 @@
  *                        admissions beyond it are refused "overloaded"
  *   --mem-charge-mb N    memory charge assumed for an ungoverned query
  *                        (default 32)
- *   --no-hedging         disable hedged retries for stragglers
- *   --hedge-factor F     hedge a query past F x its shape's latency
- *                        EWMA (default 3.0)
- *   --hedge-min-ms N     never hedge before N ms elapsed (default 50)
- *   --hedge-poll-ms N    straggler-monitor poll period (default 2)
  *   --no-breakers        disable per-shape circuit breakers
  *   --breaker-threshold N consecutive classified failures that open a
  *                        shape's breaker (default 5)
@@ -75,8 +70,7 @@
  *                        oversized frames are classified
  *                        "frame_too_large"
  *   --no-stdlib          do not consult the bundled standard library
- *   --chaos-hooks        enable the chaos ops ("corrupt_cache", the
- *                        "chaos_slice_delay_us" request field)
+ *   --chaos-hooks        enable the chaos op ("corrupt_cache")
  *   --oracle             decode-per-step execution core
  *
  * Exit codes: 0 = clean drain after SIGTERM/SIGINT, 2 = startup or
@@ -122,8 +116,7 @@ usage()
             "  --db-journal DIR  --journal-sync always|group|none\n"
             "  --journal-group-ms N  --journal-snapshot-every N\n"
             "  --mem-budget-mb N  --global-mem-mb N  --mem-charge-mb N\n"
-            "  --no-hedging  --hedge-factor F  --hedge-min-ms N\n"
-            "  --hedge-poll-ms N  --no-breakers  --breaker-threshold N\n"
+            "  --no-breakers  --breaker-threshold N\n"
             "  --breaker-open-ms N  --jitter-seed N  --max-line-bytes N\n"
             "  --chaos-hooks  --oracle\n"
             "exit codes: 0 = clean drain on SIGTERM/SIGINT, "
@@ -211,16 +204,6 @@ main(int argc, char **argv)
         } else if (arg == "--mem-charge-mb") {
             options.defaultMemoryChargeBytes =
                 strtoull(next().c_str(), nullptr, 10) << 20;
-        } else if (arg == "--no-hedging") {
-            options.hedging = false;
-        } else if (arg == "--hedge-factor") {
-            options.hedgeLatencyFactor =
-                strtod(next().c_str(), nullptr);
-        } else if (arg == "--hedge-min-ms") {
-            options.hedgeMinMs = strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--hedge-poll-ms") {
-            options.hedgePollMs =
-                strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--no-breakers") {
             options.breaker.enabled = false;
         } else if (arg == "--breaker-threshold") {
@@ -296,7 +279,6 @@ main(int argc, char **argv)
                "\"corrupt_retries\": %llu, "
                "\"pool_completed\": %llu, \"pool_failed\": %llu, "
                "\"frame_too_large\": %llu, "
-               "\"hedges\": %llu, \"hedge_wins\": %llu, "
                "\"deadline_propagated_sheds\": %llu, "
                "\"mem_aborts\": %llu, "
                "\"mem_admission_refusals\": %llu, "
@@ -318,8 +300,6 @@ main(int argc, char **argv)
                (unsigned long long)pool.completed,
                (unsigned long long)pool.failed,
                (unsigned long long)c.frameTooLarge,
-               (unsigned long long)pool.hedges,
-               (unsigned long long)pool.hedgeWins,
                (unsigned long long)pool.deadlinePropagatedSheds,
                (unsigned long long)pool.memAborts,
                (unsigned long long)pool.memAdmissionRefusals,
