@@ -13,26 +13,32 @@ namespace kcm
 Compiler::Compiler(const CompilerOptions &options) : options_(options) {}
 
 void
-Compiler::addSource(const std::string &source, bool library)
+Compiler::addSource(const std::string &source,
+                    std::vector<ReadClause> &clauses)
 {
     Parser parser(source, ops_);
     ReadClause clause;
-    while (parser.readClause(clause)) {
-        clauses_.push_back(clause);
-        clauseIsLibrary_.push_back(library);
-    }
+    while (parser.readClause(clause))
+        clauses.push_back(clause);
 }
 
 void
 Compiler::addProgram(const std::string &source)
 {
-    addSource(source, false);
+    addSource(source, programClauses_);
 }
 
 void
 Compiler::addLibrary(const std::string &source)
 {
-    addSource(source, true);
+    addSource(source, libraryClauses_);
+}
+
+void
+Compiler::addLibrary(const std::vector<ReadClause> &clauses)
+{
+    libraryClauses_.insert(libraryClauses_.end(), clauses.begin(),
+                           clauses.end());
 }
 
 void
@@ -49,23 +55,17 @@ Compiler::compile()
     NormProgram program;
     std::map<Functor, bool> is_library;
 
-    auto normalize_group = [&](bool library) {
-        std::vector<ReadClause> group;
-        for (size_t i = 0; i < clauses_.size(); ++i) {
-            if (clauseIsLibrary_[i] == library)
-                group.push_back(clauses_[i]);
-        }
-        size_t aux_before = program.auxiliaries.size();
+    auto normalize_group = [&](const std::vector<ReadClause> &group,
+                               bool library) {
         size_t order_before = program.order.size();
         normalizeProgram(group, program);
         for (size_t i = order_before; i < program.order.size(); ++i) {
             if (!is_library.count(program.order[i]))
                 is_library[program.order[i]] = library;
         }
-        (void)aux_before;
     };
-    normalize_group(false);
-    normalize_group(true);
+    normalize_group(programClauses_, false);
+    normalize_group(libraryClauses_, true);
 
     // In Table 2 mode the I/O predicates are unit clauses costing
     // exactly one call/return sequence (§4.2).

@@ -46,6 +46,11 @@ class Compiler
      *  are excluded from Table 1 program sizes). */
     void addLibrary(const std::string &source);
 
+    /** Add library clauses parsed elsewhere (the process-wide
+     *  standard library parse). They were read under their own
+     *  operator table; this compiler's table does not change. */
+    void addLibrary(const std::vector<ReadClause> &clauses);
+
     /** Set the query to compile ("goal" or "?- goal."). */
     void setQuery(const std::string &source);
 
@@ -55,12 +60,13 @@ class Compiler
     OperatorTable &operators() { return ops_; }
 
   private:
-    void addSource(const std::string &source, bool library);
+    void addSource(const std::string &source,
+                   std::vector<ReadClause> &clauses);
 
     CompilerOptions options_;
     OperatorTable ops_;
-    std::vector<ReadClause> clauses_;
-    std::vector<bool> clauseIsLibrary_;
+    std::vector<ReadClause> programClauses_;
+    std::vector<ReadClause> libraryClauses_;
     std::string querySource_;
 };
 

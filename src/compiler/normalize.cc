@@ -11,9 +11,6 @@ namespace kcm
 namespace
 {
 
-/** Fresh auxiliary predicate counter (per-process; names are unique). */
-uint32_t auxCounter = 0;
-
 bool
 isControlStruct(const TermRef &t, const char *name, uint32_t arity)
 {
@@ -77,8 +74,7 @@ class Normalizer
             return goal;
         std::vector<TermRef> vars;
         collectVars(goal, vars);
-        std::string name = cat("$aux", auxCounter++);
-        AtomId name_atom = internAtom(name);
+        AtomId name_atom = freshAuxName();
         TermRef call_goal = vars.empty()
                                 ? Term::makeAtom(name_atom)
                                 : Term::makeStruct(name_atom, vars);
@@ -102,8 +98,7 @@ class Normalizer
     {
         std::vector<TermRef> vars;
         collectVars(construct, vars);
-        std::string name = cat("$aux", auxCounter++);
-        AtomId name_atom = internAtom(name);
+        AtomId name_atom = freshAuxName();
         TermRef call_goal = vars.empty()
                                 ? Term::makeAtom(name_atom)
                                 : Term::makeStruct(name_atom, vars);
@@ -155,6 +150,19 @@ class Normalizer
     }
 
   private:
+    /**
+     * A fresh auxiliary predicate's name. Numbering is per compilation
+     * unit: the n-th auxiliary of a NormProgram is `$aux<n>`, so every
+     * compile of the same text reuses the same atoms and emits the
+     * same image, whatever the process compiled before — and
+     * concurrent compiles share no counter.
+     */
+    AtomId
+    freshAuxName() const
+    {
+        return internAtom(cat("$aux", program_.auxiliaries.size()));
+    }
+
     NormProgram &program_;
 };
 

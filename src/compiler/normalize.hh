@@ -36,7 +36,9 @@ struct NormProgram
     std::vector<Functor> order;
     std::map<Functor, std::vector<NormClause>> preds;
     /** Functors of auxiliary predicates generated during
-     *  normalization (they are implementation details). */
+     *  normalization (they are implementation details), in creation
+     *  order: the n-th is named `$aux<n>`, so names are unique within
+     *  one program and identical across compiles of the same text. */
     std::vector<Functor> auxiliaries;
 
     /** Predicates declared `:- dynamic(F/N)`, declaration order.

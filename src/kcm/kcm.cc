@@ -18,19 +18,13 @@ KcmSystem::~KcmSystem() = default;
 void
 KcmSystem::consult(const std::string &source)
 {
-    sources_.emplace_back(source, false);
-}
-
-void
-KcmSystem::consultLibrary(const std::string &source)
-{
-    sources_.emplace_back(source, true);
+    sources_.push_back(Source{source, nullptr});
 }
 
 void
 KcmSystem::consultStandardLibrary()
 {
-    consultLibrary(standardLibrarySource());
+    sources_.push_back(Source{{}, &standardLibraryClauses()});
 }
 
 std::vector<TermRef>
@@ -103,17 +97,9 @@ KcmSystem::factDeclarations(const std::vector<TermRef> &facts)
     return text;
 }
 
-void
-KcmSystem::preloadFacts(const std::string &source,
-                        const std::string &origin)
+std::string
+KcmSystem::canonicalFacts(const std::vector<TermRef> &facts)
 {
-    std::vector<TermRef> facts = parseFactFile(source, origin);
-
-    // Re-render canonically (quoted, ignore-ops) and route through
-    // consult(): the compiler declares the predicates dynamic and
-    // carries the facts in the image's dynamic-init section, so every
-    // query's machine — and any baseline under differential test fed
-    // the same text — seeds an identical store.
     OperatorTable ops;
     WriteOptions canonical;
     canonical.quoted = true;
@@ -121,18 +107,30 @@ KcmSystem::preloadFacts(const std::string &source,
     std::string text = factDeclarations(facts);
     for (const TermRef &fact : facts)
         text += writeTerm(fact, ops, canonical) + ".\n";
-    consult(text);
+    return text;
+}
+
+void
+KcmSystem::preloadFacts(const std::string &source,
+                        const std::string &origin)
+{
+    // Route the canonical text through consult(): the compiler
+    // declares the predicates dynamic and carries the facts in the
+    // image's dynamic-init section, so every query's machine — and any
+    // baseline under differential test fed the same text — seeds an
+    // identical store.
+    consult(canonicalFacts(parseFactFile(source, origin)));
 }
 
 CodeImage
 KcmSystem::compileOnly(const std::string &goal)
 {
     Compiler compiler(options_.compiler);
-    for (const auto &[text, library] : sources_) {
-        if (library)
-            compiler.addLibrary(text);
+    for (const Source &source : sources_) {
+        if (source.parsed)
+            compiler.addLibrary(*source.parsed);
         else
-            compiler.addProgram(text);
+            compiler.addProgram(source.text);
     }
     if (!goal.empty())
         compiler.setQuery(goal);

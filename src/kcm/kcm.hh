@@ -94,11 +94,18 @@ class KcmSystem
     /** Add program text (clauses and directives). */
     void consult(const std::string &source);
 
-    /** Add runtime-library text (excluded from static code sizes). */
-    void consultLibrary(const std::string &source);
-
-    /** Consult the bundled standard library (append/3, member/2,
-     *  length/2, between/3, once/1, ... — see kcm/stdlib.hh). */
+    /**
+     * Consult the bundled standard library (append/3, member/2,
+     * length/2, between/3, once/1, ... — see kcm/stdlib.hh), excluded
+     * from static code sizes. The compiler always gets the process-wide
+     * parse (standardLibraryClauses(): parsed once, shared read-only
+     * across threads), never the text, so the library always reads
+     * under the standard operator table, whatever op/3 directives the
+     * sources consulted before it define. Normalisation, code
+     * generation and linking still run per compile, so the image is
+     * the one a compile of the text under the standard table gives,
+     * byte for byte.
+     */
     void consultStandardLibrary();
 
     /**
@@ -114,6 +121,14 @@ class KcmSystem
      */
     void preloadFacts(const std::string &source,
                       const std::string &origin = "db-facts");
+
+    /**
+     * The text preloadFacts() consults: @p facts (as parseFactFile()
+     * returns them) re-rendered canonically — quoted, ignoring
+     * operators — after their factDeclarations(). A server renders it
+     * once and consults it on every compile.
+     */
+    static std::string canonicalFacts(const std::vector<TermRef> &facts);
 
     /**
      * The validation half of preloadFacts(): parse @p source and
@@ -160,8 +175,16 @@ class KcmSystem
     const KcmOptions &options() const { return options_; }
 
   private:
+    /** One consulted source, in consult order: program text, or the
+     *  shared standard library parse. */
+    struct Source
+    {
+        std::string text;
+        const std::vector<ReadClause> *parsed = nullptr;
+    };
+
     KcmOptions options_;
-    std::vector<std::pair<std::string, bool>> sources_; // (text, library)
+    std::vector<Source> sources_;
     std::unique_ptr<Machine> machine_;
 };
 

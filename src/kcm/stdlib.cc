@@ -1,5 +1,8 @@
 #include "kcm/stdlib.hh"
 
+#include "base/logging.hh"
+#include "prolog/writer.hh"
+
 namespace kcm
 {
 
@@ -75,6 +78,29 @@ forall_fail(G) :- call(G), fail.
 forall_fail(_).
 )PL";
     return source;
+}
+
+const std::vector<ReadClause> &
+standardLibraryClauses()
+{
+    static const std::vector<ReadClause> clauses = [] {
+        OperatorTable ops;
+        std::vector<ReadClause> read =
+            Parser(standardLibrarySource(), ops).readAll();
+        for (const ReadClause &clause : read) {
+            const TermRef &term = clause.term;
+            if (term->isStruct() && term->arity() == 1 &&
+                (term->functorName() == AtomTable::instance().neck ||
+                 term->functorName() == internAtom("?-")) &&
+                term->arg(0)->isStruct() && term->arg(0)->arity() == 3 &&
+                term->arg(0)->functorName() == internAtom("op"))
+                panic("standard library: ", writeTerm(term),
+                      " would not reach the sources compiled after the "
+                      "shared parse");
+        }
+        return read;
+    }();
+    return clauses;
 }
 
 } // namespace kcm

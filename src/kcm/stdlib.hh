@@ -10,12 +10,24 @@
 #define KCM_KCM_STDLIB_HH
 
 #include <string>
+#include <vector>
+
+#include "prolog/parser.hh"
 
 namespace kcm
 {
 
 /** Prolog source of the standard library. */
 const std::string &standardLibrarySource();
+
+/**
+ * The standard library parsed once per process, under the standard
+ * operator table, and shared read-only by every compile on every
+ * thread (terms are immutable). Building it panics if the text holds
+ * an op/3 directive: a shared parse cannot carry that directive's
+ * effect on the operator table of the sources compiled after it.
+ */
+const std::vector<ReadClause> &standardLibraryClauses();
 
 } // namespace kcm
 

@@ -93,10 +93,20 @@ Server::Server(ServerOptions options)
     // A drain must be able to reclaim stragglers at slice boundaries.
     options_.session.abortOnInterrupt = true;
 
+    // Validate --db-facts before anything else: a malformed clause is
+    // fatal here, naming dbFactsOrigin, before the journal is touched
+    // and before any query compiles.
+    std::vector<TermRef> facts;
+    if (!options_.dbFactsSource.empty())
+        facts = KcmSystem::parseFactFile(options_.dbFactsSource,
+                                         options_.dbFactsOrigin);
+
     // Recover/open the journal before the pool copies the session
     // options: every worker session shares the durable store pointer.
     if (!options_.dbJournalDir.empty())
-        openDurableDb();
+        openDurableDb(facts);
+    else
+        factsText_ = KcmSystem::canonicalFacts(facts);
 
     SupervisorOptions pool;
     pool.session = options_.session;
@@ -108,36 +118,32 @@ Server::Server(ServerOptions options)
 }
 
 void
-Server::openDurableDb()
+Server::openDurableDb(const std::vector<TermRef> &facts)
 {
     durable_ = std::make_shared<db::JournaledStore>(
         options_.dbJournalDir, options_.journal,
         options_.session.machine.dyndb);
     options_.session.durableDb = durable_;
 
-    if (!options_.dbFactsSource.empty()) {
-        // Durable mode decouples the fact file from the compiled
-        // images: images consult only the predicates' dynamic
-        // declarations (stable text — cache keys don't churn as the
-        // store mutates) while the facts themselves seed the store
-        // once, as journal commit #1. A recovered journal wins over
-        // the file: re-seeding would duplicate every fact.
-        std::vector<TermRef> facts = KcmSystem::parseFactFile(
-            options_.dbFactsSource, options_.dbFactsOrigin);
-        durableDecls_ = KcmSystem::factDeclarations(facts);
-        if (durable_->recoveryReport().records == 0 && !facts.empty()) {
-            {
-                std::lock_guard<std::mutex> lock(durable_->mutex());
-                db::ClauseStore &store = durable_->store();
-                store.beginTxn();
-                for (const TermRef &fact : facts)
-                    store.assertClause(fact->functor(), fact, nullptr,
-                                       /*at_front=*/false);
-                durable_->commit(store.txnOps());
-                store.commitTxn();
-            }
-            durable_->flush(); // flush() takes the mutex itself
+    // Durable mode decouples the fact file from the compiled images:
+    // images consult only the predicates' dynamic declarations (stable
+    // text — cache keys don't churn as the store mutates) while the
+    // facts themselves seed the store once, as journal commit #1. A
+    // recovered journal wins over the file: re-seeding would duplicate
+    // every fact.
+    factsText_ = KcmSystem::factDeclarations(facts);
+    if (durable_->recoveryReport().records == 0 && !facts.empty()) {
+        {
+            std::lock_guard<std::mutex> lock(durable_->mutex());
+            db::ClauseStore &store = durable_->store();
+            store.beginTxn();
+            for (const TermRef &fact : facts)
+                store.assertClause(fact->functor(), fact, nullptr,
+                                   /*at_front=*/false);
+            durable_->commit(store.txnOps());
+            store.commitTxn();
         }
+        durable_->flush(); // flush() takes the mutex itself
     }
 }
 
@@ -679,28 +685,21 @@ Server::compileTemplate(uint64_t key, const std::string &program,
 {
     const auto started = Clock::now();
     try {
-        KcmOptions opt;
-        opt.machine = options_.session.machine;
-        KcmSystem system(opt);
+        KcmSystem system;
         if (options_.consultStdlib)
             system.consultStandardLibrary();
         system.consult(program);
-        if (durable_) {
-            // Durable mode: the store carries the facts; the image
-            // only needs the dynamic declarations so it keeps its
-            // dynamic-dispatch stubs (dynRetryEntry) for store-only
-            // predicates.
-            if (!durableDecls_.empty())
-                system.consult(durableDecls_);
-        } else if (!options_.dbFactsSource.empty()) {
-            system.preloadFacts(options_.dbFactsSource,
-                                options_.dbFactsOrigin);
-        }
+        if (!factsText_.empty())
+            system.consult(factsText_);
         CodeImage image = system.compileOnly(goal);
 
-        Machine machine(options_.session.machine);
-        machine.load(image);
-        Snapshot snap = takeSnapshot(machine);
+        // The template is taken under the pool's MachineConfig on a
+        // pooled machine reset to the fresh state, which the worker
+        // running this query then pops with its pages resident.
+        std::unique_ptr<Machine> machine = pool_->borrowMachine();
+        machine->load(image);
+        Snapshot snap = takeSnapshot(*machine);
+        pool_->returnMachine(std::move(machine));
         auto tmpl = cache_.insert(key, std::move(snap));
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++counters_.compiles;

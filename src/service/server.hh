@@ -60,6 +60,7 @@
 #include <thread>
 #include <vector>
 
+#include "prolog/term.hh"
 #include "service/breaker.hh"
 #include "service/image_cache.hh"
 #include "service/supervisor.hh"
@@ -94,9 +95,10 @@ struct ServerOptions
      *  store (kcm_serverd --db-facts). The facts ride the compiled
      *  image's dynamic-init section, so they are part of the warm
      *  snapshot template and restore deterministically into every
-     *  pooled worker. Validate with KcmSystem::preloadFacts before
-     *  the server starts; a malformed clause in here fails each query
-     *  with a compile_error otherwise. */
+     *  pooled worker. The constructor validates it, before it opens
+     *  any journal, and renders it once (KcmSystem::canonicalFacts);
+     *  a malformed clause is fatal there, with a diagnostic naming
+     *  dbFactsOrigin. */
     std::string dbFactsSource;
     std::string dbFactsOrigin = "db-facts";
 
@@ -199,6 +201,24 @@ class Server
     /** The journaled store (null unless dbJournalDir was set). */
     const db::JournaledStore *durableDb() const { return durable_.get(); }
 
+    /** Machines on the pool's idle stack (at most the worker count). */
+    size_t
+    idleMachines() const
+    {
+        return pool_ ? pool_->idleMachines() : 0;
+    }
+
+    /**
+     * The cache-miss path: compile program + goal (the standard
+     * library and the fact text included), load the image into a
+     * pooled machine reset to the fresh state, snapshot it and insert
+     * the template under @p key. Returns nullptr with @p error set on
+     * a compile failure.
+     */
+    std::shared_ptr<const Snapshot>
+    compileTemplate(uint64_t key, const std::string &program,
+                    const std::string &goal, std::string &error);
+
   private:
     struct Connection;
     struct QueryCtx;
@@ -219,23 +239,16 @@ class Server
                          const std::string &id,
                          const std::string &detail);
 
-    /** Compile program+goal, download into a fresh machine, snapshot,
-     *  insert into the cache. Returns nullptr with @p error set on a
-     *  compile failure. */
-    std::shared_ptr<const Snapshot>
-    compileTemplate(uint64_t key, const std::string &program,
-                    const std::string &goal, std::string &error);
-
     uint64_t retryAfterMs() const;
 
     /** @p base plus a deterministic pseudo-random jitter in
      *  [0, base/2] (seeded xorshift64*; see retryJitterSeed). */
     uint64_t jitteredRetryAfter(uint64_t base) const;
 
-    /** Open/recover the journal and seed --db-facts on first boot
-     *  (constructor helper; runs before the pool copies the session
-     *  options). */
-    void openDurableDb();
+    /** Open/recover the journal and seed @p facts (the validated
+     *  --db-facts file) on first boot (constructor helper; runs before
+     *  the pool copies the session options). */
+    void openDurableDb(const std::vector<TermRef> &facts);
 
     ServerOptions options_;
     ImageCache cache_;
@@ -243,9 +256,12 @@ class Server
     mutable std::mutex jitterMutex_;
     mutable uint64_t jitterState_;
     std::shared_ptr<db::JournaledStore> durable_;
-    /** Durable mode: `:- dynamic(f/n).` text consulted instead of the
-     *  facts themselves, so compiled images keep dynamic dispatch. */
-    std::string durableDecls_;
+    /** Text consulted after every program: the --db-facts file
+     *  rendered canonically, once, at construction — or in durable
+     *  mode only the facts' `:- dynamic(f/n).` declarations, so
+     *  compiled images keep dynamic dispatch while the facts live in
+     *  the journaled store. */
+    std::string factsText_;
     std::unique_ptr<Supervisor> pool_;
 
     int listenFd_ = -1;

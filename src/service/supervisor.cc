@@ -314,6 +314,52 @@ Supervisor::recordShapeLatencyLocked(uint64_t shape_key, double ms)
     ++s.samples;
 }
 
+std::unique_ptr<Machine>
+Supervisor::buildMachine()
+{
+    auto machine = std::make_unique<Machine>(options_.session.machine);
+    std::call_once(pristineOnce_,
+                   [&] { pristine_ = takeSnapshot(*machine); });
+    return machine;
+}
+
+std::unique_ptr<Machine>
+Supervisor::borrowMachine()
+{
+    std::unique_ptr<Machine> machine;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!idleMachines_.empty()) {
+            machine = std::move(idleMachines_.back());
+            idleMachines_.pop_back();
+        }
+    }
+    if (!machine)
+        return buildMachine();
+    restoreSnapshot(*machine, pristine_);
+    return machine;
+}
+
+void
+Supervisor::returnMachine(std::unique_ptr<Machine> machine)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (idleMachines_.size() < options_.workers) {
+            idleMachines_.push_back(std::move(machine));
+            return;
+        }
+    }
+    // A full stack: the machine is destroyed here, outside the lock.
+}
+
+size_t
+Supervisor::idleMachines() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return idleMachines_.size();
+}
+
 bool
 Supervisor::pooled(const Pending &p)
 {
@@ -374,6 +420,9 @@ Supervisor::workerMain()
             }
         }
 
+        if (pooled(*p) && !machine)
+            machine = buildMachine();
+
         SessionOptions session_options = options_.session;
         if (p->job.deadlineMs)
             session_options.deadlineMs = p->job.deadlineMs;
@@ -395,11 +444,12 @@ Supervisor::workerMain()
             outcome = session.run();
         }
 
+        if (machine)
+            returnMachine(std::move(machine));
+
         Completion cb;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (machine)
-                idleMachines_.push_back(std::move(machine));
             stats_.memChargedBytes -= p->memCharge;
             if (outcome.status == QueryStatus::Completed)
                 recordShapeLatencyLocked(p->job.shapeKey,

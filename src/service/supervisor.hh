@@ -8,7 +8,9 @@
  * checkpoints + retry loop) per query. A warm-template query under the
  * pool's own MachineConfig restores into an idle machine from a shared
  * LIFO stack instead of building one; the restore overwrites all of
- * its state, so reuse is invisible to every simulated metric.
+ * its state, so reuse is invisible to every simulated metric. The
+ * server's compile miss borrows from the same stack to take its
+ * template (borrowMachine / returnMachine).
  * Robustness policies live here:
  *
  *  - load shedding: the admission queue is bounded; when it is full,
@@ -200,6 +202,25 @@ class Supervisor
     /** Aggregate counters (stable after drain()). */
     ServiceStats stats() const;
 
+    /**
+     * A machine under the pool's MachineConfig in the state a newly
+     * built one has: the top of the idle stack, reset by restoring the
+     * pristine snapshot (a plain load() into a used machine is not a
+     * full reset), or a new machine when the stack is empty. The
+     * server's compile miss loads and snapshots its template on it and
+     * hands it back, so the worker that runs the query pops the same
+     * machine. Thread-safe.
+     */
+    std::unique_ptr<Machine> borrowMachine();
+
+    /** Push @p machine, built under the pool's MachineConfig, onto
+     *  the idle stack; it is destroyed instead when the stack already
+     *  holds one machine per worker. Thread-safe. */
+    void returnMachine(std::unique_ptr<Machine> machine);
+
+    /** Machines on the idle stack (never more than the workers). */
+    size_t idleMachines() const;
+
   private:
     using Clock = std::chrono::steady_clock;
 
@@ -220,6 +241,9 @@ class Supervisor
 
     /** Whether @p p runs on a machine from idleMachines_. */
     static bool pooled(const Pending &p);
+    /** A new machine under the pool's MachineConfig; the first one
+     *  built also yields pristine_, before it ever runs. */
+    std::unique_ptr<Machine> buildMachine();
     void workerMain();
     void enqueue(std::unique_ptr<Pending> pending);
     QueryOutcome shedOneLocked(Completion &shed_cb);
@@ -257,14 +281,26 @@ class Supervisor
 
     /**
      * Idle machines built under options_.session.machine, for warm
-     * jobs without a MachineConfig of their own: a worker pops the top
-     * one (or builds one when empty), its Session restores the
-     * template into it, and the worker pushes it back. One LIFO stack
-     * for all workers, so with one query in flight the same machine,
-     * its pages already resident, serves every request, and the stack
-     * never holds more machines than have run at once.
+     * jobs without a MachineConfig of their own and for the server's
+     * compile miss. A worker pops the top one (or builds one when
+     * empty), its Session restores the template into it, and the
+     * worker pushes it back; borrowMachine() pops and resets one to
+     * the pristine state, and returnMachine() pushes it back. One LIFO
+     * stack for everyone, so with one query in flight the same
+     * machine, its pages already resident, compiles and serves every
+     * request. Connection threads borrow too, so more machines than
+     * workers can be out at once: the stack keeps at most one per
+     * worker and a push onto a full stack destroys the machine.
      */
     std::vector<std::unique_ptr<Machine>> idleMachines_;
+
+    /** Snapshot of the first machine buildMachine() made, taken
+     *  before it ran: restoring it resets any pooled machine to the
+     *  fresh state (the snapshot contract: a restore overwrites every
+     *  part of the state). Written once, under pristineOnce_; every
+     *  machine on the stack was built after it. */
+    std::once_flag pristineOnce_;
+    Snapshot pristine_;
 
     std::vector<std::thread> workers_;
 };

@@ -10,6 +10,7 @@
 #include "compiler/builtin_defs.hh"
 #include "compiler/compiler.hh"
 #include "isa/disasm.hh"
+#include "library_parse_check.hh"
 
 using namespace kcm;
 
@@ -256,6 +257,53 @@ TEST(Compiler, DisjunctionCreatesAuxPredicate)
             found_aux = true;
     }
     EXPECT_TRUE(found_aux);
+}
+
+namespace
+{
+
+/** A program and goals whose control constructs all normalize into
+ *  auxiliary predicates: disjunction, if-then-else, negation and both
+ *  catch/3 meta-arguments. */
+const char *auxProgram =
+    "p(1). p(2). p(3).\n"
+    "sign(X, S) :- (X > 0 -> S = pos ; X < 0 -> S = neg ; S = zero).\n"
+    "np(X) :- \\+ p(X).\n"
+    "alt(X) :- (p(X) ; X = 4).\n"
+    "safe(X) :- catch((p(X), X > 1), _, (X = 0 ; true)).\n";
+
+const char *auxGoals[] = {"sign(-2, S)", "np(5)", "alt(X)", "safe(X)",
+                          "(p(X), X > 2 -> true ; X = none)"};
+
+} // namespace
+
+TEST(Compiler, RecompileIsByteIdentical)
+{
+    // Auxiliary names come from the compilation unit, not from the
+    // process: compiling the same text twice must give the same
+    // image, whatever was compiled in between.
+    for (const char *goal : auxGoals) {
+        std::string first =
+            savedImageBytes(compileProgram(auxProgram, goal));
+        compileProgram("q(X) :- (X = a ; X = b).", "q(X)");
+        EXPECT_EQ(savedImageBytes(compileProgram(auxProgram, goal)), first)
+            << goal;
+    }
+}
+
+TEST(Compiler, RecompilesAddNoAtoms)
+{
+    // Atoms are never freed, so auxiliary names must be reused: after
+    // the first compile of a program, more compiles of it must leave
+    // the atom table as it was.
+    for (const char *goal : auxGoals)
+        compileProgram(auxProgram, goal);
+    const size_t atoms = AtomTable::instance().size();
+    for (int i = 0; i < 50; ++i) {
+        for (const char *goal : auxGoals)
+            compileProgram(auxProgram, goal);
+    }
+    EXPECT_EQ(AtomTable::instance().size(), atoms);
 }
 
 TEST(Compiler, QuerySolutionSlotsNamed)

@@ -20,6 +20,7 @@
 #include "bench_support/plm_suite.hh"
 #include "core/machine.hh"
 #include "kcm/kcm.hh"
+#include "library_parse_check.hh"
 
 using namespace kcm;
 
@@ -55,6 +56,8 @@ void
 compareEngines(const std::string &program, const std::string &goal,
                size_t max_solutions = 5)
 {
+    expectSharedLibraryParseExact(program, goal);
+
     KcmOptions options;
     options.maxSolutions = max_solutions;
     KcmSystem machine_system(options);
@@ -380,6 +383,8 @@ class CorpusFastOracle : public ::testing::TestWithParam<CorpusProgram>
 
 TEST_P(CorpusFastOracle, CoresBitIdentical)
 {
+    expectSharedLibraryParseExact(GetParam().text, "go");
+
     KcmSystem host;
     host.consult(GetParam().text);
     CodeImage image = host.compileOnly("go");

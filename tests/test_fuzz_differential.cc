@@ -19,6 +19,7 @@
 #include "core/machine.hh"
 #include "core/snapshot.hh"
 #include "kcm/kcm.hh"
+#include "library_parse_check.hh"
 
 using namespace kcm;
 
@@ -110,6 +111,8 @@ void
 compareOnce(const std::string &program, const std::string &goal,
             const KcmOptions &base_options = {})
 {
+    expectSharedLibraryParseExact(program, goal, base_options.compiler);
+
     KcmOptions options = base_options;
     options.maxSolutions = 8;
     options.machine.fastDispatch = true;

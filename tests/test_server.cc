@@ -11,15 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/logging.hh"
+#include "baseline/interp.hh"
 #include "core/machine.hh"
 #include "core/snapshot.hh"
 #include "kcm/kcm.hh"
+#include "kcm/stdlib.hh"
 #include "service/client.hh"
 #include "service/image_cache.hh"
 #include "service/server.hh"
@@ -648,4 +652,137 @@ TEST(Server, BreakerOpensFastFailsAndClosesViaHalfOpenProbe)
     EXPECT_EQ(s.num("breaker_closed"), 1);
     EXPECT_EQ(s.num("breaker_fast_fails"), 1);
     EXPECT_EQ(s.num("breaker_probes"), 1);
+}
+
+TEST(Server, DbFactsTemplateEqualsAPreloadFactsCompile)
+{
+    // The server renders --db-facts once and consults that text on
+    // every miss: its templates must equal, byte for byte, those of a
+    // compile that preloads the file itself.
+    const std::string facts = "edge(a, b).\n"
+                              "edge(b, 'C d').\n"
+                              "w(1, f(x, [y])).\n"
+                              "flag.\n";
+    const char *program = "path(X, Y) :- edge(X, Y).\n"
+                          "path(X, Z) :- edge(X, Y), path(Y, Z).\n";
+    service::ServerOptions options;
+    options.dbFactsSource = facts;
+    options.dbFactsOrigin = "facts.pl";
+    service::Server server(options);
+    for (const char *goal : {"path(a, Z)", "w(N, T)", "flag"}) {
+        std::string error;
+        auto tmpl = server.compileTemplate(
+            service::imageCacheKey(program, goal, options.session.machine),
+            program, goal, error);
+        ASSERT_NE(tmpl, nullptr) << error;
+
+        KcmSystem system;
+        system.consultStandardLibrary();
+        system.consult(program);
+        system.preloadFacts(facts, "facts.pl");
+        Machine machine(options.session.machine);
+        machine.load(system.compileOnly(goal));
+        EXPECT_EQ(tmpl->bytes, takeSnapshot(machine).bytes) << goal;
+    }
+
+    // The constructor validates the file: a rule in it is fatal, and
+    // the diagnostic names the file. In durable mode the refusal comes
+    // before the journal is opened, so nothing is created on disk.
+    std::string scratch = "/tmp/kcm_db_facts_test_XXXXXX";
+    ASSERT_NE(mkdtemp(scratch.data()), nullptr);
+    const std::string journal = scratch + "/journal";
+    options.dbFactsSource = "edge(a, b).\nrule :- edge(a, b).\n";
+    for (bool durable : {false, true}) {
+        options.dbJournalDir = durable ? journal : "";
+        try {
+            service::Server refused(options);
+            ADD_FAILURE() << "a malformed fact file was accepted, durable "
+                          << durable;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("facts.pl: clause 2"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_FALSE(std::filesystem::exists(journal)) << durable;
+    }
+    std::filesystem::remove_all(scratch);
+}
+
+TEST(Server, ConcurrentColdMissesShareLibraryAndPool)
+{
+    // Four connections miss the cache at once, each with 25 programs of
+    // its own that use `;`, `->` and the standard library: the shared
+    // library parse, the compile-miss borrow and return, and the
+    // per-unit auxiliary numbering all run on concurrent threads.
+    // Every answer must match the baseline interpreter, every cycle
+    // count an in-process compile, and the idle stack must stay within
+    // the worker count.
+    service::ServerOptions options; // the standard library consulted
+    options.workers = 4;
+    service::Server server(options);
+    server.start();
+
+    constexpr int connections = 4;
+    constexpr int programs = 25;
+    constexpr size_t maxSolutions = 3;
+    auto programFor = [](int c, int i) {
+        return cat("cls(X, C) :- (X > ", 10 * c + i,
+                   " -> C = big ; X < 0 -> C = neg ; C = small).\n",
+                   "pick(L, X) :- member(X, L), \\+ X = ", i % 5, ".\n",
+                   "go(N, C, Y, K) :- cls(N, C), pick([0,1,2,3,4], Y),\n",
+                   "    (Y > 2 ; Y =:= 1), append([a], [Y], L),\n",
+                   "    length(L, K).\n",
+                   "tag(", c, ", ", i, ").\n");
+    };
+    auto goalFor = [](int c, int i) {
+        return cat("go(", 4 * i - 30 + c, ", C, Y, K)");
+    };
+
+    std::vector<std::vector<ClientReply>> replies(connections);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < connections; ++c) {
+        clients.emplace_back([&, c] {
+            Client client;
+            if (!client.connect("127.0.0.1", server.port(), 5'000))
+                return;
+            for (int i = 0; i < programs; ++i)
+                replies[c].push_back(client.query(
+                    cat("c", c, "-", i), programFor(c, i), goalFor(c, i),
+                    maxSolutions));
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+
+    for (int c = 0; c < connections; ++c) {
+        ASSERT_EQ(replies[c].size(), size_t(programs)) << "connection " << c;
+        for (int i = 0; i < programs; ++i) {
+            ClientReply &r = replies[c][i];
+            const std::string program = programFor(c, i);
+            const std::string goal = goalFor(c, i);
+            ASSERT_EQ(r.status(), "completed") << r.raw;
+            EXPECT_EQ(r.str("cache"), "miss") << r.raw;
+
+            baseline::Interpreter interp;
+            interp.consult(standardLibrarySource());
+            interp.consult(program);
+            baseline::InterpResult want = interp.query(goal, maxSolutions);
+            std::vector<service::JsonValue> &answers =
+                r.fields["answers"].items;
+            ASSERT_EQ(answers.size(), want.solutions.size()) << r.raw;
+            for (size_t k = 0; k < answers.size(); ++k)
+                EXPECT_EQ(answers[k].str, want.solutions[k].toString())
+                    << goal;
+
+            KcmOptions in_process;
+            in_process.maxSolutions = maxSolutions;
+            KcmSystem system(in_process);
+            system.consultStandardLibrary();
+            system.consult(program);
+            EXPECT_EQ(uint64_t(r.num("cycles")), system.query(goal).cycles)
+                << goal;
+        }
+    }
+    EXPECT_EQ(server.counters().compiles, uint64_t(connections * programs));
+    EXPECT_LE(server.idleMachines(), size_t(options.workers));
 }

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <mutex>
@@ -728,6 +729,105 @@ TEST(Supervisor, PooledMachineRunsAlternatingTemplatesLikeAFreshOne)
         EXPECT_EQ(out[i].inferences, want.inferences);
     }
     EXPECT_EQ(out[0].output, "45150\n");
+}
+
+TEST(Supervisor, BorrowedMachineTakesTheTemplateAFreshOneTakes)
+{
+    // The server's compile miss takes its template on a pooled machine
+    // reset from the pristine snapshot. Whatever that machine ran
+    // before — a template that outgrew the next one's allocated
+    // prefix, a query that trapped, a durable session — the template
+    // must equal, byte for byte, one taken on a newly built machine.
+    const std::string program =
+        std::string(serviceProgram) +
+        "shout(N, S) :- revsum(N, S), write(S), nl.\n"
+        ":- dynamic(seen/1).\n"
+        "note(X) :- assertz(seen(X)).\n";
+    const char *goals[] = {"sumto(50, S)", "shout(300, S)", "note(2)"};
+    MachineConfig config;
+    config.governor.cycleBudget = 4'000'000; // `loop` traps
+
+    auto image = [&](const std::string &goal) {
+        KcmSystem host;
+        host.consult(program);
+        return host.compileOnly(goal);
+    };
+    auto runWarm = [&](service::Supervisor &pool, const std::string &goal) {
+        std::promise<service::QueryOutcome> done;
+        service::QueryJob job;
+        job.id = goal;
+        job.goal = goal;
+        pool.submitAsync(job, templateFor(program, goal, config),
+                         [&](service::QueryOutcome out) {
+                             done.set_value(std::move(out));
+                         });
+        return done.get_future().get();
+    };
+    auto expectFreshTemplates = [&](service::Supervisor &pool,
+                                    const char *after) {
+        ASSERT_EQ(pool.idleMachines(), 1u) << after;
+        for (const char *goal : goals) {
+            std::unique_ptr<Machine> machine = pool.borrowMachine();
+            machine->load(image(goal));
+            EXPECT_EQ(takeSnapshot(*machine).bytes,
+                      templateFor(program, goal, config)->bytes)
+                << goal << " after " << after;
+            pool.returnMachine(std::move(machine));
+        }
+        EXPECT_EQ(pool.idleMachines(), 1u) << after;
+    };
+
+    service::SupervisorOptions options;
+    options.workers = 1;
+    options.session.backoffBaseMs = 0;
+    options.session.maxRetries = 0;
+    options.session.machine = config;
+    {
+        service::Supervisor pool(options);
+        service::QueryOutcome big = runWarm(pool, "shout(300, S)");
+        ASSERT_EQ(big.status, service::QueryStatus::Completed);
+        EXPECT_EQ(big.output, "45150\n");
+        expectFreshTemplates(pool, "a template that outgrew the rest");
+
+        service::QueryOutcome trapped = runWarm(pool, "loop");
+        ASSERT_EQ(trapped.status, service::QueryStatus::Failed);
+        EXPECT_NE(trapped.failure.classification.find("resource_error"),
+                  std::string::npos)
+            << trapped.failure.classification;
+        expectFreshTemplates(pool, "a trap");
+    }
+
+    std::string dir = "/tmp/kcm_pool_test_XXXXXX";
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    options.session.durableDb = std::make_shared<db::JournaledStore>(
+        dir, db::JournalOptions{}, config.dyndb);
+    {
+        service::Supervisor pool(options);
+        service::QueryOutcome durable = runWarm(pool, "note(1)");
+        ASSERT_EQ(durable.status, service::QueryStatus::Completed)
+            << durable.failure.classification;
+        EXPECT_EQ(durable.dbOps, 1u);
+        expectFreshTemplates(pool, "a durable session");
+    }
+    options.session.durableDb.reset();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Supervisor, IdleStackHoldsAtMostOneMachinePerWorker)
+{
+    // Connection threads borrow machines for their compiles, so more
+    // machines than workers can be out at once; handing them all back
+    // must not grow the idle stack past the worker count.
+    service::SupervisorOptions options;
+    options.workers = 2;
+    service::Supervisor pool(options);
+    std::vector<std::unique_ptr<Machine>> borrowed;
+    for (int i = 0; i < 5; ++i)
+        borrowed.push_back(pool.borrowMachine());
+    EXPECT_EQ(pool.idleMachines(), 0u);
+    for (std::unique_ptr<Machine> &machine : borrowed)
+        pool.returnMachine(std::move(machine));
+    EXPECT_EQ(pool.idleMachines(), 2u);
 }
 
 // ------------------------------------- absolute deadline propagation

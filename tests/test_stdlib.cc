@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/logging.hh"
+#include "bench_support/plm_suite.hh"
 #include "kcm/kcm.hh"
+#include "library_parse_check.hh"
+#include "perfbench/workload.hh"
 
 using namespace kcm;
 
@@ -165,4 +170,62 @@ TEST(Stdlib, ExcludedFromProgramSize)
     size_t words = 0;
     image.programSize(instr, words);
     EXPECT_LT(instr, 10u) << "library code must not count";
+}
+
+// ------------------------------------------------------------------ //
+// The shared library parse
+// ------------------------------------------------------------------ //
+
+TEST(Stdlib, SharedParseMatchesTheTextOnServeGoals)
+{
+    // Every goal of the benchmark's serve_* workloads, taken from the
+    // workload definitions themselves, on the text the server compiles.
+    for (const char *name : {"serve_warm", "serve_cold", "serve_durable"}) {
+        SCOPED_TRACE(name);
+        const perfbench::ServeWorkload w(name);
+        // serve_durable's counters live in the journaled store, so the
+        // server's images consult only their dynamic declarations.
+        const std::string decls = KcmSystem::factDeclarations(
+            KcmSystem::parseFactFile(w.facts, name));
+        for (const std::string &goal : w.goals)
+            expectSharedLibraryParseExact(w.program + decls, goal);
+
+        // The workload's own requests: serve_cold's each carry a fact
+        // of their own.
+        perfbench::Rng rng(perfbench::streamSeed(7, 0));
+        for (uint64_t sequence = 0; sequence < 2 * w.goals.size();
+             ++sequence) {
+            const perfbench::Request r = w.next(rng, 7, 0, sequence);
+            expectSharedLibraryParseExact(r.program + decls, r.goal);
+        }
+    }
+}
+
+TEST(Stdlib, SharedParseMatchesTheTextOnThePlmSuite)
+{
+    CompilerOptions table2;
+    table2.ioAsUnitClauses = true;
+    for (const PlmBenchmark &bench : plmSuite()) {
+        SCOPED_TRACE(bench.name);
+        expectSharedLibraryParseExact(bench.pureProgram(), bench.queryPure);
+        expectSharedLibraryParseExact(bench.program, bench.queryIo, table2);
+    }
+}
+
+TEST(Stdlib, SharedParseKeepsARedefinedLibraryPredicateMerged)
+{
+    // A program clause for a library functor is merged with the
+    // library's clauses, program clauses first.
+    const char *program = "append(mine, L, L).\n";
+    expectSharedLibraryParseExact(program, "append(X, [b], Y)");
+
+    KcmOptions options;
+    options.maxSolutions = 3;
+    KcmSystem system(options);
+    system.consultStandardLibrary();
+    system.consult(program);
+    QueryResult result = system.query("append(X, [b], Y)");
+    ASSERT_EQ(result.solutions.size(), 3u);
+    EXPECT_EQ(result.solutions[0].toString(), "X = mine, Y = [b]");
+    EXPECT_EQ(result.solutions[1].toString(), "X = [], Y = [b]");
 }

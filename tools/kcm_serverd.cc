@@ -86,7 +86,6 @@
 #include <string>
 
 #include "base/logging.hh"
-#include "kcm/kcm.hh"
 #include "service/server.hh"
 
 namespace
@@ -242,13 +241,10 @@ main(int argc, char **argv)
             os << in.rdbuf();
             options.dbFactsSource = os.str();
             options.dbFactsOrigin = db_facts_path;
-            // Validate up front: a malformed clause must refuse to
-            // start the daemon, not fail every later query.
-            kcm::KcmSystem probe;
-            probe.preloadFacts(options.dbFactsSource,
-                               options.dbFactsOrigin);
         }
 
+        // The constructor validates --db-facts: a malformed clause
+        // refuses to start the daemon.
         kcm::service::Server server(options);
         server.start();
         activeServer = &server;
