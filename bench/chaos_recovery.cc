@@ -34,8 +34,6 @@
  * 2 = harness error.
  */
 
-#include <pthread.h>
-
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -109,48 +107,6 @@ stripVarNumbers(const std::string &s)
         }
     }
     return out;
-}
-
-/**
- * The baseline interpreter recurses on the host stack per inference
- * (continuation-passing solve()), so deep workload goals overflow the
- * default thread stack. Each oracle query runs on its own pthread
- * with a 1 GiB stack (lazily mapped; only touched pages cost memory).
- */
-struct OracleTask
-{
-    baseline::Interpreter *interp = nullptr;
-    const std::string *goal = nullptr;
-    std::string answers;
-    std::string error;
-};
-
-void *
-oracleThreadMain(void *arg)
-{
-    auto *task = static_cast<OracleTask *>(arg);
-    baseline::InterpResult res = task->interp->query(*task->goal, 1);
-    for (const auto &s : res.solutions)
-        task->answers += stripVarNumbers(s.toString()) + ";";
-    task->error = res.error;
-    return nullptr;
-}
-
-std::pair<std::string, std::string>
-runOracle(baseline::Interpreter &interp, const std::string &goal)
-{
-    OracleTask task;
-    task.interp = &interp;
-    task.goal = &goal;
-    pthread_attr_t attr;
-    pthread_attr_init(&attr);
-    pthread_attr_setstacksize(&attr, size_t(1) << 30);
-    pthread_t tid;
-    if (pthread_create(&tid, &attr, oracleThreadMain, &task) != 0)
-        fatal("cannot spawn oracle thread");
-    pthread_join(tid, nullptr);
-    pthread_attr_destroy(&attr);
-    return {task.answers, task.error};
 }
 
 struct Family
@@ -288,7 +244,11 @@ chaosSweep(int queries_per_family, unsigned workers,
         auto it = oracleCache.find(goal);
         if (it != oracleCache.end())
             return it->second;
-        auto entry = runOracle(oracle, goal);
+        baseline::InterpResult res = oracle.query(goal, 1);
+        std::string answers;
+        for (const auto &s : res.solutions)
+            answers += stripVarNumbers(s.toString()) + ";";
+        auto entry = std::make_pair(answers, res.error);
         oracleCache[goal] = entry;
         return entry;
     };

@@ -23,9 +23,10 @@
  *                that would hit it; the checksum layers must eat the
  *                corruption (evict + recompile) — never a wrong answer
  *   mem_hog      real queries carrying a 1 MiB "memory_budget_bytes"
- *                with heap-hungry work: every one must fail *classified*
- *                — resource_error(memory), or circuit_open once the
- *                shape's breaker trips — never complete, never hang
+ *                with heap-hungry work: every one must fail
+ *                resource_error(memory) — run, or answered from the
+ *                failure remembered with its template — never complete,
+ *                never hang
  *
  * plus a kill-and-restart event: mid-run the daemon is SIGKILLed and
  * a fresh one spawned; every in-flight query classifies as a
@@ -42,11 +43,12 @@
  *                database (verified against an offline
  *                Journal::scanFile replay); never a silent swallow,
  *                never a half-applied batch
- *   breaker      a query shape driven through the full circuit-breaker
- *                lifecycle: two classified failures open it, the next
- *                arrival fast-fails "circuit_open" with a retry hint,
- *                and after the cooldown the half-open probe completes
- *                and closes it — asserted via the breaker_* counters
+ *   replay       a daemon with --retries 0: a memory hog sent three
+ *                times runs once, and the two later replies equal the
+ *                run's (failures_replayed 2, queries_accepted 1); six
+ *                1 ms per-attempt deadline failures of one shape are not
+ *                remembered, so the same goal without a deadline
+ *                completes with its closed-form answer
  *
  * Every completed reply is checked bit-identical against the baseline
  * interpreter (the differential oracle); everything else must be a
@@ -73,8 +75,6 @@
  * drain was clean; 1 = divergence / lost query / daemon crash;
  * 2 = harness error.
  */
-
-#include <pthread.h>
 
 #include <atomic>
 #include <cctype>
@@ -153,28 +153,8 @@ stripVarNumbers(const std::string &s)
 }
 
 // ------------------------------------------------------------------ //
-// Oracle: the baseline interpreter, big-stack pthread + answer cache
-// (same pattern as chaos_recovery).
+// Oracle: the baseline interpreter plus an answer cache.
 // ------------------------------------------------------------------ //
-
-struct OracleTask
-{
-    baseline::Interpreter *interp = nullptr;
-    const std::string *goal = nullptr;
-    std::string answers;
-    std::string error;
-};
-
-void *
-oracleThreadMain(void *arg)
-{
-    auto *task = static_cast<OracleTask *>(arg);
-    baseline::InterpResult res = task->interp->query(*task->goal, 1);
-    for (const auto &s : res.solutions)
-        task->answers += stripVarNumbers(s.toString()) + ";";
-    task->error = res.error;
-    return nullptr;
-}
 
 class Oracle
 {
@@ -189,18 +169,11 @@ class Oracle
         auto it = cache_.find(goal);
         if (it != cache_.end())
             return it->second;
-        OracleTask task;
-        task.interp = &interp_;
-        task.goal = &goal;
-        pthread_attr_t attr;
-        pthread_attr_init(&attr);
-        pthread_attr_setstacksize(&attr, size_t(1) << 30);
-        pthread_t tid;
-        if (pthread_create(&tid, &attr, oracleThreadMain, &task) != 0)
-            fatal("cannot spawn oracle thread");
-        pthread_join(tid, nullptr);
-        pthread_attr_destroy(&attr);
-        auto entry = std::make_pair(task.answers, task.error);
+        baseline::InterpResult res = interp_.query(goal, 1);
+        std::string answers;
+        for (const auto &s : res.solutions)
+            answers += stripVarNumbers(s.toString()) + ";";
+        auto entry = std::make_pair(answers, res.error);
         cache_[goal] = entry;
         return entry;
     }
@@ -532,9 +505,9 @@ clientMain(SweepShared &shared, int client_id, int queries)
             }
         } else { // mem_hog
             // A 1 MiB budget against multi-MiB work: the reply must
-            // be a *classified* failure — resource_error(memory), or
-            // circuit_open once this shape's breaker trips — never a
-            // completion, never a hang.
+            // be resource_error(memory), from a run or from the
+            // failure remembered with the shape's template — never a
+            // completion, another classification or a hang.
             service::JsonWriter w;
             w.field("op", "query")
                 .field("id", id)
@@ -555,19 +528,19 @@ clientMain(SweepShared &shared, int client_id, int queries)
                                 : cat("transport_",
                                       service::ioStatusName(r.io)));
                     ok = false;
-                } else if (r.status() == "completed") {
-                    // The budget was ignored: that is the bug class.
+                } else if (r.status() == "failed" &&
+                           r.str("error") == "resource_error(memory)") {
+                    bump(shared, family,
+                         cat("failed:resource_error(memory), cache ",
+                             r.str("cache")));
+                } else {
                     std::lock_guard<std::mutex> lock(
                         shared.tallyMutex);
                     ++shared.tallies[family].diverged;
                     fprintf(stderr,
-                            "DIVERGENCE %s: mem_hog completed past "
-                            "its budget\n", id.c_str());
-                } else {
-                    std::string klass = r.str("error");
-                    bump(shared, family,
-                         klass.empty() ? r.status()
-                                       : cat(r.status(), ":", klass));
+                            "DIVERGENCE %s: mem_hog not failed "
+                            "resource_error(memory): %s\n",
+                            id.c_str(), r.raw.c_str());
                 }
             }
         }
@@ -737,71 +710,95 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
 }
 
 // ------------------------------------------------------------------ //
-// breaker: one query shape driven around the full breaker lifecycle
-// — open on repeated classified failures, fast-fail while open,
-// half-open probe after the cooldown, closed on the probe's success.
+// replay: a deterministic failure is remembered with its template. A
+// sequential phase with its own daemon (--retries 0): a shape that
+// always fails runs once and is answered from its template after that,
+// and a failure that depends on timing is never remembered.
 // ------------------------------------------------------------------ //
 
 void
-breakerPhase(const std::string &serverd, SweepShared &shared)
+replayPhase(const std::string &serverd, SweepShared &shared)
 {
-    const char *family = "breaker";
+    const char *family = "replay";
     auto diverge = [&](const std::string &why) {
         std::lock_guard<std::mutex> lock(shared.tallyMutex);
         ++shared.tallies[family].diverged;
-        fprintf(stderr, "breaker: %s\n", why.c_str());
+        fprintf(stderr, "replay: %s\n", why.c_str());
     };
 
-    Daemon daemon = spawnChaosDaemon(
-        serverd, {"--retries", "0", "--breaker-threshold", "2",
-                  "--breaker-open-ms", "300"});
+    Daemon daemon = spawnChaosDaemon(serverd, {"--retries", "0"});
     Client client;
     if (!client.connect("127.0.0.1", daemon.port, 2'000)) {
-        diverge("cannot connect to the breaker daemon");
+        diverge("cannot connect to the replay daemon");
         return;
     }
-    const std::string goal = "itc(500, 0, S)";
 
-    // Two killer-deadline failures open the shape's breaker (the
-    // shape hash ignores deadlines, so the later deadline-free
-    // queries are the *same* shape).
-    for (int i = 0; i < 2; ++i) {
-        ClientReply r = client.query(cat("bk", i), chaosProgram, goal,
-                                     1, /*deadline_ms=*/1, 60'000);
+    // A memory hog fails resource_error(memory) every time: the first
+    // query runs, the next two get the same reply without running.
+    // Only the cache verdict may differ, "miss" for the run.
+    std::vector<ClientReply> hog;
+    for (int i = 0; i < 3; ++i) {
+        service::JsonWriter w;
+        w.field("op", "query")
+            .field("id", cat("rp", i))
+            .field("program", chaosProgram)
+            .field("goal", "mklist(200000, L)")
+            .field("max_solutions", uint64_t(1))
+            .field("memory_budget_bytes", uint64_t(1) << 20);
+        ClientReply r;
+        if (client.sendLine(w.str()) != IoStatus::Ok)
+            r.io = IoStatus::Closed;
+        else
+            r = client.readReply(60'000);
+        if (r.io != IoStatus::Ok || r.status() != "failed" ||
+            r.str("error") != "resource_error(memory)" ||
+            r.str("cache") != (i == 0 ? "miss" : "hit")) {
+            diverge(cat("memory hog ", i, " not classified: ", r.raw));
+            return;
+        }
+        hog.push_back(r);
+    }
+    // Past the id the replays equal each other, and the run's reply
+    // with its cache verdict read as a hit.
+    auto afterId = [](const ClientReply &r) {
+        return r.raw.substr(r.raw.find("\"status\""));
+    };
+    std::string run = afterId(hog[0]);
+    run.replace(run.rfind("\"miss\""), 6, "\"hit\"");
+    if (afterId(hog[1]) != run || afterId(hog[2]) != run) {
+        diverge(cat("replayed failure differs from the run: ", hog[0].raw,
+                    " / ", hog[1].raw, " / ", hog[2].raw));
+        return;
+    }
+    ClientReply s = client.stats();
+    if (s.io != IoStatus::Ok || s.num("failures_replayed") != 2 ||
+        s.num("queries_accepted") != 1) {
+        diverge(cat("memory hog ran more than once: ", s.raw));
+        return;
+    }
+    bump(shared, family, "failure_replayed");
+
+    // Six per-attempt deadline failures of one shape are not
+    // remembered: the same goal without a deadline runs and completes.
+    const std::string goal = "itc(500, 0, S)";
+    for (int i = 0; i < 6; ++i) {
+        ClientReply r = client.query(cat("rd", i), chaosProgram, goal, 1,
+                                     /*deadline_ms=*/1, 60'000);
         if (r.io != IoStatus::Ok || r.status() != "failed" ||
             r.str("error") != "deadline_exceeded") {
-            diverge(cat("failure ", i, " not classified: ", r.raw));
+            diverge(cat("deadline failure ", i, " not classified: ",
+                        r.raw));
             return;
         }
     }
-    bump(shared, family, "opened_on_failures");
-
-    // While open: fast-fail with a retry hint, zero machine cycles.
-    ClientReply fast = client.query("bkfast", chaosProgram, goal, 1,
-                                    0, 60'000);
-    if (fast.io != IoStatus::Ok || fast.str("error") != "circuit_open" ||
-        fast.num("retry_after_ms") <= 0) {
-        diverge(cat("open breaker did not fast-fail: ", fast.raw));
-        return;
-    }
-    bump(shared, family, "fast_failed_while_open");
-
-    // After the cooldown the half-open probe is admitted; without the
-    // killer deadline it completes — and must match the oracle.
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-    ClientReply probe = client.query("bkprobe", chaosProgram, goal, 1,
-                                     0, 120'000);
-    if (probe.io != IoStatus::Ok || probe.status() != "completed") {
-        diverge(cat("probe did not complete: ", probe.raw));
-        return;
-    }
-    auto [want, want_err] = shared.oracle.answer(goal);
-    std::string got;
-    if (auto it = probe.fields.find("answers"); it != probe.fields.end())
-        for (const auto &a : it->second.items)
-            got += stripVarNumbers(a.str) + ";";
-    if (got != want || probe.str("error") != want_err) {
-        diverge(cat("probe answer diverges: got '", got, "'"));
+    ClientReply done = client.query("rdone", chaosProgram, goal, 1, 0,
+                                    120'000);
+    // itc(500, 0, S) adds sumc(200) = 20100 five hundred times.
+    auto answers = done.fields.find("answers");
+    if (done.io != IoStatus::Ok || done.status() != "completed" ||
+        answers == done.fields.end() || answers->second.items.size() != 1 ||
+        answers->second.items[0].str != "S = 10050000") {
+        diverge(cat("deadline-free query did not complete: ", done.raw));
         return;
     }
     {
@@ -809,23 +806,19 @@ breakerPhase(const std::string &serverd, SweepShared &shared)
         ++shared.tallies[family].matched;
     }
 
-    ClientReply s = client.stats();
-    if (s.io != IoStatus::Ok || s.num("breaker_open") != 1 ||
-        s.num("breaker_closed") != 1 || s.num("breaker_probes") != 1 ||
-        s.num("breaker_fast_fails") < 1 ||
-        s.num("breaker_open_shapes") != 0) {
-        diverge(cat("breaker lifecycle counters wrong: ", s.raw));
-        return;
-    }
-    bump(shared, family, "closed_via_probe");
-
     client.close();
     kill(daemon.pid, SIGTERM);
     int status = 0;
     waitpid(daemon.pid, &status, 0);
+    std::string drain = readLineFd(daemon.outFd);
     daemon.closeFd();
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        diverge("breaker daemon drain did not exit 0");
+    service::JsonObject obj;
+    std::string err;
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
+        !service::parseJsonObject(drain, obj, err) ||
+        obj["failures_replayed"].asInt() != 2 ||
+        obj["accepted"].asInt() != 8) {
+        diverge(cat("replay daemon drain: ", drain));
         return;
     }
     bump(shared, family, "drain_clean");
@@ -842,7 +835,7 @@ chaosSweep(int clients, int queries_per_client,
     // own daemon; their failures count as divergences in the shared
     // tally.
     journalCorruptPhase(serverd, shared);
-    breakerPhase(serverd, shared);
+    replayPhase(serverd, shared);
 
     Daemon daemon = spawnChaosDaemon(serverd);
     shared.endpoint.port.store(daemon.port);

@@ -1,8 +1,11 @@
 #include "baseline/interp.hh"
 
+#include <pthread.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <unordered_map>
 
@@ -1090,8 +1093,59 @@ Interpreter::dynamicDb() const
     return impl_->dynDb;
 }
 
+namespace
+{
+
+/**
+ * Run @p body to completion on a thread of its own with a 1 GiB stack,
+ * then rethrow whatever it threw. solve() recurses on the host stack
+ * once per inference, so a deep goal overflows a default thread stack;
+ * the large stack is mapped lazily, so only the pages a query touches
+ * cost memory.
+ */
+void
+runOnLargeStack(const std::function<void()> &body)
+{
+    struct Task
+    {
+        const std::function<void()> *body;
+        std::exception_ptr error;
+    } task{&body, nullptr};
+    auto thread_main = [](void *arg) -> void * {
+        auto *t = static_cast<Task *>(arg);
+        try {
+            (*t->body)();
+        } catch (...) {
+            t->error = std::current_exception();
+        }
+        return nullptr;
+    };
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setstacksize(&attr, size_t(1) << 30);
+    pthread_t tid;
+    const int rc = pthread_create(&tid, &attr, thread_main, &task);
+    pthread_attr_destroy(&attr);
+    if (rc != 0)
+        fatal("baseline: cannot spawn the query thread: ", strerror(rc));
+    pthread_join(tid, nullptr);
+    if (task.error)
+        std::rethrow_exception(task.error);
+}
+
+} // namespace
+
 InterpResult
 Interpreter::query(const std::string &goal, size_t max_solutions)
+{
+    InterpResult result;
+    runOnLargeStack([&] { result = queryOnThisStack(goal, max_solutions); });
+    return result;
+}
+
+InterpResult
+Interpreter::queryOnThisStack(const std::string &goal,
+                              size_t max_solutions)
 {
     Parser parser(goal + " .", impl_->ops);
     ReadClause read;

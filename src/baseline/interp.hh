@@ -89,7 +89,9 @@ class Interpreter
 
     void consult(const std::string &source);
 
-    /** Run @p goal; collect up to @p max_solutions. */
+    /** Run @p goal; collect up to @p max_solutions. The solver
+     *  recurses once per inference, so it runs on a thread of its own
+     *  with a 1 GiB stack, whatever the caller's stack is. */
     InterpResult query(const std::string &goal, size_t max_solutions = 1);
 
     /** Replace the dynamic clause store (e.g. to share a preloaded or
@@ -112,6 +114,10 @@ class Interpreter
     const std::shared_ptr<db::ClauseStore> &dynamicDb() const;
 
   private:
+    /** query()'s body, on the calling thread's stack. */
+    InterpResult queryOnThisStack(const std::string &goal,
+                                  size_t max_solutions);
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };

@@ -66,7 +66,8 @@ ImageCache::ImageCache(uint64_t budget_bytes)
 }
 
 std::shared_ptr<const Snapshot>
-ImageCache::lookup(uint64_t key)
+ImageCache::lookup(uint64_t key,
+                   std::shared_ptr<const RememberedFailure> *failure)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
@@ -88,6 +89,8 @@ ImageCache::lookup(uint64_t key)
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
+    if (failure)
+        *failure = it->second->failure;
     return it->second->snap;
 }
 
@@ -116,6 +119,16 @@ ImageCache::insert(uint64_t key, Snapshot snapshot)
         evictLruLocked();
     stats_.entries = index_.size();
     return stored;
+}
+
+void
+ImageCache::remember(uint64_t key, RememberedFailure failure)
+{
+    auto kept =
+        std::make_shared<const RememberedFailure>(std::move(failure));
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto it = index_.find(key); it != index_.end())
+        it->second->failure = std::move(kept);
 }
 
 void

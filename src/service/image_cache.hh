@@ -25,7 +25,12 @@
  *    evicts least-recently-used templates first;
  *  - corruptOneForTesting() is the chaos hook: it *replaces* an entry
  *    with a bit-flipped copy under the cache lock (in-place mutation
- *    of a shared buffer would race concurrent restores).
+ *    of a shared buffer would race concurrent restores);
+ *  - an entry may also hold one remembered failure (remember()): the
+ *    machine is deterministic, so a template that ran into a trap or
+ *    resource error under a given solution cap will do so again. It
+ *    lives and dies with its entry: eviction drops it, insert()
+ *    replaces it, and a zero budget remembers nothing.
  */
 
 #ifndef KCM_SERVICE_IMAGE_CACHE_HH
@@ -40,6 +45,7 @@
 
 #include "core/machine_config.hh"
 #include "core/snapshot.hh"
+#include "service/session.hh"
 
 namespace kcm::service
 {
@@ -66,6 +72,15 @@ uint64_t imageCacheKey(const std::string &program,
                        const std::string &goal,
                        const MachineConfig &config);
 
+/** How a query run from a cached template failed, kept with the
+ *  template so the same query is answered without running again. */
+struct RememberedFailure
+{
+    size_t maxSolutions = 0; ///< the run's effective solution cap
+    FailureReport failure;
+    uint64_t cycles = 0;     ///< the failed reply's "cycles"
+};
+
 class ImageCache
 {
   public:
@@ -77,19 +92,27 @@ class ImageCache
      * Fetch the template for @p key, bumping its LRU position. A
      * checksum-invalid entry is evicted and reported as a miss (the
      * caller recompiles, exactly as on a cold miss). Returns nullptr
-     * on miss.
+     * on miss. On a hit, @p failure (when non-null) receives the
+     * entry's remembered failure, null when it has none.
      */
-    std::shared_ptr<const Snapshot> lookup(uint64_t key);
+    std::shared_ptr<const Snapshot>
+    lookup(uint64_t key,
+           std::shared_ptr<const RememberedFailure> *failure = nullptr);
 
     /**
-     * Insert (or replace) the template for @p key, then evict LRU
-     * entries until the byte budget holds. The snapshot is stored as
-     * an immutable shared buffer, which is also returned so the
-     * inserting query can run from it without a second lookup (and
-     * still can when a zero budget made the insert a no-op).
+     * Insert (or replace, dropping any remembered failure) the
+     * template for @p key, then evict LRU entries until the byte
+     * budget holds. The snapshot is stored as an immutable shared
+     * buffer, which is also returned so the inserting query can run
+     * from it without a second lookup (and still can when a zero
+     * budget made the insert a no-op).
      */
     std::shared_ptr<const Snapshot> insert(uint64_t key,
                                            Snapshot snapshot);
+
+    /** Keep @p failure with @p key's entry, replacing any earlier
+     *  one; nothing is kept when the key has no entry. */
+    void remember(uint64_t key, RememberedFailure failure);
 
     /** Drop @p key if present (e.g. after a worker reported
      *  "corrupt_image_template" for a template that passed the cheap
@@ -112,6 +135,7 @@ class ImageCache
         uint64_t key = 0;
         std::shared_ptr<const Snapshot> snap;
         uint64_t bytes = 0;
+        std::shared_ptr<const RememberedFailure> failure;
     };
 
     void evictLruLocked();

@@ -49,6 +49,34 @@ wallNowMs()
             .count());
 }
 
+/** Whether @p failure is a function of the query shape alone. A trap
+ *  or a resource error is: the machine is deterministic. A deadline,
+ *  shed, drain, corrupt template or journal error depends on timing
+ *  or on state outside the shape. */
+bool
+deterministicFailure(const FailureReport &failure)
+{
+    return failure.classification.starts_with("machine_trap(") ||
+           failure.classification.starts_with("resource_error(");
+}
+
+/** The fields of a failed query's reply, after its id: shared by a
+ *  run's failure and its remembered replay, which must match byte for
+ *  byte. "cycles" makes the failure's cost inspectable: a propagated
+ *  deadline shed reports 0 (never ran), a mid-run expiry reports the
+ *  simulated cycles burned before the session stopped itself. */
+void
+writeFailure(JsonWriter &w, const FailureReport &failure, uint64_t cycles,
+             bool cache_hit)
+{
+    w.field("status", "failed")
+        .field("error", failure.classification)
+        .field("detail", failure.detail)
+        .field("attempts", uint64_t(failure.attempts))
+        .field("cycles", cycles)
+        .field("cache", cache_hit ? "hit" : "miss");
+}
+
 } // namespace
 
 /** One accepted client connection. The reader loop runs in its own
@@ -80,13 +108,11 @@ struct Server::QueryCtx
     uint64_t key = 0;
     bool cacheHit = false;
     bool retriedCorrupt = false;
-    bool breakerProbe = false; ///< this query is a half-open probe
     Clock::time_point submitted;
 };
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), cache_(options_.cacheBudgetBytes),
-      breakers_(options_.breaker),
       jitterState_(options_.retryJitterSeed ? options_.retryJitterSeed
                                             : 0x9e3779b97f4a7c15ull)
 {
@@ -423,7 +449,6 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
         ServerCounters c = counters();
         ImageCacheStats cs = cache_.stats();
         ServiceStats ps = pool_->stats();
-        BreakerStats bs = breakers_.stats();
         JsonWriter w;
         if (!id.empty())
             w.field("id", id);
@@ -438,6 +463,7 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
             .field("compile_micros", c.compileMicros)
             .field("corrupt_retries", c.corruptRetries)
             .field("frame_too_large", c.frameTooLarge)
+            .field("failures_replayed", c.failuresReplayed)
             .field("cache_hits", cs.hits)
             .field("cache_misses", cs.misses)
             .field("cache_evictions", cs.evictions)
@@ -454,13 +480,7 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
                    ps.deadlinePropagatedSheds)
             .field("mem_aborts", ps.memAborts)
             .field("mem_admission_refusals", ps.memAdmissionRefusals)
-            .field("mem_charged_bytes", ps.memChargedBytes)
-            .field("breaker_open", bs.opened)
-            .field("breaker_reopened", bs.reopened)
-            .field("breaker_closed", bs.closed)
-            .field("breaker_fast_fails", bs.fastFails)
-            .field("breaker_probes", bs.probes)
-            .field("breaker_open_shapes", bs.openShapes);
+            .field("mem_charged_bytes", ps.memChargedBytes);
         if (durable_) {
             const db::JournalScan &rec = durable_->recoveryReport();
             w.field("db_commits", ps.dbCommits)
@@ -592,31 +612,29 @@ Server::handleQuery(const std::shared_ptr<Connection> &conn,
 
     // The query shape: image-cache hash over program, goal and the
     // effective machine config (per-query memory budgets are part of
-    // the shape; deadlines are not — a shape opened by tight-deadline
-    // failures can close via a probe with a generous one).
+    // the shape; deadlines are not).
     const uint64_t key = imageCacheKey(
         program, goal,
         job.machine ? *job.machine : options_.session.machine);
     job.shapeKey = key;
 
-    // Circuit breaker: a shape that keeps failing fast-fails here —
-    // structured reply, zero machine cycles — until its cooldown
-    // admits a half-open probe.
-    bool breaker_probe = false;
-    if (uint64_t retry_ms = 0;
-        breakers_.shouldReject(key, retry_ms, &breaker_probe)) {
+    // Warm-template cache: hit → restore, miss → compile + insert. A
+    // hit may carry the failure a run of this template ended in; under
+    // the same solution cap a run would end in it again, so the query
+    // is answered here and never reaches the pool.
+    std::shared_ptr<const RememberedFailure> remembered;
+    std::shared_ptr<const Snapshot> tmpl = cache_.lookup(key, &remembered);
+    if (remembered &&
+        remembered->maxSolutions ==
+            job.maxSolutions.value_or(options_.session.maxSolutions)) {
         JsonWriter w;
         if (!id.empty())
             w.field("id", id);
-        w.field("status", "failed")
-            .field("error", "circuit_open")
-            .field("detail",
-                   cat("circuit breaker open for this query shape (",
-                       "repeated classified failures); retry later"))
-            .field("retry_after_ms", jitteredRetryAfter(retry_ms));
+        writeFailure(w, remembered->failure, remembered->cycles,
+                     /*cache_hit=*/true);
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
-            ++counters_.breakerFastFails;
+            ++counters_.failuresReplayed;
         }
         writeReply(conn, w.str());
         return;
@@ -626,8 +644,6 @@ Server::handleQuery(const std::shared_ptr<Connection> &conn,
     {
         std::lock_guard<std::mutex> lock(conn->inflightMutex);
         if (conn->inflight >= options_.maxInflightPerConn) {
-            if (breaker_probe)
-                breakers_.abandonProbe(key);
             replyOverloaded(conn, id,
                             cat("per-connection in-flight cap (",
                                 options_.maxInflightPerConn,
@@ -637,8 +653,6 @@ Server::handleQuery(const std::shared_ptr<Connection> &conn,
         ++conn->inflight;
     }
 
-    // Warm-template cache: hit → restore, miss → compile + insert.
-    std::shared_ptr<const Snapshot> tmpl = cache_.lookup(key);
     const bool hit = tmpl != nullptr;
     if (!tmpl) {
         std::string compile_error;
@@ -649,9 +663,6 @@ Server::handleQuery(const std::shared_ptr<Connection> &conn,
                 --conn->inflight;
                 conn->inflightCv.notify_all();
             }
-            // A compile error is intrinsic to the shape — it counts
-            // toward opening its breaker like any classified failure.
-            breakers_.recordFailure(key);
             replyError(conn, id, "bad_request",
                        cat("compile_error: ", compile_error));
             return;
@@ -664,7 +675,6 @@ Server::handleQuery(const std::shared_ptr<Connection> &conn,
     ctx->program = program;
     ctx->key = key;
     ctx->cacheHit = hit;
-    ctx->breakerProbe = breaker_probe;
     ctx->submitted = Clock::now();
 
     inflightQueries_.fetch_add(1, std::memory_order_relaxed);
@@ -743,27 +753,16 @@ Server::onOutcome(std::shared_ptr<QueryCtx> ctx, QueryOutcome outcome)
         // fall through: report the original failure
     }
 
-    // Feed the shape's circuit breaker. Completing — even with a
-    // program-level error term — proves the shape servable; a
-    // classified failure counts against it, except drain stops
-    // ("interrupted") and sheds, which say nothing about the shape
-    // itself.
-    switch (outcome.status) {
-      case QueryStatus::Completed:
-        breakers_.recordSuccess(ctx->key);
-        break;
-      case QueryStatus::Failed:
-        if (outcome.failure.classification == "interrupted") {
-            if (ctx->breakerProbe)
-                breakers_.abandonProbe(ctx->key);
-        } else {
-            breakers_.recordFailure(ctx->key);
-        }
-        break;
-      case QueryStatus::Shed:
-        if (ctx->breakerProbe)
-            breakers_.abandonProbe(ctx->key);
-        break;
+    // Keep a deterministic failure with the template it ran from, so
+    // the next query of this shape and solution cap is answered
+    // without running. Not with a durable store: there a run's outcome
+    // depends on the store's contents, which are not in the shape.
+    if (outcome.status == QueryStatus::Failed && !durable_ &&
+        deterministicFailure(outcome.failure)) {
+        cache_.remember(
+            ctx->key,
+            {ctx->job.maxSolutions.value_or(options_.session.maxSolutions),
+             outcome.failure, outcome.cycles});
     }
 
     JsonWriter w;
@@ -799,16 +798,7 @@ Server::onOutcome(std::shared_ptr<QueryCtx> ctx, QueryOutcome outcome)
         break;
       }
       case QueryStatus::Failed:
-        // "cycles" makes the failure's cost inspectable: a propagated
-        // deadline shed reports 0 (never ran), a mid-run expiry
-        // reports the simulated cycles burned before the session
-        // stopped itself.
-        w.field("status", "failed")
-            .field("error", outcome.failure.classification)
-            .field("detail", outcome.failure.detail)
-            .field("attempts", uint64_t(outcome.failure.attempts))
-            .field("cycles", outcome.cycles)
-            .field("cache", ctx->cacheHit ? "hit" : "miss");
+        writeFailure(w, outcome.failure, outcome.cycles, ctx->cacheHit);
         if (outcome.failure.classification == "interrupted") {
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++counters_.interrupted;

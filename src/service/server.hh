@@ -17,7 +17,11 @@
  *     are checksum re-validated on every lookup AND on every restore;
  *     a corrupt entry is evicted and the query transparently
  *     recompiled (once), so the cache can only ever cost time, never
- *     correctness.
+ *     correctness. A query that fails with a machine trap or a
+ *     resource error leaves that failure with its template (not in
+ *     --db-journal mode, where outcomes depend on the store): a later
+ *     query of the same shape and solution cap gets the same reply
+ *     without running, so a shape that always fails costs one run.
  *
  *  2. **Hardened connection lifecycle**: per-connection read/write
  *     deadlines (with a separate slow-loris bound for partial
@@ -61,7 +65,6 @@
 #include <vector>
 
 #include "prolog/term.hh"
-#include "service/breaker.hh"
 #include "service/image_cache.hh"
 #include "service/supervisor.hh"
 #include "service/wire.hh"
@@ -132,13 +135,10 @@ struct ServerOptions
      *  real deployment; the harness turns it on. */
     bool chaosHooks = false;
 
-    /** Per-query-shape circuit breakers (see breaker.hh). */
-    BreakerOptions breaker;
-
     /** Seed for the deterministic jitter applied to every
-     *  retry_after_ms hint (overloaded, shed, breaker fast-fail,
-     *  connection-refused). Jitter de-synchronizes client retry
-     *  storms; seeding keeps test runs reproducible. */
+     *  retry_after_ms hint (overloaded, shed, connection-refused).
+     *  Jitter de-synchronizes client retry storms; seeding keeps test
+     *  runs reproducible. */
     uint64_t retryJitterSeed = 0x9e3779b97f4a7c15ull;
 
     // Supervisor self-defense knobs (forwarded to SupervisorOptions;
@@ -163,7 +163,8 @@ struct ServerCounters
                                      ///< evicted, recompiled, re-run
     uint64_t interrupted = 0;        ///< aborted past the drain grace
     uint64_t frameTooLarge = 0;      ///< request frames over the cap
-    uint64_t breakerFastFails = 0;   ///< queries refused circuit_open
+    uint64_t failuresReplayed = 0;   ///< answered from a remembered
+                                     ///< failure, never admitted
 };
 
 /**
@@ -196,7 +197,6 @@ class Server
     ServerCounters counters() const;
     ImageCacheStats cacheStats() const { return cache_.stats(); }
     ServiceStats poolStats() const;
-    BreakerStats breakerStats() const { return breakers_.stats(); }
 
     /** The journaled store (null unless dbJournalDir was set). */
     const db::JournaledStore *durableDb() const { return durable_.get(); }
@@ -252,7 +252,6 @@ class Server
 
     ServerOptions options_;
     ImageCache cache_;
-    BreakerRegistry breakers_;
     mutable std::mutex jitterMutex_;
     mutable uint64_t jitterState_;
     std::shared_ptr<db::JournaledStore> durable_;

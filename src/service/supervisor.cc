@@ -74,11 +74,10 @@ Supervisor::deadlineUnmeetableLocked(const QueryJob &job) const
     // Predicted queue wait from the shape's completed-latency EWMA
     // scaled by the backlog per worker. Conservative: only shed on a
     // prediction once the estimate has a few samples behind it.
-    auto it = shapes_.find(job.shapeKey);
-    if (job.shapeKey && it != shapes_.end() &&
-        it->second.samples >= 3) {
+    const ShapeStat &s = shapes_[job.shapeKey % shapeSlots];
+    if (s.key == job.shapeKey && s.samples >= 3) {
         double wait_ms =
-            it->second.ewmaMs *
+            s.ewmaMs *
             (1.0 + double(queue_.size()) / double(options_.workers));
         if (now + uint64_t(wait_ms * 1e6) > job.deadlineAbsNs)
             return true;
@@ -309,7 +308,9 @@ Supervisor::recordShapeLatencyLocked(uint64_t shape_key, double ms)
 {
     if (!shape_key)
         return;
-    ShapeStat &s = shapes_[shape_key];
+    ShapeStat &s = shapes_[shape_key % shapeSlots];
+    if (s.key != shape_key)
+        s = ShapeStat{shape_key, 0, 0};
     s.ewmaMs = s.samples ? 0.8 * s.ewmaMs + 0.2 * ms : ms;
     ++s.samples;
 }

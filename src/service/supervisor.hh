@@ -43,12 +43,12 @@
 #ifndef KCM_SERVICE_SUPERVISOR_HH
 #define KCM_SERVICE_SUPERVISOR_HH
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -221,6 +221,10 @@ class Supervisor
     /** Machines on the idle stack (never more than the workers). */
     size_t idleMachines() const;
 
+    /** Slots of the per-shape latency table: shape keys equal modulo
+     *  this share one slot, and the later one resets it. */
+    static constexpr size_t shapeSlots = 1024;
+
   private:
     using Clock = std::chrono::steady_clock;
 
@@ -271,13 +275,17 @@ class Supervisor
     ServiceStats stats_;
 
     /** Completed-latency EWMA per shape key (ms); its one reader is
-     *  deadlineUnmeetableLocked's predicted queue wait. */
+     *  deadlineUnmeetableLocked's predicted queue wait. Direct-mapped
+     *  by key and tagged with it, so a daemon serving unique programs
+     *  holds a fixed table, and a shape never inherits the estimate of
+     *  another shape in its slot. */
     struct ShapeStat
     {
+        uint64_t key = 0;
         double ewmaMs = 0;
         uint64_t samples = 0;
     };
-    std::map<uint64_t, ShapeStat> shapes_;
+    std::array<ShapeStat, shapeSlots> shapes_{};
 
     /**
      * Idle machines built under options_.session.machine, for warm

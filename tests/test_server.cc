@@ -43,7 +43,7 @@ const char *testProgram =
     "sumto(N, S) :- N > 0, M is N - 1, sumto(M, T), S is T + N.\n";
 
 /** Deterministic multi-megacycle work: a query that stays in flight
- *  (in-flight cap, deadline and breaker tests). */
+ *  (in-flight cap, deadline and remembered-failure tests). */
 const char *slowProgram =
     "sumc(0, 0).\n"
     "sumc(N, S) :- N > 0, !, M is N - 1, sumc(M, T), S is T + N.\n"
@@ -410,7 +410,7 @@ TEST(Server, StatsOpReportsCountersOverTheWire)
 }
 
 // ------------------------------------------------------------------ //
-// Self-defense: frame bounds, jitter, deadlines, memory, breakers
+// Self-defense: frame bounds, jitter, deadlines, memory, replays
 // ------------------------------------------------------------------ //
 
 namespace
@@ -469,7 +469,7 @@ TEST(Server, RetryAfterJitterIsDeterministicUnderTheSeed)
     // under a 500 ms propagated deadline — dequeued and still running
     // when "b" arrives 200 ms later, leaving the queue itself empty.
     // The deadline is terminal (one attempt), so "a" then fails
-    // deadline_exceeded: one failure, far below the breaker threshold.
+    // deadline_exceeded.
     auto overload_hint = [](Client &client) {
         service::JsonWriter slow;
         slow.field("op", "query")
@@ -602,56 +602,109 @@ TEST(Server, MemoryBudgetOverTheWireIsClassifiedAndCatchable)
     EXPECT_GE(s.num("mem_aborts"), 1);
 }
 
-TEST(Server, BreakerOpensFastFailsAndClosesViaHalfOpenProbe)
+TEST(Server, DeterministicFailureIsRememberedWithItsTemplate)
 {
-    // Full breaker lifecycle over the wire, on one query shape (the
-    // shape hash ignores deadlines, so a shape opened by tight-
-    // deadline failures can be probed closed by a generous one).
+    // A trap or resource error is a function of the query shape: the
+    // machine is deterministic. A shape that fails so runs once; a
+    // later query of the same shape and solution cap gets the same
+    // reply from the failure kept with the template, without running.
+    const char *goal = "mklist(200000, L)";
+    auto hog = [&](Client &client, const std::string &id,
+                   uint64_t max_solutions) {
+        service::JsonWriter w;
+        w.field("op", "query")
+            .field("id", id)
+            .field("program", hungryProgram)
+            .field("goal", goal)
+            .field("max_solutions", max_solutions)
+            .field("memory_budget_bytes", uint64_t(1) << 20);
+        EXPECT_EQ(client.sendLine(w.str()), IoStatus::Ok);
+        ClientReply r = client.readReply(60'000);
+        EXPECT_EQ(r.status(), "failed") << r.raw;
+        EXPECT_EQ(r.str("error"), "resource_error(memory)") << r.raw;
+        return r;
+    };
+    auto afterId = [](const ClientReply &r) {
+        return r.raw.substr(r.raw.find("\"status\""));
+    };
+
     service::ServerOptions options;
     options.session.maxRetries = 0;
-    options.breaker.failureThreshold = 2;
-    options.breaker.openMs = 200;
-    Harness h(options);
-    const char *goal = "itc(500, 0, S)";
+    {
+        Harness h(options);
+        // Take the template first, so that the run is a cache hit like
+        // its replays and all three replies must match byte for byte.
+        MachineConfig budgeted = options.session.machine;
+        budgeted.governor.memoryBudgetBytes = uint64_t(1) << 20;
+        std::string error;
+        ASSERT_NE(h.server->compileTemplate(
+                      service::imageCacheKey(hungryProgram, goal, budgeted),
+                      hungryProgram, goal, error),
+                  nullptr)
+            << error;
+        ClientReply run = hog(h.client, "h0", 1);
+        ClientReply again = hog(h.client, "h1", 1);
+        ClientReply third = hog(h.client, "h2", 1);
+        EXPECT_EQ(run.str("cache"), "hit") << run.raw;
+        EXPECT_EQ(afterId(again), afterId(run));
+        EXPECT_EQ(afterId(third), afterId(run));
+        EXPECT_EQ(again.fields.count("retry_after_ms"), 0u)
+            << "a remembered failure is final";
+        ClientReply s = h.client.stats();
+        EXPECT_EQ(s.num("queries_accepted"), 1) << s.raw;
+        EXPECT_EQ(s.num("queries_replied"), 1) << s.raw;
+        EXPECT_EQ(s.num("failures_replayed"), 2) << s.raw;
+        EXPECT_EQ(s.num("cache_hits"), 3) << s.raw;
 
-    // Two classified failures open the breaker...
-    for (int i = 0; i < 2; ++i) {
-        ClientReply r = h.client.query(cat("f", i), slowProgram, goal,
-                                       1, /*deadline_ms=*/1);
-        ASSERT_EQ(r.status(), "failed") << r.raw;
-        ASSERT_EQ(r.str("error"), "deadline_exceeded") << r.raw;
+        // Another solution cap is another question: it runs.
+        hog(h.client, "all", 0);
+        EXPECT_EQ(h.server->counters().queriesAccepted, 2u);
+
+        // A deadline failure is never remembered: after six of them the
+        // same shape without a deadline runs and completes.
+        for (int i = 0; i < 6; ++i) {
+            ClientReply r = h.client.query(cat("d", i), slowProgram,
+                                           "itc(500, 0, S)", 1,
+                                           /*deadline_ms=*/1);
+            ASSERT_EQ(r.str("error"), "deadline_exceeded") << r.raw;
+        }
+        ClientReply done =
+            h.client.query("done", slowProgram, "itc(500, 0, S)", 1);
+        ASSERT_EQ(done.status(), "completed") << done.raw;
+        EXPECT_EQ(done.fields["answers"].items[0].str, "S = 10050000");
+        EXPECT_EQ(h.server->counters().queriesAccepted, 9u);
+        EXPECT_EQ(h.server->counters().failuresReplayed, 2u);
     }
-    EXPECT_EQ(h.server->breakerStats().opened, 1u);
 
-    // ...after which the same shape fast-fails with a retry hint,
-    // spending zero machine cycles.
-    ClientReply fast = h.client.query("fast", slowProgram, goal, 1);
-    ASSERT_EQ(fast.status(), "failed") << fast.raw;
-    EXPECT_EQ(fast.str("error"), "circuit_open") << fast.raw;
-    EXPECT_GT(fast.num("retry_after_ms"), 0) << fast.raw;
-    EXPECT_EQ(h.server->breakerStats().fastFails, 1u);
-    EXPECT_EQ(h.server->counters().breakerFastFails, 1u);
+    // The failure lives and dies with its cache entry. A budget with
+    // room for one template: another shape evicts the hog's entry, so
+    // the hog runs again. A zero budget keeps nothing.
+    for (uint64_t budget : {uint64_t(1), uint64_t(0)}) {
+        options.cacheBudgetBytes = budget;
+        Harness h(options);
+        hog(h.client, "e0", 1);
+        if (budget) {
+            ClientReply other =
+                h.client.query("other", testProgram, "sumto(5, S)", 1);
+            ASSERT_EQ(other.status(), "completed") << other.raw;
+        }
+        hog(h.client, "e1", 1);
+        EXPECT_EQ(h.server->counters().failuresReplayed, 0u) << budget;
+    }
 
-    // After the cooldown one probe is admitted; without the killer
-    // deadline it completes, closing the breaker for good.
-    std::this_thread::sleep_for(std::chrono::milliseconds(350));
-    ClientReply probe = h.client.query("probe", slowProgram, goal, 1);
-    ASSERT_EQ(probe.status(), "completed") << probe.raw;
-    service::BreakerStats bs = h.server->breakerStats();
-    EXPECT_EQ(bs.probes, 1u);
-    EXPECT_EQ(bs.closed, 1u);
-    EXPECT_EQ(bs.openShapes, 0u);
-
-    // Closed means closed: the next query runs normally.
-    ClientReply after = h.client.query("after", slowProgram, goal, 1);
-    EXPECT_EQ(after.status(), "completed") << after.raw;
-
-    ClientReply s = h.client.stats();
-    ASSERT_EQ(s.status(), "ok");
-    EXPECT_EQ(s.num("breaker_open"), 1);
-    EXPECT_EQ(s.num("breaker_closed"), 1);
-    EXPECT_EQ(s.num("breaker_fast_fails"), 1);
-    EXPECT_EQ(s.num("breaker_probes"), 1);
+    // A durable store's outcomes depend on its contents: never replay.
+    std::string dir = "/tmp/kcm_replay_test_XXXXXX";
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    options.cacheBudgetBytes = 256ull << 20;
+    options.dbJournalDir = dir + "/journal";
+    {
+        Harness h(options);
+        for (int i = 0; i < 3; ++i)
+            hog(h.client, cat("j", i), 1);
+        EXPECT_EQ(h.server->counters().queriesAccepted, 3u);
+        EXPECT_EQ(h.server->counters().failuresReplayed, 0u);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Server, DbFactsTemplateEqualsAPreloadFactsCompile)

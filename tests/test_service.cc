@@ -1111,6 +1111,55 @@ TEST(Supervisor, PredictedQueueWaitShedsAtAdmission)
     EXPECT_EQ(supervisor.stats().deadlinePropagatedSheds, 1u);
 }
 
+TEST(Supervisor, CollidingShapeIsNotShedOnAnotherShapesEstimate)
+{
+    // Shape keys equal modulo the table size share a latency slot. A
+    // shape that lands in the slot of one with three samples has no
+    // estimate of its own: under a deadline shorter than the other
+    // shape's latency it is admitted and runs, and only its session
+    // stops it.
+    service::SupervisorOptions options;
+    options.workers = 1;
+    options.session.backoffBaseMs = 0;
+    CodeImage measured = compileQuery("itc(300, 0, S)",
+                                      options.session.machine);
+    CodeImage runaway = compileQuery("loop", options.session.machine);
+
+    service::Supervisor supervisor(options);
+    auto run = [&](const CodeImage &image, uint64_t shape_key,
+                   uint64_t deadline_abs_ns) {
+        service::QueryJob job;
+        job.shapeKey = shape_key;
+        job.deadlineAbsNs = deadline_abs_ns;
+        auto done = std::make_shared<std::promise<service::QueryOutcome>>();
+        std::future<service::QueryOutcome> outcome = done->get_future();
+        supervisor.submitAsync(job, image,
+                               [done](service::QueryOutcome out) {
+                                   done->set_value(std::move(out));
+                               });
+        return outcome.get();
+    };
+
+    const uint64_t seen = 42;
+    const uint64_t colliding = seen + service::Supervisor::shapeSlots;
+    double fastest_s = 1e9;
+    for (int i = 0; i < 3; ++i) {
+        service::QueryOutcome out = run(measured, seen, 0);
+        ASSERT_EQ(out.status, service::QueryStatus::Completed);
+        fastest_s = std::min(fastest_s, out.wallSeconds);
+    }
+
+    service::QueryOutcome admitted = run(
+        runaway, colliding, steadyNowNs() + uint64_t(fastest_s / 2 * 1e9));
+    supervisor.drain();
+
+    EXPECT_EQ(admitted.status, service::QueryStatus::Failed);
+    EXPECT_EQ(admitted.failure.classification, "deadline_exceeded");
+    EXPECT_GT(admitted.cycles, 0u)
+        << "a colliding shape must not be shed on another's estimate";
+    EXPECT_EQ(supervisor.stats().deadlinePropagatedSheds, 0u);
+}
+
 TEST(Supervisor, GlobalMemoryBudgetRefusesAdmission)
 {
     // Aggregate admission control: with a 64 MiB global budget and

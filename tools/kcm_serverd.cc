@@ -14,7 +14,9 @@
  *   {"drain": true, "accepted": N, "replied": N, ...}
  *
  * — and exits 0. accepted == replied is the drain invariant the chaos
- * harness asserts: a shutdown loses no accepted query.
+ * harness asserts: a shutdown loses no accepted query. A query answered
+ * from its template's remembered trap or resource error (counted in
+ * "failures_replayed") never reaches the pool and is in neither count.
  *
  * Usage:
  *   kcm_serverd [options]
@@ -59,11 +61,6 @@
  *                        admissions beyond it are refused "overloaded"
  *   --mem-charge-mb N    memory charge assumed for an ungoverned query
  *                        (default 32)
- *   --no-breakers        disable per-shape circuit breakers
- *   --breaker-threshold N consecutive classified failures that open a
- *                        shape's breaker (default 5)
- *   --breaker-open-ms N  breaker cooldown before a half-open probe
- *                        (default 250)
  *   --jitter-seed N      seed for the deterministic retry_after_ms
  *                        jitter (tests; default fixed)
  *   --max-line-bytes N   request frame cap in bytes (default 4 MiB);
@@ -115,9 +112,8 @@ usage()
             "  --db-journal DIR  --journal-sync always|group|none\n"
             "  --journal-group-ms N  --journal-snapshot-every N\n"
             "  --mem-budget-mb N  --global-mem-mb N  --mem-charge-mb N\n"
-            "  --no-breakers  --breaker-threshold N\n"
-            "  --breaker-open-ms N  --jitter-seed N  --max-line-bytes N\n"
-            "  --chaos-hooks  --oracle\n"
+            "  --jitter-seed N  --max-line-bytes N  --chaos-hooks\n"
+            "  --oracle\n"
             "exit codes: 0 = clean drain on SIGTERM/SIGINT, "
             "2 = startup error\n");
     exit(2);
@@ -203,14 +199,6 @@ main(int argc, char **argv)
         } else if (arg == "--mem-charge-mb") {
             options.defaultMemoryChargeBytes =
                 strtoull(next().c_str(), nullptr, 10) << 20;
-        } else if (arg == "--no-breakers") {
-            options.breaker.enabled = false;
-        } else if (arg == "--breaker-threshold") {
-            options.breaker.failureThreshold =
-                unsigned(strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--breaker-open-ms") {
-            options.breaker.openMs =
-                strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--jitter-seed") {
             options.retryJitterSeed =
                 strtoull(next().c_str(), nullptr, 10);
@@ -265,7 +253,6 @@ main(int argc, char **argv)
         auto c = server.counters();
         auto cache = server.cacheStats();
         auto pool = server.poolStats();
-        auto brk = server.breakerStats();
         printf("{\"drain\": true, \"accepted\": %llu, "
                "\"replied\": %llu, \"interrupted\": %llu, "
                "\"requests\": %llu, \"bad_requests\": %llu, "
@@ -278,10 +265,7 @@ main(int argc, char **argv)
                "\"deadline_propagated_sheds\": %llu, "
                "\"mem_aborts\": %llu, "
                "\"mem_admission_refusals\": %llu, "
-               "\"breaker_open\": %llu, \"breaker_reopened\": %llu, "
-               "\"breaker_closed\": %llu, "
-               "\"breaker_fast_fails\": %llu, "
-               "\"breaker_probes\": %llu",
+               "\"failures_replayed\": %llu",
                (unsigned long long)c.queriesAccepted,
                (unsigned long long)c.queriesReplied,
                (unsigned long long)c.interrupted,
@@ -299,11 +283,7 @@ main(int argc, char **argv)
                (unsigned long long)pool.deadlinePropagatedSheds,
                (unsigned long long)pool.memAborts,
                (unsigned long long)pool.memAdmissionRefusals,
-               (unsigned long long)brk.opened,
-               (unsigned long long)brk.reopened,
-               (unsigned long long)brk.closed,
-               (unsigned long long)brk.fastFails,
-               (unsigned long long)brk.probes);
+               (unsigned long long)c.failuresReplayed);
         if (const kcm::db::JournaledStore *db = server.durableDb()) {
             printf(", \"db_commits\": %llu, \"db_ops\": %llu, "
                    "\"journal_commits\": %llu, "
