@@ -6,20 +6,22 @@
 #include <string>
 
 /**
- * FNV-1a-64 checksum helpers shared by every on-disk container and
- * content-hash key in the tree (KCMSNAP4 snapshot sections, the
- * image-template cache key, the clause-store journal).
+ * FNV-1a-64 checksum helpers shared by the on-disk clause-store
+ * journal and the content-hash keys in the tree (the image-template
+ * cache key, the clause store's ArgKey hash). The snapshot container
+ * does not use FNV-1a: its section checksum (core/snapshot.cc) reads
+ * eight bytes per step, with this file's prime.
  *
  * Two offset bases are exposed:
  *
  *  - fnvOffsetBasis: the standard FNV-1a-64 offset basis. New formats
  *    and keys use this.
- *  - fnvLegacyBasis: the basis the snapshot container and the clause
- *    store's ArgKey hash shipped with (a historical truncation of the
- *    standard constant). It is load-bearing: the clause store's ArgKey
- *    hash and skiplist heights, and so its scanned counts and
- *    simulated cycles, depend on it, so it is preserved verbatim and
- *    documented here instead of silently duplicated.
+ *  - fnvLegacyBasis: the basis the clause store's ArgKey hash shipped
+ *    with (a historical truncation of the standard constant). It is
+ *    load-bearing: the ArgKey hash and skiplist heights, and so the
+ *    store's scanned counts and simulated cycles, depend on it, so it
+ *    is preserved verbatim and documented here instead of silently
+ *    duplicated.
  */
 
 namespace kcm

@@ -1347,13 +1347,24 @@ Machine::solutions(size_t max)
 void
 Machine::attachImage()
 {
-    // Predecode the image for the fast core. The oracle keeps decoded_
-    // empty so every fetch takes the decode-per-step path.
-    decoded_.clear();
+    // Predecode the image for the fast core. decodeInstr is a pure
+    // function of the word, so an entry whose word the new image keeps
+    // is kept too: a pooled machine restoring the templates of one
+    // program re-decodes only the words that differ. The grown tail is
+    // decoded word by word, never default-filled and compared, since a
+    // zero code word does not decode to DecodedInstr{}. The oracle
+    // keeps decoded_ empty so every fetch takes the decode-per-step
+    // path.
     if (config_.fastDispatch) {
-        decoded_.reserve(image_.words.size());
-        for (uint64_t raw : image_.words)
-            decoded_.push_back(decodeInstr(raw));
+        const std::vector<uint64_t> &words = image_.words;
+        if (decoded_.size() > words.size())
+            decoded_.resize(words.size());
+        for (size_t i = 0; i < decoded_.size(); ++i)
+            if (decoded_[i].raw != words[i])
+                decoded_[i] = decodeInstr(words[i]);
+        decoded_.reserve(words.size());
+        for (size_t i = decoded_.size(); i < words.size(); ++i)
+            decoded_.push_back(decodeInstr(words[i]));
     }
     if (config_.profile) {
         profiler_.attach(image_);

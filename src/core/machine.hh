@@ -249,6 +249,9 @@ class Machine
     MemSystem &mem() { return *mem_; }
     StatGroup &stats() { return stats_; }
     const CodeImage &image() const { return image_; }
+    /** The predecoded image: entry i decodes image().words[i] (empty
+     *  unless config().fastDispatch). */
+    const std::vector<DecodedInstr> &predecoded() const { return decoded_; }
     const MachineConfig &config() const { return config_; }
 
     // Event counters (registered in stats()).

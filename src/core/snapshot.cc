@@ -16,12 +16,12 @@ namespace
 {
 
 /**
- * Container format (version 4):
+ * Container format (version 5):
  *
- *   magic "KCMSNAP4"
+ *   magic "KCMSNAP5"
  *   u32   section count (== 4)
- *   per section: u32 id, u64 payload length, u64 FNV-1a checksum,
- *                payload bytes
+ *   per section: u32 id, u64 payload length, u64 checksum
+ *                (sectionChecksum below), payload bytes
  *
  * Sections, in order: the code image, the processor state (registers,
  * counters, prefetch pipeline), the memory system (main memory, MMU,
@@ -65,7 +65,7 @@ namespace
  * target machine: a truncated or bit-flipped blob is reported with a
  * diagnostic and the target stays untouched.
  */
-constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '4'};
+constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '5'};
 
 enum : uint32_t
 {
@@ -77,14 +77,6 @@ enum : uint32_t
 
 constexpr uint32_t sectionOrder[] = {secImage, secCpu, secMem, secDb};
 constexpr size_t numSections = 4;
-
-/** KCMSNAP4 section checksum: FNV-1a-64 from the container's
- *  historical (legacy) offset basis — see base/checksum.hh. */
-uint64_t
-fnv1a64(const uint8_t *data, size_t size)
-{
-    return kcm::fnv1a64(data, size, fnvLegacyBasis);
-}
 
 /** Store @p v at @p out, little-endian. */
 template <typename T>
@@ -112,6 +104,42 @@ loadLe(const uint8_t *in)
             v = T(v | T(T(in[i]) << (8 * i)));
     }
     return v;
+}
+
+/**
+ * Section checksum: 64-bit, eight little-endian bytes per step. Word i
+ * of the payload goes to lane i mod 4, so the four multiply chains run
+ * side by side; the length, the four lanes and the zero-padded tail
+ * bytes are then folded into one value with the same step. For a
+ * fixed word the step is a bijection of the state, and for a fixed
+ * state a bijection of the word, so any change confined to one aligned
+ * word changes the result. The rotate carries a difference out of the
+ * top bit: without it, two flips of bit 63 in words of one lane (or of
+ * two lanes) cancel, as they do in word-wise FNV-1a.
+ */
+uint64_t
+sectionChecksum(const uint8_t *data, size_t size)
+{
+    const auto step = [](uint64_t x, uint64_t w) {
+        return std::rotl((x ^ w) * fnvPrime, 31);
+    };
+    uint64_t lanes[4] = {fnvOffsetBasis, fnvOffsetBasis + 1,
+                         fnvOffsetBasis + 2, fnvOffsetBasis + 3};
+    const size_t words = size / 8;
+    size_t i = 0;
+    for (; i + 4 <= words; i += 4)
+        for (size_t k = 0; k < 4; ++k)
+            lanes[k] = step(lanes[k], loadLe<uint64_t>(data + 8 * (i + k)));
+    for (; i < words; ++i)
+        lanes[i % 4] = step(lanes[i % 4], loadLe<uint64_t>(data + 8 * i));
+    uint64_t tail = 0;
+    for (size_t b = 8 * words; b < size; ++b)
+        tail |= uint64_t(data[b]) << (8 * (b - 8 * words));
+
+    uint64_t h = step(fnvOffsetBasis, size);
+    for (uint64_t lane : lanes)
+        h = step(h, lane);
+    return step(h, tail);
 }
 
 /** Little-endian byte-stream writer: one append per value. */
@@ -298,7 +326,7 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
 {
     if (bytes.size() < 8 ||
         std::memcmp(bytes.data(), snapshotMagic, 8) != 0) {
-        fatal("snapshot: bad magic (not a KCMSNAP4 image)");
+        fatal("snapshot: bad magic (not a KCMSNAP5 image)");
     }
 
     size_t pos = 8;
@@ -335,7 +363,7 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
                   sectionOrder[s]);
         need(size_t(length), "section payload");
         const uint8_t *payload = bytes.data() + pos;
-        uint64_t actual = fnv1a64(payload, size_t(length));
+        uint64_t actual = sectionChecksum(payload, size_t(length));
         if (actual != checksum) {
             fatal("snapshot: checksum mismatch in section ", id,
                   " (stored ", checksum, ", computed ", actual,
@@ -933,7 +961,8 @@ takeSnapshot(Machine &machine)
     for (size_t s = 0; s < numSections; ++s) {
         container.u32(sectionOrder[s]);
         container.u64(payloads[s].size());
-        container.u64(fnv1a64(payloads[s].data(), payloads[s].size()));
+        container.u64(
+            sectionChecksum(payloads[s].data(), payloads[s].size()));
         snap.bytes.insert(snap.bytes.end(), payloads[s].begin(),
                           payloads[s].end());
     }

@@ -14,9 +14,10 @@
  * metrics (cycles, instructions, inferences, cache hits, ...) to an
  * uninterrupted run.
  *
- * The byte image is a sectioned container ("KCMSNAP4"): code image,
+ * The byte image is a sectioned container ("KCMSNAP5"): code image,
  * processor state, memory system and dynamic clause store are separate
- * sections, each length-prefixed and FNV-1a-checksummed. The code
+ * sections, each length-prefixed and checksummed (a 64-bit checksum
+ * that reads eight bytes per step; see snapshot.cc). The code
  * image is a binary record of the CodeImage's fields with raw atom
  * ids, so a restore neither parses text nor re-interns atoms.
  * restoreSnapshot() validates the whole container — structure,
@@ -48,8 +49,9 @@
  *    order.
  *  - The target machine must use the same MachineConfig as the source
  *    (same timing model, quotas and fault plan); the predecoded image
- *    is rebuilt from the embedded code image per the target's
- *    dispatch-core setting.
+ *    follows the embedded code image per the target's dispatch-core
+ *    setting (Machine re-decodes only the words that differ from the
+ *    image it held).
  *  - The target need not be fresh: a restore overwrites every part of
  *    the state listed above, so a machine that has run other queries
  *    under the same MachineConfig restores exactly. An attached
@@ -83,12 +85,11 @@ Snapshot takeSnapshot(Machine &machine);
 void restoreSnapshot(Machine &machine, const Snapshot &snapshot);
 
 /**
- * Structural validation only: parse the KCMSNAP4 container and verify
- * every section length and checksum without touching any machine.
- * Returns false (and fills @p why when non-null) on a truncated or
- * bit-flipped image. This is the cheap re-validation a snapshot cache
- * runs before handing a template to a worker: a corrupt entry is
- * detected here, evicted and recompiled instead of ever being served.
+ * Structural validation only: parse the KCMSNAP5 container and verify
+ * every section length and checksum without touching any machine —
+ * the first phase of restoreSnapshot(), which runs it on every
+ * restore. Returns false (and fills @p why when non-null) on a
+ * truncated or bit-flipped image.
  */
 bool validateSnapshot(const Snapshot &snapshot, std::string *why = nullptr);
 

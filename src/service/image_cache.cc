@@ -75,18 +75,6 @@ ImageCache::lookup(uint64_t key,
         ++stats_.misses;
         return nullptr;
     }
-    // Re-validate before serving: a template that rotted in the cache
-    // is evicted and reported as a miss (caller recompiles), never
-    // handed to a worker.
-    if (!validateSnapshot(*it->second->snap)) {
-        stats_.bytes -= it->second->bytes;
-        lru_.erase(it->second);
-        index_.erase(it);
-        ++stats_.corruptEvictions;
-        ++stats_.misses;
-        stats_.entries = index_.size();
-        return nullptr;
-    }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
     if (failure)

@@ -6,11 +6,11 @@
  * for every query (§3: the compiler links the whole consulted program
  * with the goal into one image). A serving deployment sees the same
  * (program, goal) pair over and over; this cache memoises the
- * *post-download machine state* as a KCMSNAP4 snapshot template keyed
+ * *post-download machine state* as a KCMSNAP5 snapshot template keyed
  * by a content hash of (program text, goal text, machine-config
  * fingerprint). A hit restores the template into a pooled machine —
- * zero recompilation, zero re-linking — and, because KCMSNAP4 restore
- * re-verifies every section checksum before mutating the machine, a
+ * zero recompilation, zero re-linking — and, because restoreSnapshot
+ * verifies every section checksum before mutating the machine, a
  * corrupt cache entry can only ever produce a classified
  * "corrupt_image_template" failure, never a wrong answer.
  *
@@ -18,9 +18,9 @@
  *  - entries are immutable shared buffers (std::shared_ptr<const
  *    Snapshot>); concurrent sessions restore from the same bytes and
  *    never write them;
- *  - lookup() re-validates the container checksums *again* before
- *    handing the template out (cheap: one FNV-1a pass over the bytes)
- *    and evicts silently-corrupted entries instead of serving them;
+ *  - lookup() does not verify: the restore is the one checksum pass
+ *    per hit, and on its "corrupt_image_template" the server evicts
+ *    the entry (evict()), recompiles and resubmits the query once;
  *  - the cache is LRU under a byte budget: inserting past the budget
  *    evicts least-recently-used templates first;
  *  - corruptOneForTesting() is the chaos hook: it *replaces* an entry
@@ -56,7 +56,7 @@ struct ImageCacheStats
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;        ///< LRU budget evictions
-    uint64_t corruptEvictions = 0; ///< failed re-validation / explicit
+    uint64_t corruptEvictions = 0; ///< evict() after a refused restore
     uint64_t insertions = 0;
     uint64_t bytes = 0;            ///< current resident template bytes
     uint64_t entries = 0;
@@ -89,11 +89,10 @@ class ImageCache
     explicit ImageCache(uint64_t budget_bytes);
 
     /**
-     * Fetch the template for @p key, bumping its LRU position. A
-     * checksum-invalid entry is evicted and reported as a miss (the
-     * caller recompiles, exactly as on a cold miss). Returns nullptr
-     * on miss. On a hit, @p failure (when non-null) receives the
-     * entry's remembered failure, null when it has none.
+     * Fetch the template for @p key, bumping its LRU position, without
+     * verifying it (the restore does). Returns nullptr on miss. On a
+     * hit, @p failure (when non-null) receives the entry's remembered
+     * failure, null when it has none.
      */
     std::shared_ptr<const Snapshot>
     lookup(uint64_t key,
@@ -114,9 +113,9 @@ class ImageCache
      *  one; nothing is kept when the key has no entry. */
     void remember(uint64_t key, RememberedFailure failure);
 
-    /** Drop @p key if present (e.g. after a worker reported
-     *  "corrupt_image_template" for a template that passed the cheap
-     *  pre-check). Returns true if an entry was evicted. */
+    /** Drop @p key if present (after a worker reported
+     *  "corrupt_image_template": its restore refused the template).
+     *  Returns true if an entry was evicted. */
     bool evict(uint64_t key);
 
     /**

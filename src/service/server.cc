@@ -724,8 +724,8 @@ Server::compileTemplate(uint64_t key, const std::string &program,
 void
 Server::onOutcome(std::shared_ptr<QueryCtx> ctx, QueryOutcome outcome)
 {
-    // A template that passed the cheap checksum pre-check but failed
-    // the full restore validation: evict, recompile, resubmit once.
+    // A template whose restore refused it (its checksums no longer
+    // match): evict, recompile, resubmit once.
     // (Twice corrupt means something is systematically wrong — the
     // client gets the classified failure.)
     if (outcome.status == QueryStatus::Failed &&

@@ -12,10 +12,10 @@
  *  1. **Warm snapshot-template cache** (ImageCache): the first query
  *     for a (program, goal, config) triple pays the full compile +
  *     static link + download and snapshots the post-download machine
- *     as a KCMSNAP4 template; every later identical query restores the
- *     template into a pooled worker — zero recompilation. Templates
- *     are checksum re-validated on every lookup AND on every restore;
- *     a corrupt entry is evicted and the query transparently
+ *     as a KCMSNAP5 template; every later identical query restores the
+ *     template into a pooled worker — zero recompilation. Every
+ *     restore verifies the template's checksums before it mutates the
+ *     machine; a corrupt entry is evicted and the query transparently
  *     recompiled (once), so the cache can only ever cost time, never
  *     correctness. A query that fails with a machine trap or a
  *     resource error leaves that failure with its template (not in

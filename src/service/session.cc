@@ -97,10 +97,11 @@ bool
 Session::coldStart()
 {
     // Bring the machine to its ready-to-run state: download the
-    // compiled image, or restore the shared post-download KCMSNAP4
-    // template (the warm-cache path; restoreSnapshot re-validates
-    // every section checksum before mutating anything, so a corrupt
-    // template is reported here and never executes).
+    // compiled image, or restore the shared post-download KCMSNAP5
+    // template (the warm-cache path; restoreSnapshot verifies every
+    // section checksum before mutating anything, and the cache lookup
+    // does not, so this is the one check: a corrupt template is
+    // reported here and never executes).
     if (template_) {
         try {
             restoreSnapshot(*machine_, *template_);
@@ -168,7 +169,7 @@ Session::run()
     if (!machine_)
         machine_ = std::make_unique<Machine>(options_.machine);
     if (!coldStart()) {
-        // The warm-start template failed checksum re-validation: a
+        // The warm-start template failed its checksum verification: a
         // corrupt cache entry is never executed. Classified so the
         // owner evicts the entry and recompiles.
         out.status = QueryStatus::Failed;

@@ -119,7 +119,7 @@ struct FailureReport
      *  deadline), "overloaded", "interrupted" (aborted by a shutdown
      *  request at an instruction boundary) or
      *  "corrupt_image_template" (a warm-start
-     *  snapshot failed its checksum re-validation; the caller evicts
+     *  snapshot failed its checksum verification; the caller evicts
      *  and recompiles). */
     std::string classification;
 
@@ -205,11 +205,11 @@ class Session
 
     /**
      * Warm start: instead of compiling and load()ing an image, the
-     * session restores a post-download KCMSNAP4 template (the state a
+     * session restores a post-download KCMSNAP5 template (the state a
      * load() of the compiled image produces) into its machine — the
      * server's snapshot-template cache path. The template buffer is
      * shared between concurrent sessions and never modified; if its
-     * checksums fail re-validation on restore the session fails
+     * checksums fail verification on restore the session fails
      * cleanly with classification "corrupt_image_template" so the
      * owner can evict the entry and recompile.
      *

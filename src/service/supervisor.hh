@@ -179,8 +179,8 @@ class Supervisor
      * including a shed query, whose callback fires with the
      * "overloaded" failure before submitAsync returns. Queries run
      * from the compiled @p image, or warm-start from a shared
-     * post-download KCMSNAP4 @p warm template (Session re-validates
-     * its checksums on restore). Thread-safe against concurrent
+     * post-download KCMSNAP5 @p warm template (Session verifies its
+     * checksums on restore). Thread-safe against concurrent
      * submitters.
      */
     void submitAsync(QueryJob job, CodeImage image, Completion done);

@@ -8,7 +8,7 @@
  * arrays of scalars, e.g. the "answers" list); anything else — nested
  * objects, unterminated strings, binary garbage, oversized lines — is
  * rejected with a diagnostic instead of trusting the peer. The codec
- * is hardened the same way the KCMSNAP4 container is: every parse is
+ * is hardened the same way the snapshot container is: every parse is
  * bounds-checked, and a malformed frame can only ever produce a
  * "bad_request" reply, never undefined behaviour or a crash.
  *

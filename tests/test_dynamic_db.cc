@@ -3,7 +3,7 @@
  * Dynamic clause-store tests: ClauseStore unit behaviour (indexing,
  * logical update view, serialization, index ablation), differential
  * assert/retract semantics across the fast core, the decode-per-step
- * oracle and the baseline interpreter, and KCMSNAP4 snapshot/restore
+ * oracle and the baseline interpreter, and KCMSNAP5 snapshot/restore
  * of mid-iteration dynamic-database state.
  */
 
@@ -386,7 +386,7 @@ TEST(DynamicDbDifferential, DynamicInitFromConsultedClauses)
     compareEngines(program, "assertz(p(3, c)), bridge(3, Y)");
 }
 
-// --- KCMSNAP4 snapshot/restore of dynamic state -------------------
+// --- KCMSNAP5 snapshot/restore of dynamic state -------------------
 
 TEST(DynamicDbSnapshot, MidIterationStateRestoresBitIdentically)
 {

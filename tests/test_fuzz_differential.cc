@@ -463,7 +463,7 @@ TEST_P(FuzzSnapshot, CorruptedSnapshotsRejectedWithoutPartialMutation)
     // Every corruption of a snapshot container — truncation anywhere,
     // any byte changed anywhere (magic, section table, payload) — must
     // be rejected with a diagnostic, and a rejected restore must leave
-    // the target machine untouched: KCMSNAP4 validates the whole
+    // the target machine untouched: restoreSnapshot validates the whole
     // container (lengths + per-section checksums) before mutating
     // anything.
     TermGen gen(GetParam() * 2654435761u);

@@ -587,7 +587,7 @@ TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
 TEST(Supervisor, WarmTemplateAsyncMatchesColdImage)
 {
     // The warm snapshot-template path the server's image cache uses:
-    // a query warm-started from a post-download KCMSNAP4 template
+    // a query warm-started from a post-download KCMSNAP5 template
     // must produce the same answer and the same simulated cycle count
     // as one cold-started from the compiled image.
     service::SupervisorOptions options;
