@@ -23,8 +23,10 @@
  * Modes:
  *   (default)      chaos sweep; writes BENCH_chaos.json
  *   --overhead     checkpoint + recovery overhead vs interval (the
- *                  EXPERIMENTS.md table); asserts that checkpointing
- *                  never changes the simulated metrics
+ *                  EXPERIMENTS.md table: host columns are thread CPU
+ *                  time, median and quartiles of 5 repetitions);
+ *                  asserts that checkpointing never changes the
+ *                  simulated metrics
  *
  * Options: --queries N (per family, default 200), --workers N
  * (default 4), --json PATH.
@@ -34,8 +36,8 @@
  * 2 = harness error.
  */
 
+#include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +45,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <time.h>
 #include <vector>
 
 #include "base/logging.hh"
@@ -377,16 +380,51 @@ chaosSweep(int queries_per_family, unsigned workers,
     return divergences ? 1 : 0;
 }
 
+/** CPU time of the calling thread, in seconds. */
+double
+threadCpuSeconds()
+{
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+/** "median [q1, q3]" of @p v, each printed with @p format
+ *  (linear interpolation between closest ranks). */
+std::string
+quartiles(std::vector<double> v, const char *format)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&](double q) {
+        const double pos = q * double(v.size() - 1);
+        const size_t lo = size_t(pos);
+        const size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (v[hi] - v[lo]) * (pos - double(lo));
+    };
+    char buf[96];
+    const std::string f = cat(format, " [", format, ", ", format, "]");
+    snprintf(buf, sizeof buf, f.c_str(), at(0.5), at(0.25), at(0.75));
+    return buf;
+}
+
 /**
- * Checkpoint + recovery overhead vs interval, on a fixed ~3 Mcycle
+ * Checkpoint + recovery overhead vs interval, on a fixed ~4.9 Mcycle
  * query. For each interval: a fault-free supervised run (checkpoint
  * cost; simulated metrics must be identical to the unsupervised
  * baseline) and a run with a page fault injected mid-query (recovery
  * cost). Prints the EXPERIMENTS.md table.
+ *
+ * Both sides of the host-overhead ratio time the same work with the
+ * calling thread's CPU clock: building the machine, loading the image
+ * and running (Session::run builds and loads inside its own run). Each
+ * row repeats the pair overheadRepetitions times, alternating which
+ * side runs first, and prints the median and quartiles of the
+ * per-pair ratios.
  */
 int
 overheadTable()
 {
+    constexpr int overheadRepetitions = 5;
     // The determinate (cut) iteration: ~4.9 simulated Mcycles with a
     // flat stack, so the run crosses even the 4-Mcycle checkpoint
     // interval without piling up choice points.
@@ -397,26 +435,36 @@ overheadTable()
     system.consult(chaosProgram);
     CodeImage image = system.compileOnly(goal);
 
-    // Unsupervised baseline.
-    Machine baseline_machine(options.machine);
-    baseline_machine.load(image);
-    auto t0 = std::chrono::steady_clock::now();
-    RunStatus status = baseline_machine.run();
-    double base_host = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    if (status != RunStatus::SolutionFound) {
+    // Unsupervised baseline: built, loaded and run on this thread.
+    struct BaselineRun
+    {
+        double cpuSeconds;
+        bool completed;
+        uint64_t cycles, instructions;
+    };
+    auto baseline = [&] {
+        const double c0 = threadCpuSeconds();
+        Machine machine(options.machine);
+        machine.load(image);
+        const bool completed = machine.run() == RunStatus::SolutionFound;
+        return BaselineRun{threadCpuSeconds() - c0, completed,
+                           machine.cycles(), machine.instructions()};
+    };
+    // An untimed first run warms the host and fixes the reference.
+    const BaselineRun ref = baseline();
+    if (!ref.completed) {
         fprintf(stderr, "overhead: baseline run did not complete\n");
         return 2;
     }
-    uint64_t base_cycles = baseline_machine.cycles();
-    uint64_t base_instr = baseline_machine.instructions();
+    const uint64_t ref_cycles = ref.cycles, ref_instr = ref.instructions;
 
-    printf("checkpoint/recovery overhead, goal %s (%llu cycles)\n\n",
-           goal, (unsigned long long)base_cycles);
+    printf("checkpoint/recovery overhead, goal %s (%llu cycles); host "
+           "columns: calling-thread CPU time of build + load + run, "
+           "median [q1, q3] of %d alternating repetitions\n\n",
+           goal, (unsigned long long)ref_cycles, overheadRepetitions);
     printf("| interval (Mcycles) | checkpoints | snapshot bytes | "
            "host overhead | sim cycles identical | recovery cycles "
-           "(mid-run fault) | recovery host ms |\n");
+           "(mid-run fault) | recovery host CPU ms |\n");
     printf("|---|---|---|---|---|---|---|\n");
 
     int rc = 0;
@@ -427,44 +475,61 @@ overheadTable()
         sopt.maxRetries = 3;
         sopt.backoffBaseMs = 0;
 
-        // Fault-free: checkpoint cost + metric determinism.
-        service::Session clean(image, sopt);
-        t0 = std::chrono::steady_clock::now();
-        service::QueryOutcome out = clean.run();
-        double host = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        bool identical = out.cycles == base_cycles &&
-                         out.instructions == base_instr;
-        if (!identical)
-            rc = 1; // determinism violation
-
-        // Faulted: inject a page fault mid-run, measure recovery.
         service::SessionOptions fopt = sopt;
         FaultAction fault;
-        fault.cycle = base_cycles / 2;
+        fault.cycle = ref_cycles / 2;
         fault.kind = FaultKind::InjectPageFault;
         fopt.machine.faultPlan.actions.push_back(fault);
-        service::Session faulted(image, fopt);
-        t0 = std::chrono::steady_clock::now();
-        service::QueryOutcome fout = faulted.run();
-        double fhost = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        bool recovered =
-            fout.status == service::QueryStatus::Completed &&
-            fout.success && fout.cycles == base_cycles;
-        if (!recovered)
-            rc = 1;
 
-        printf("| %llu | %llu | %llu | %+.0f%% | %s | %llu | %.1f |\n",
+        std::vector<double> overhead_pct, recovery_ms;
+        service::QueryOutcome out, fout;
+        bool identical = true, recovered = true;
+        for (int rep = 0; rep < overheadRepetitions; ++rep) {
+            // Fault-free: checkpoint cost + metric determinism. The
+            // side that runs first alternates, so drift in the host's
+            // speed lands on both.
+            double host = 0;
+            auto supervised = [&] {
+                const double c0 = threadCpuSeconds();
+                service::Session clean(image, sopt);
+                out = clean.run();
+                host = threadCpuSeconds() - c0;
+            };
+            if (rep % 2)
+                supervised();
+            const BaselineRun base = baseline();
+            if (!(rep % 2))
+                supervised();
+            overhead_pct.push_back(
+                base.cpuSeconds > 0
+                    ? (host / base.cpuSeconds - 1.0) * 100.0
+                    : 0.0);
+            identical = identical && base.completed &&
+                        base.cycles == ref_cycles &&
+                        base.instructions == ref_instr &&
+                        out.cycles == ref_cycles &&
+                        out.instructions == ref_instr;
+
+            // Faulted: inject a page fault mid-run, measure recovery.
+            const double f0 = threadCpuSeconds();
+            service::Session faulted(image, fopt);
+            fout = faulted.run();
+            recovery_ms.push_back((threadCpuSeconds() - f0) * 1e3);
+            recovered = recovered &&
+                        fout.status == service::QueryStatus::Completed &&
+                        fout.success && fout.cycles == ref_cycles;
+        }
+        if (!identical || !recovered)
+            rc = 1; // determinism violation
+
+        printf("| %llu | %llu | %llu | %s | %s | %llu | %s |\n",
                (unsigned long long)interval,
                (unsigned long long)out.counters.checkpoints,
                (unsigned long long)out.counters.checkpointBytes,
-               base_host > 0 ? (host / base_host - 1.0) * 100.0 : 0.0,
+               quartiles(overhead_pct, "%+.0f%%").c_str(),
                identical ? "yes" : "NO (BUG)",
                (unsigned long long)fout.counters.recoveryCycles,
-               fhost * 1e3);
+               quartiles(recovery_ms, "%.1f").c_str());
     }
     return rc;
 }

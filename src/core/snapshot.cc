@@ -47,18 +47,22 @@ namespace
  * The memory payload is sparse throughout, so its size tracks live
  * state rather than the board:
  *  - Main memory is recorded as (address, value) pairs for its
- *    nonzero words. The MMU hands out physical pages as a dense
- *    prefix and every physical write goes through it, so words at or
- *    past allocatedPages() << pageShift are always zero and save and
- *    restore touch only that prefix. The bytes do not depend on that:
- *    a scan of the whole board writes the same ones.
+ *    nonzero words, in ascending address order.
  *  - The page table is recorded as (index, raw) pairs for its nonzero
  *    entries, and each cache array as one (index, fields) entry per
- *    valid cell. No simulated behaviour reads an invalid cell's tag or
- *    data (every cache path tests `valid` first; invalidateAll leaves
- *    stale tags behind), so restore resets the whole table and both
- *    arrays to their default (invalid, zero) state and then applies
- *    the entries: continuations and re-snapshots stay exact.
+ *    valid cell, in ascending index order.
+ *
+ * Save and restore cost what the machine touched, not the arrays:
+ * each of the four arrays keeps a host-side touched set
+ * (mem/touched_set.hh) that holds every element differing from its
+ * default (64-word blocks for main memory). Save scans only the marked
+ * elements, in ascending order and with the filters above, so it
+ * writes the bytes a scan of the whole array would. Restore resets
+ * each marked element to its default (zero word, zero entry, invalid
+ * zero cell), unmarking it, then applies the recorded entries and
+ * marks each. No simulated behaviour reads an invalid cell's tag or
+ * data (every cache path tests `valid` first), so continuations and
+ * re-snapshots stay exact.
  *
  * restoreSnapshot() validates the whole container — structure,
  * lengths, every checksum, geometry — before mutating one word of the
@@ -278,42 +282,62 @@ struct SectionView
 
 /**
  * Record a fixed hardware array sparsely: a count, then the index and
- * the fields (@p save) of each entry @p live accepts. The arrays (page
- * table, cache cells) hold tens of thousands of entries, so count and
- * index are u32. One pass: the count is a placeholder, patched after.
+ * the fields (@p save) of each entry @p live accepts. Only the entries
+ * in @p touched can be live, so only those are scanned, in ascending
+ * order. The arrays (page table, cache cells) hold tens of thousands
+ * of entries, so count and index are u32. One pass: the count is a
+ * placeholder, patched after.
  */
 template <typename T, typename Live, typename Save>
 void
-saveSparse(ByteWriter &w, const std::vector<T> &cells, Live live, Save save)
+saveSparse(ByteWriter &w, const std::vector<T> &cells,
+           const TouchedSet &touched, Live live, Save save)
 {
     const size_t count_at = w.tell();
     w.u32(0);
     uint32_t count = 0;
-    for (size_t i = 0; i < cells.size(); ++i) {
+    touched.forEach([&](size_t i) {
         if (live(cells[i])) {
             w.u32(uint32_t(i));
             save(cells[i]);
             ++count;
         }
-    }
+    });
     w.patch(count_at, count);
 }
 
-/** Mirror of saveSparse(): reset every entry to its default (invalid,
- *  zero) state, then apply the recorded ones with @p load. */
+/** Mirror of saveSparse(): reset every touched entry to its default
+ *  (invalid, zero) state, then apply the recorded ones with @p load,
+ *  marking each. */
 template <typename T, typename Load>
 void
-restoreSparse(ByteReader &r, std::vector<T> &cells, const char *what,
-              Load load)
+restoreSparse(ByteReader &r, std::vector<T> &cells, TouchedSet &touched,
+              const char *what, Load load)
 {
-    std::fill(cells.begin(), cells.end(), T{});
+    touched.drain([&](size_t i) { cells[i] = T{}; });
     uint32_t count = r.u32();
     for (uint32_t k = 0; k < count; ++k) {
         uint32_t i = r.u32();
         if (i >= cells.size())
             fatal("snapshot: ", what, " index out of range");
+        touched.mark(i);
         load(cells[i]);
     }
+}
+
+/** Name of the first element of @p cells that differs from its
+ *  default (@p is_default) but is not in @p touched, or "". */
+template <typename T, typename IsDefault>
+std::string
+firstUntracked(const std::vector<T> &cells, const TouchedSet &touched,
+               IsDefault is_default, const char *what)
+{
+    std::vector<bool> marked(cells.size());
+    touched.forEach([&](size_t i) { marked[i] = true; });
+    for (size_t i = 0; i < cells.size(); ++i)
+        if (!marked[i] && !is_default(cells[i]))
+            return cat(what, " ", i);
+    return "";
 }
 
 /**
@@ -421,15 +445,13 @@ struct SnapshotAccess
                   " cells, machine ", mem.codeCache().cells_.size(), ")");
     }
 
-    /** Words in the physical prefix the MMU has handed out. Every
-     *  physical write goes through Mmu::translate, which allocates
-     *  pages densely from zero, so every word at or past this bound
-     *  is zero. */
-    static size_t
-    allocatedWords(MemSystem &mem)
+    /** The words of touched block @p block of @p mm: [first, end). */
+    static std::pair<size_t, size_t>
+    blockWords(const MainMemory &mm, size_t block)
     {
-        return std::min(size_t(mem.mmu().allocatedPages()) << pageShift,
-                        mem.memory().sizeWords());
+        constexpr size_t words = size_t(1) << MainMemory::touchedBlockShift;
+        const size_t first = block * words;
+        return {first, std::min(first + words, mm.sizeWords())};
     }
 
     static void
@@ -438,21 +460,23 @@ struct SnapshotAccess
         saveMemGeometry(mem, w);
 
         // Main memory, sparse: only nonzero words are recorded, and
-        // only the allocated prefix can hold one. One pass: the count
-        // is a placeholder, patched after.
+        // only a touched block can hold one. One pass: the count is a
+        // placeholder, patched after.
         MainMemory &mm = mem.memory();
         const uint64_t *words = mm.data_.get();
-        const size_t live = allocatedWords(mem);
         const size_t count_at = w.tell();
         w.u64(0);
         uint64_t nonzero = 0;
-        for (size_t a = 0; a < live; ++a) {
-            if (words[a]) {
-                w.u64(a);
-                w.u64(words[a]);
-                ++nonzero;
+        mm.touched_.forEach([&](size_t block) {
+            const auto [first, end] = blockWords(mm, block);
+            for (size_t a = first; a < end; ++a) {
+                if (words[a]) {
+                    w.u64(a);
+                    w.u64(words[a]);
+                    ++nonzero;
+                }
             }
-        }
+        });
         w.patch(count_at, nonzero);
         w.counter(mm.readWords);
         w.counter(mm.writtenWords);
@@ -461,7 +485,8 @@ struct SnapshotAccess
         // Page table, sparse: only nonzero entries are recorded.
         Mmu &mmu = mem.mmu();
         saveSparse(
-            w, mmu.table_, [](const PageEntry &e) { return e.raw != 0; },
+            w, mmu.table_, mmu.touched_,
+            [](const PageEntry &e) { return e.raw != 0; },
             [&](const PageEntry &e) { w.u16(e.raw); });
         w.u16(mmu.nextPhysPage_);
         w.boolean(mmu.injectFault_);
@@ -472,7 +497,8 @@ struct SnapshotAccess
         // data). An invalid cell's tag and data are never read.
         DataCache &dc = mem.dataCache();
         saveSparse(
-            w, dc.cells_, [](const DataCache::Cell &c) { return c.valid; },
+            w, dc.cells_, dc.touched_,
+            [](const DataCache::Cell &c) { return c.valid; },
             [&](const DataCache::Cell &c) {
                 w.boolean(c.dirty);
                 w.u32(c.vaddr);
@@ -487,7 +513,8 @@ struct SnapshotAccess
         // Code cache array, sparse: valid cells only (tag, data).
         CodeCache &cc = mem.codeCache();
         saveSparse(
-            w, cc.cells_, [](const CodeCache::Cell &c) { return c.valid; },
+            w, cc.cells_, cc.touched_,
+            [](const CodeCache::Cell &c) { return c.valid; },
             [&](const CodeCache::Cell &c) {
                 w.u32(c.vaddr);
                 w.u64(c.data);
@@ -520,10 +547,14 @@ struct SnapshotAccess
             r.u64();
 
         MainMemory &mm = mem.memory();
-        // Clear the target's allocated prefix (past it every word is
-        // already zero; read it before the page table below replaces
-        // it), then apply the recorded nonzero words.
-        std::fill_n(mm.data_.get(), allocatedWords(mem), uint64_t(0));
+        // Zero the target's touched blocks (every other word is
+        // already zero), then apply the recorded nonzero words; poke()
+        // marks their blocks.
+        mm.touched_.drain([&](size_t block) {
+            const auto [first, end] = blockWords(mm, block);
+            std::fill(mm.data_.get() + first, mm.data_.get() + end,
+                      uint64_t(0));
+        });
         uint64_t nonzero = r.u64();
         for (uint64_t i = 0; i < nonzero; ++i) {
             uint64_t a = r.u64();
@@ -536,7 +567,7 @@ struct SnapshotAccess
         r.counter(mm.transactions);
 
         Mmu &mmu = mem.mmu();
-        restoreSparse(r, mmu.table_, "page-table entry",
+        restoreSparse(r, mmu.table_, mmu.touched_, "page-table entry",
                       [&](PageEntry &e) { e.raw = r.u16(); });
         mmu.nextPhysPage_ = r.u16();
         mmu.injectFault_ = r.boolean();
@@ -544,7 +575,7 @@ struct SnapshotAccess
         r.counter(mmu.demandFaults);
 
         DataCache &dc = mem.dataCache();
-        restoreSparse(r, dc.cells_, "data-cache cell",
+        restoreSparse(r, dc.cells_, dc.touched_, "data-cache cell",
                       [&](DataCache::Cell &c) {
                           c.valid = true;
                           c.dirty = r.boolean();
@@ -558,7 +589,7 @@ struct SnapshotAccess
         r.counter(dc.writeBacks);
 
         CodeCache &cc = mem.codeCache();
-        restoreSparse(r, cc.cells_, "code-cache cell",
+        restoreSparse(r, cc.cells_, cc.touched_, "code-cache cell",
                       [&](CodeCache::Cell &c) {
                           c.valid = true;
                           c.vaddr = Addr(r.u32());
@@ -922,6 +953,38 @@ struct SnapshotAccess
                         blob.size());
     }
 
+    static std::string
+    untrackedState(MemSystem &mem)
+    {
+        MainMemory &mm = mem.memory();
+        std::vector<bool> blocks(
+            (mm.sizeWords() >> MainMemory::touchedBlockShift) + 1);
+        mm.touched_.forEach([&](size_t block) { blocks[block] = true; });
+        for (size_t a = 0; a < mm.sizeWords(); ++a)
+            if (mm.data_[a] && !blocks[a >> MainMemory::touchedBlockShift])
+                return cat("main-memory word ", a);
+
+        std::string found = firstUntracked(
+            mem.mmu().table_, mem.mmu().touched_,
+            [](const PageEntry &e) { return e.raw == 0; },
+            "page-table entry");
+        if (found.empty())
+            found = firstUntracked(
+                mem.dataCache().cells_, mem.dataCache().touched_,
+                [](const DataCache::Cell &c) {
+                    return !c.valid && !c.dirty && !c.vaddr && !c.data;
+                },
+                "data-cache cell");
+        if (found.empty())
+            found = firstUntracked(
+                mem.codeCache().cells_, mem.codeCache().touched_,
+                [](const CodeCache::Cell &c) {
+                    return !c.valid && !c.vaddr && !c.data;
+                },
+                "code-cache cell");
+        return found;
+    }
+
     static MemSystem &mem(Machine &m) { return *m.mem_; }
 };
 
@@ -980,6 +1043,12 @@ validateSnapshot(const Snapshot &snapshot, std::string *why)
             *why = e.what();
         return false;
     }
+}
+
+std::string
+untrackedState(Machine &machine)
+{
+    return SnapshotAccess::untrackedState(SnapshotAccess::mem(machine));
 }
 
 void

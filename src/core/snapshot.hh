@@ -25,18 +25,18 @@
  * truncated or bit-flipped blob is rejected with a diagnostic and the
  * target machine is left exactly as it was (no partial restore).
  *
- * Cost is proportional to live state, not to the board: the MMU hands
- * out physical pages as a dense prefix (Mmu::allocatedPages()) and
- * every physical write goes through it, so every word at or past
- * allocatedPages() << pageShift is zero. Saving scans only that prefix
- * and restoring clears only the target's; the bytes are the ones a
- * scan of the whole board would write. The page table and both cache
- * arrays are fixed hardware, mostly unused: they are recorded as
- * (index, fields) entries for nonzero entries and valid cells only.
- * No simulated behaviour reads an invalid cell's tag or data, so
- * restore resets the table and both arrays to their default (invalid,
- * zero) state before applying the entries, and continuations and
- * re-snapshots stay exact.
+ * Cost is proportional to touched state, not to the board or the
+ * arrays: main memory (per 64-word block), the page table and both
+ * cache arrays each keep a host-side touched set holding every element
+ * that differs from its default (mem/touched_set.hh). Saving scans
+ * only the marked elements; the bytes are the ones a scan of the whole
+ * board and arrays would write. Restoring resets only the target's
+ * marked elements to their default, then applies the recorded ones.
+ * The page table and both cache arrays are fixed hardware, mostly
+ * unused: they are recorded as (index, fields) entries for nonzero
+ * entries and valid cells only. No simulated behaviour reads an
+ * invalid cell's tag or data, so continuations and re-snapshots stay
+ * exact.
  *
  * Scope and caveats:
  *  - Take snapshots at a run boundary (between run()/nextSolution()
@@ -92,6 +92,15 @@ void restoreSnapshot(Machine &machine, const Snapshot &snapshot);
  * truncated or bit-flipped image.
  */
 bool validateSnapshot(const Snapshot &snapshot, std::string *why = nullptr);
+
+/**
+ * For tests: the first main-memory word, page-table entry or cache
+ * cell of @p machine that differs from its default but is not in its
+ * unit's touched set, as "<what> <index>"; "" if there is none. Save
+ * and restore visit only the touched sets, so they are exact only
+ * while this is "".
+ */
+std::string untrackedState(Machine &machine);
 
 } // namespace kcm
 

@@ -8,7 +8,7 @@ namespace kcm
 CodeCache::CodeCache(Mmu &mmu, MainMemory &memory,
                      const CodeCacheConfig &config)
     : mmu_(mmu), memory_(memory), config_(config),
-      cells_(config.sizeWords), stats_("icache")
+      cells_(config.sizeWords), touched_(cells_.size()), stats_("icache")
 {
     if (config_.sizeWords == 0 ||
         (config_.sizeWords & (config_.sizeWords - 1))) {
@@ -22,7 +22,9 @@ CodeCache::CodeCache(Mmu &mmu, MainMemory &memory,
 void
 CodeCache::fill(Addr addr, uint64_t data)
 {
-    Cell &cell = cells_[addr & (config_.sizeWords - 1)];
+    const size_t index = addr & (config_.sizeWords - 1);
+    Cell &cell = cells_[index];
+    touched_.mark(index);
     cell.valid = true;
     cell.vaddr = addr;
     cell.data = data;
@@ -68,8 +70,7 @@ CodeCache::write(Addr addr, uint64_t value, unsigned &penalty_cycles)
 void
 CodeCache::invalidateAll()
 {
-    for (auto &cell : cells_)
-        cell.valid = false;
+    touched_.drain([&](size_t i) { cells_[i] = Cell{}; });
 }
 
 } // namespace kcm

@@ -6,6 +6,11 @@
  * Being write-through, it can use the memory's fast page mode to fetch
  * a few words ahead when a miss occurs; the prefetch depth is
  * configurable.
+ *
+ * Host side, the cell array keeps a touched set (mem/touched_set.hh):
+ * fill(), the only way a cell leaves its default (invalid, zero)
+ * state, marks the cell. invalidateAll() visits only the marked cells
+ * and puts each back to its default, and snapshots scan only them.
  */
 
 #ifndef KCM_MEM_CODE_CACHE_HH
@@ -18,6 +23,7 @@
 #include "isa/word.hh"
 #include "mem/main_memory.hh"
 #include "mem/mmu.hh"
+#include "mem/touched_set.hh"
 
 namespace kcm
 {
@@ -105,6 +111,7 @@ class CodeCache
     MainMemory &memory_;
     CodeCacheConfig config_;
     std::vector<Cell> cells_;
+    TouchedSet touched_; ///< cells that may differ from Cell{}
     StatGroup stats_;
 };
 

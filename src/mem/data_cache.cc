@@ -9,7 +9,7 @@ DataCache::DataCache(Mmu &mmu, MainMemory &memory,
                      const DataCacheConfig &config)
     : mmu_(mmu), memory_(memory), config_(config),
       cells_(size_t(config.sectionWords) * config.sections),
-      stats_("dcache")
+      touched_(cells_.size()), stats_("dcache")
 {
     if (config_.sectionWords == 0 ||
         (config_.sectionWords & (config_.sectionWords - 1))) {
@@ -47,7 +47,9 @@ DataCache::readMiss(Word addr_word, unsigned &penalty_cycles)
         return Word(raw);
     }
 
-    Cell &cell = cells_[indexOf(addr_word)];
+    const size_t index = indexOf(addr_word);
+    Cell &cell = cells_[index];
+    touched_.mark(index);
     ++readMisses;
     evict(cell, penalty_cycles);
     PhysAddr pa = mmu_.translate(AddrSpace::Data, a, false);
@@ -73,7 +75,9 @@ DataCache::writeMiss(Word addr_word, Word value, unsigned &penalty_cycles)
         return;
     }
 
-    Cell &cell = cells_[indexOf(addr_word)];
+    const size_t index = indexOf(addr_word);
+    Cell &cell = cells_[index];
+    touched_.mark(index);
     ++writeMisses;
     // Line size one: allocate without fetching from memory.
     evict(cell, penalty_cycles);
@@ -115,18 +119,16 @@ void
 DataCache::flushAll()
 {
     unsigned penalty = 0;
-    for (auto &cell : cells_) {
-        evict(cell, penalty);
-    }
+    touched_.drain([&](size_t i) {
+        evict(cells_[i], penalty);
+        cells_[i] = Cell{};
+    });
 }
 
 void
 DataCache::invalidateAll()
 {
-    for (auto &cell : cells_) {
-        cell.valid = false;
-        cell.dirty = false;
-    }
+    touched_.drain([&](size_t i) { cells_[i] = Cell{}; });
 }
 
 } // namespace kcm

@@ -14,6 +14,13 @@
  * memory fetch: items pushed on stacks and never read again cost no
  * memory-read traffic until eviction (this is why the paper chose
  * store-in given Prolog's ~1:1 read/write mix).
+ *
+ * Host side, the cell array keeps a touched set (mem/touched_set.hh):
+ * the miss paths mark the cell they fill, which is the only way a cell
+ * leaves its default (invalid, zero) state. The inline hit paths only
+ * change cells that are already valid, so they mark nothing.
+ * invalidateAll() and flushAll() visit only the marked cells and put
+ * each back to its default, and snapshots scan only them.
  */
 
 #ifndef KCM_MEM_DATA_CACHE_HH
@@ -26,6 +33,7 @@
 #include "isa/word.hh"
 #include "mem/main_memory.hh"
 #include "mem/mmu.hh"
+#include "mem/touched_set.hh"
 
 namespace kcm
 {
@@ -81,7 +89,7 @@ class DataCache
         writeMiss(addr_word, value, penalty_cycles);
     }
 
-    /** Write every dirty cell back to memory. */
+    /** Write every dirty cell back to memory and invalidate it. */
     void flushAll();
 
     /**
@@ -166,6 +174,7 @@ class DataCache
     MainMemory &memory_;
     DataCacheConfig config_;
     std::vector<Cell> cells_;
+    TouchedSet touched_; ///< cells that may differ from Cell{}
     StatGroup stats_;
 };
 

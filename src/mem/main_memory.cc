@@ -8,7 +8,10 @@ namespace kcm
 MainMemory::MainMemory(size_t size_words)
     : data_(static_cast<uint64_t *>(
           std::calloc(size_words ? size_words : 1, sizeof(uint64_t)))),
-      sizeWords_(size_words), stats_("memory")
+      sizeWords_(size_words),
+      touched_((size_words + (1u << touchedBlockShift) - 1) >>
+               touchedBlockShift),
+      stats_("memory")
 {
     if (!data_)
         panic("cannot allocate ", size_words, "-word main memory");
@@ -40,8 +43,10 @@ unsigned
 MainMemory::writeBurst(PhysAddr addr, const uint64_t *in, unsigned count)
 {
     checkRange(addr, count);
-    for (unsigned i = 0; i < count; ++i)
+    for (unsigned i = 0; i < count; ++i) {
         data_[addr + i] = in[i];
+        touched_.mark((addr + i) >> touchedBlockShift);
+    }
     writtenWords += count;
     ++transactions;
     return timings_.firstWord + (count - 1) * timings_.pageModeWord;
@@ -59,6 +64,7 @@ MainMemory::poke(PhysAddr addr, uint64_t value)
 {
     checkRange(addr, 1);
     data_[addr] = value;
+    touched_.mark(addr >> touchedBlockShift);
 }
 
 } // namespace kcm

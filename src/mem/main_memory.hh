@@ -6,6 +6,12 @@
  * fast page mode: a 64-bit word costs two 32-bit page-mode accesses;
  * sequential words within the same DRAM page are cheaper, which the
  * code cache exploits to prefetch.
+ *
+ * Host side, the board keeps a touched set of 64-word blocks (see
+ * mem/touched_set.hh): writeBurst() and poke(), which every physical
+ * write goes through, mark the block they write, so every nonzero
+ * word lies in a marked block and a snapshot scans, and a restore
+ * clears, only those.
  */
 
 #ifndef KCM_MEM_MAIN_MEMORY_HH
@@ -16,6 +22,7 @@
 #include <memory>
 
 #include "base/stats.hh"
+#include "mem/touched_set.hh"
 
 namespace kcm
 {
@@ -39,6 +46,9 @@ class MainMemory
   public:
     /** @param size_words capacity (default: one 32-Mbyte board). */
     explicit MainMemory(size_t size_words = 4 * 1024 * 1024);
+
+    /** log2 of the words per block of the touched set. */
+    static constexpr unsigned touchedBlockShift = 6;
 
     size_t sizeWords() const { return sizeWords_; }
 
@@ -79,6 +89,7 @@ class MainMemory
     // return 0, exactly as the old eagerly-zeroed vector did).
     std::unique_ptr<uint64_t[], FreeDeleter> data_;
     size_t sizeWords_ = 0;
+    TouchedSet touched_; ///< blocks that may hold a nonzero word
     MemTimings timings_;
     StatGroup stats_;
 };

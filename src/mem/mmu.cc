@@ -6,7 +6,8 @@ namespace kcm
 {
 
 Mmu::Mmu(MainMemory &memory)
-    : memory_(memory), table_(2 * numVirtualPages), stats_("mmu")
+    : memory_(memory), table_(2 * numVirtualPages),
+      touched_(table_.size()), stats_("mmu")
 {
     stats_.add("translations", translations);
     stats_.add("demandFaults", demandFaults);
@@ -17,8 +18,10 @@ Mmu::entry(AddrSpace space, uint32_t virtual_page)
 {
     if (virtual_page >= numVirtualPages)
         panic("virtual page out of range: ", virtual_page);
-    return table_[static_cast<uint32_t>(space) * numVirtualPages +
-                  virtual_page];
+    const uint32_t i =
+        static_cast<uint32_t>(space) * numVirtualPages + virtual_page;
+    touched_.mark(i);
+    return table_[i];
 }
 
 uint16_t

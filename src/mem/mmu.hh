@@ -9,6 +9,12 @@
  *
  * KCM's host serves page faults; here, the "host" is a demand
  * allocator handing out physical pages on first touch.
+ *
+ * Host side, the table keeps a touched set (mem/touched_set.hh):
+ * entry(), the one way to a mutable entry besides the inline hit path
+ * (which only sets bits of an entry that is already valid), marks the
+ * entry it returns, so every nonzero entry is marked and snapshots and
+ * restores visit only those.
  */
 
 #ifndef KCM_MEM_MMU_HH
@@ -20,6 +26,7 @@
 #include "base/stats.hh"
 #include "isa/word.hh"
 #include "mem/main_memory.hh"
+#include "mem/touched_set.hh"
 #include "mem/traps.hh"
 
 namespace kcm
@@ -93,7 +100,7 @@ class Mmu
 
     /** Direct page-table manipulation (used by the language system to
      *  move batch-compiled code pages from data to code space,
-     *  §3.2.1). */
+     *  §3.2.1). Marks the entry touched. */
     PageEntry &entry(AddrSpace space, uint32_t virtual_page);
 
     /**
@@ -126,6 +133,7 @@ class Mmu
 
     MainMemory &memory_;
     std::vector<PageEntry> table_; // [space][page] flattened
+    TouchedSet touched_;           ///< entries that may be nonzero
     uint16_t nextPhysPage_ = 0;
     bool injectFault_ = false;
     StatGroup stats_;

@@ -1,14 +1,43 @@
 /**
  * @file
- * Memory system tests: main memory timing, MMU, zone check, caches.
+ * Memory system tests: main memory timing, MMU, zone check, caches,
+ * and the host-side touched set they mark.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "base/logging.hh"
 #include "mem/mem_system.hh"
+#include "mem/touched_set.hh"
 
 using namespace kcm;
+
+// ----------------------------------------------------------- touched set
+
+TEST(TouchedSet, VisitsAscendingAndDrainLeavesNothingMarked)
+{
+    // 130 elements: three bitmap words, the last holding two. Marks
+    // arrive out of order, twice for one index, and straddle the
+    // 64-bit word boundaries.
+    TouchedSet set(130);
+    for (size_t i : {129, 64, 0, 63, 65, 64, 127, 128})
+        set.mark(i);
+    const std::vector<size_t> want = {0, 63, 64, 65, 127, 128, 129};
+
+    std::vector<size_t> seen;
+    set.forEach([&](size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, want);
+
+    seen.clear();
+    set.drain([&](size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, want);
+
+    seen.clear();
+    set.forEach([&](size_t i) { seen.push_back(i); });
+    EXPECT_TRUE(seen.empty());
+}
 
 // ---------------------------------------------------------------- memory
 

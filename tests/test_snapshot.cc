@@ -8,9 +8,10 @@
  * the resumed run equals the uninterrupted reference run, including
  * across firmware stack-zone growth, and a snapshot of the restored
  * machine is byte-identical to the snapshot it was restored from.
- * Save and restore cover only the MMU's allocated physical prefix,
- * which is sound because every word past it is zero; that invariant
- * is pinned down here too. The page table and both cache arrays are
+ * Save and restore visit only the elements in each unit's touched
+ * set, which is sound because every word, page-table entry and cache
+ * cell that differs from its default is in it; that invariant is
+ * pinned down here too. The page table and both cache arrays are
  * recorded sparsely (nonzero entries, valid cells), so a post-load
  * template's size tracks its live state. The code image is a binary
  * record of every CodeImage field, checked against the text image
@@ -97,7 +98,7 @@ const char *mklistProgram =
     "mklist(N, [N|T]) :- N > 0, M is N - 1, mklist(M, T).\n";
 
 /** Every physical word at or past the MMU's allocated prefix is zero:
- *  the invariant that lets snapshots skip the rest of the board. */
+ *  nothing of an earlier, larger run survives a restore. */
 ::testing::AssertionResult
 zeroPastAllocatedPrefix(Machine &m)
 {
@@ -562,43 +563,70 @@ TEST(Snapshot, PooledRestoreRedecodesExactlyTheChangedWords)
     }
 }
 
-TEST(Snapshot, WordsPastTheAllocatedPrefixStayZero)
+TEST(Snapshot, TouchedSetsCoverEveryNonDefaultElement)
 {
-    // Load, a run cut short by a trap, a collection, the finished run,
-    // and a restore: none may leave a nonzero word past the prefix.
+    // Take scans and restore resets only the touched sets, so every
+    // word, page-table entry and cache cell that differs from its
+    // default must be in one after each way a machine's state moves:
+    // load, a run cut short by a trap, a collection, the resumed run,
+    // restores that shrink and grow the allocated prefix, and a cold
+    // load into a used machine.
     CodeImage image = compileQuery(mklistProgram, "mklist(3000, L)");
     MachineConfig config;
     config.governor.cycleBudget = 20000;
     Machine m(config);
     m.load(image);
-    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after load";
+    EXPECT_EQ(untrackedState(m), "") << "after load";
 
     ASSERT_EQ(m.run(), RunStatus::Trapped);
     ASSERT_EQ(m.lastTrap().kind, TrapKind::Abort);
-    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after a trap";
+    EXPECT_EQ(untrackedState(m), "") << "after a trap";
 
     m.collectGarbage();
-    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after a collection";
+    EXPECT_EQ(untrackedState(m), "") << "after a collection";
 
     m.setCycleBudget(0);
     ASSERT_EQ(m.resume(), RunStatus::SolutionFound);
-    EXPECT_TRUE(zeroPastAllocatedPrefix(m)) << "after the run";
+    EXPECT_EQ(untrackedState(m), "") << "after the run";
+    const Snapshot large = takeSnapshot(m);
+    const uint32_t large_pages = m.mem().mmu().allocatedPages();
 
-    Snapshot snap = takeSnapshot(m);
-    Machine restored;
-    restoreSnapshot(restored, snap);
-    EXPECT_EQ(restored.mem().mmu().allocatedPages(),
-              m.mem().mmu().allocatedPages());
-    EXPECT_TRUE(zeroPastAllocatedPrefix(restored)) << "after a restore";
+    Machine restored(config);
+    restoreSnapshot(restored, large);
+    EXPECT_EQ(untrackedState(restored), "") << "after a fresh restore";
+
+    Machine small_source(config);
+    small_source.load(compileQuery(countProgram, "count(200)"));
+    const Snapshot small = takeSnapshot(small_source);
+    ASSERT_LT(small_source.mem().mmu().allocatedPages(), large_pages)
+        << "test premise: the template's prefix must be the smaller one";
+
+    restoreSnapshot(m, small);
+    EXPECT_EQ(untrackedState(m), "") << "after a shrinking restore";
+    EXPECT_EQ(takeSnapshot(m).bytes, small.bytes);
+
+    restoreSnapshot(m, large);
+    EXPECT_EQ(untrackedState(m), "") << "after a growing restore";
+    EXPECT_EQ(takeSnapshot(m).bytes, large.bytes);
+
+    // A cold load into a used machine, then a query that fails back
+    // into the bottom choice point: reading it misses on data-cache
+    // cells that no write has filled.
+    m.load(compileQuery(countProgram, "count(-1)"));
+    EXPECT_EQ(untrackedState(m), "") << "after a cold load into a used "
+                                        "machine";
+    m.setCycleBudget(0);
+    ASSERT_EQ(m.run(), RunStatus::Failed);
+    EXPECT_EQ(untrackedState(m), "") << "after a failed run";
 }
 
 TEST(Snapshot, RestoreOverALargerPrefixClearsItAndContinuesExactly)
 {
     // A small-prefix snapshot restored into a machine that has already
-    // run a bigger program: restore clears only the target's own
-    // prefix and resets the whole page table and both cache arrays,
-    // which must be enough to leave nothing of the old run. Two inputs:
-    // a mid-run snapshot, and the post-load template, in which every
+    // run a bigger program: restore resets only the words, page-table
+    // entries and cache cells the target's touched sets hold, which
+    // must be enough to leave nothing of the old run. Two inputs: a
+    // mid-run snapshot, and the post-load template, in which every
     // cache cell is invalid and only a few pages are mapped.
     CodeImage small = compileQuery(countProgram, "count(200)");
     Machine reference;
@@ -634,6 +662,7 @@ TEST(Snapshot, RestoreOverALargerPrefixClearsItAndContinuesExactly)
         EXPECT_EQ(target.mem().mmu().allocatedPages(), in->pages)
             << in->name;
         EXPECT_TRUE(zeroPastAllocatedPrefix(target)) << in->name;
+        EXPECT_EQ(untrackedState(target), "") << in->name;
         EXPECT_EQ(takeSnapshot(target).bytes, in->snap.bytes) << in->name;
 
         target.setCycleBudget(0);

@@ -12,10 +12,21 @@ first on even ones. Writes one JSON file: both commits, the command,
 every run's result line, and per workload and end-to-end metric (names
 and better-direction from the parent's BENCHMARK.json) each side's
 median and quartiles, the change/parent ratio of the medians, the
-parent's interquartile range over its median, and the pairs the change
-won (ties count for neither side). Exits 1 if any run was not correct,
-had failed operations or printed no result line; the file is written
-either way.
+parent's interquartile range over its median, the pairs the change
+won (ties count for neither side), and a verdict against the metric's
+`bound` in the parent's BENCHMARK.json:
+
+  gain        at least 10 pairs, the change won at least 9/10 of them,
+              and the medians differ by more than the parent's q3 - q1
+  worse       the change's median is worse than the parent's by more
+              than bound x the parent's median
+  unresolved  neither, the parent's IQR/median exceeds the bound, and
+              some change run does not beat every parent run
+  held        otherwise
+
+Exits 1 if any run was not correct, had failed operations or printed no
+result line; the file is written either way. Verdicts do not change
+the exit status.
 """
 
 import argparse
@@ -66,6 +77,24 @@ def spread(values):
             "q3": quantile(ordered, 0.75)}
 
 
+def verdict(values, parent, change, wins, lower, bound):
+    """gain, worse, unresolved or held (module docstring) for a
+    metric's (parent, change) pairs @p values, given each side's
+    spread()."""
+    sign = 1 if lower else -1
+    gap = sign * (parent["median"] - change["median"])  # > 0: better
+    iqr = parent["q3"] - parent["q1"]
+    if len(values) >= 10 and 10 * wins >= 9 * len(values) and gap > iqr:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "worse"
+    beats_all = all(sign * (p - c) > 0
+                    for p, _ in values for _, c in values)
+    if iqr > bound * abs(parent["median"]) and not beats_all:
+        return "unresolved"
+    return "held"
+
+
 def summarize(runs, workload, metrics):
     pairs = {}
     for run in runs:
@@ -95,6 +124,8 @@ def summarize(runs, workload, metrics):
             parent["median"] if parent["median"] else None,
             "change_wins": wins,
             "pairs": len(values),
+            "verdict": verdict(values, parent, change, wins, lower,
+                               metric["bound"]),
         }
     return summary
 
