@@ -295,18 +295,6 @@ spawnTortureDaemon(const std::string &path,
     return spawnDaemon(std::move(args), /*quiet_stderr=*/!verbose);
 }
 
-void
-reapKilled(Daemon &d)
-{
-    if (d.pid > 0) {
-        kill(d.pid, SIGKILL); // idempotent if the killer already fired
-        int status = 0;
-        waitpid(d.pid, &status, 0);
-        d.pid = -1;
-    }
-    d.closeFd();
-}
-
 // ------------------------------------------------------------------ //
 // The torture loop.
 // ------------------------------------------------------------------ //
@@ -385,7 +373,8 @@ runKillPhase(Daemon &daemon, const std::vector<MutEntry> &sched,
     done.store(true);
     killer.join();
     client.close();
-    reapKilled(daemon);
+    daemon.stop(SIGKILL); // idempotent if the killer already fired
+    daemon.closeFd();
     return res;
 }
 
@@ -659,12 +648,8 @@ tortureLoop(int iterations, const std::string &serverd,
             Daemon daemon = spawnTortureDaemon(serverd, jflags);
             if (!runProbes(daemon, sched, applied, oracle, tally, why)) {
                 failed = true;
-                reapKilled(daemon);
             } else {
-                kill(daemon.pid, SIGTERM);
-                int status = 0;
-                waitpid(daemon.pid, &status, 0);
-                daemon.pid = -1;
+                int status = daemon.stop(SIGTERM);
                 daemon.closeFd();
                 if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
                     why = "SIGTERM drain did not exit 0";

@@ -600,9 +600,7 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
             }
         }
         client.close();
-        kill(daemon.pid, SIGTERM);
-        int status = 0;
-        waitpid(daemon.pid, &status, 0);
+        int status = daemon.stop(SIGTERM);
         std::string drain = readLineFd(daemon.outFd);
         daemon.closeFd();
         service::JsonObject obj;
@@ -693,9 +691,7 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
             ++shared.tallies[family].matched;
         }
         client.close();
-        kill(daemon.pid, SIGTERM);
-        int status = 0;
-        waitpid(daemon.pid, &status, 0);
+        int status = daemon.stop(SIGTERM);
         daemon.closeFd();
         if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
             diverge("post-corruption drain did not exit 0");
@@ -807,9 +803,7 @@ replayPhase(const std::string &serverd, SweepShared &shared)
     }
 
     client.close();
-    kill(daemon.pid, SIGTERM);
-    int status = 0;
-    waitpid(daemon.pid, &status, 0);
+    int status = daemon.stop(SIGTERM);
     std::string drain = readLineFd(daemon.outFd);
     daemon.closeFd();
     service::JsonObject obj;
@@ -861,9 +855,7 @@ chaosSweep(int clients, int queries_per_client,
         while (shared.issued.load() < total / 2)
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
         shared.endpoint.restarting.store(true);
-        kill(daemon.pid, SIGKILL);
-        int status = 0;
-        waitpid(daemon.pid, &status, 0);
+        daemon.stop(SIGKILL);
         daemon.closeFd();
         printf("server_chaos: SIGKILLed daemon pid %d mid-run\n",
                int(daemon.pid));
@@ -880,8 +872,7 @@ chaosSweep(int clients, int queries_per_client,
         t.join();
 
     // The daemon must still be alive and serviceable.
-    int status = 0;
-    if (waitpid(daemon.pid, &status, WNOHANG) != 0) {
+    if (daemon.exited()) {
         fprintf(stderr, "server_chaos: daemon died during the sweep\n");
         return 1;
     }
@@ -906,8 +897,7 @@ chaosSweep(int clients, int queries_per_client,
     }
 
     // Final drain: SIGTERM must exit 0 and lose no accepted query.
-    kill(daemon.pid, SIGTERM);
-    waitpid(daemon.pid, &status, 0);
+    int status = daemon.stop(SIGTERM);
     bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
     std::string drain_line = readLineFd(daemon.outFd);
     daemon.closeFd();
@@ -1086,9 +1076,7 @@ cacheBench(const std::string &serverd, const std::string &json_path)
     ClientReply s = client.stats();
     uint64_t hits = uint64_t(s.num("cache_hits"));
     client.close();
-    kill(daemon.pid, SIGTERM);
-    int status = 0;
-    waitpid(daemon.pid, &status, 0);
+    daemon.stop(SIGTERM);
     daemon.closeFd();
 
     printf("warm-cache speedup (%d reps, goal %s):\n", reps,

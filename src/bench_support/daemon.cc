@@ -5,7 +5,11 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <utility>
+
 #include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "base/logging.hh"
@@ -13,6 +17,53 @@
 
 namespace kcm
 {
+
+Daemon::Daemon(Daemon &&other) noexcept
+{
+    *this = std::move(other);
+}
+
+Daemon &
+Daemon::operator=(Daemon &&other) noexcept
+{
+    if (this != &other) {
+        stop(SIGKILL);
+        closeFd();
+        pid = std::exchange(other.pid, -1);
+        outFd = std::exchange(other.outFd, -1);
+        port = other.port;
+        reaped_ = other.reaped_;
+    }
+    return *this;
+}
+
+Daemon::~Daemon()
+{
+    stop(SIGKILL);
+    closeFd();
+}
+
+int
+Daemon::stop(int signal)
+{
+    int status = 0;
+    if (pid <= 0 || reaped_)
+        return status;
+    kill(pid, signal);
+    waitpid(pid, &status, 0);
+    reaped_ = true;
+    return status;
+}
+
+bool
+Daemon::exited()
+{
+    int status = 0;
+    if (pid > 0 && !reaped_ && waitpid(pid, &status, WNOHANG) == 0)
+        return false;
+    reaped_ = true;
+    return true;
+}
 
 void
 Daemon::closeFd()

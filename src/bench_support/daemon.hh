@@ -18,14 +18,35 @@
 namespace kcm
 {
 
-/** A forked daemon: its pid, its stdout pipe and its port. */
+/**
+ * A forked daemon: its pid, its stdout pipe and its port. The owner
+ * reaps it: stop() signals it and waits, and a daemon that goes out of
+ * scope unreaped is SIGKILLed and reaped, so no early return leaves
+ * one running. Move-only.
+ */
 struct Daemon
 {
     pid_t pid = -1;
     int outFd = -1; ///< daemon stdout (port line, final drain line)
     uint16_t port = 0;
 
+    Daemon() = default;
+    Daemon(Daemon &&other) noexcept;
+    Daemon &operator=(Daemon &&other) noexcept;
+    ~Daemon();
+
+    /** Send @p signal and wait for the exit; the wait status. The
+     *  daemon is reaped; its stdout stays open for the drain line. */
+    int stop(int signal);
+
+    /** Whether the daemon has exited (reaping it if so); never
+     *  blocks. */
+    bool exited();
+
     void closeFd();
+
+  private:
+    bool reaped_ = false;
 };
 
 /**

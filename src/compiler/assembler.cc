@@ -107,4 +107,32 @@ Assembler::finalize(CodeImage &image)
     image.words = std::move(words_);
 }
 
+Addr
+Assembler::append(const Assembler &unit, Label unit_fail, Label fail,
+                  const std::function<Functor(const Functor &)> &rename)
+{
+    Addr at = here();
+    size_t offset = words_.size();
+    Addr fail_addr = labelAddrs_.at(fail);
+    if (fail_addr == 0)
+        panic("append: fail label unbound");
+    words_.insert(words_.end(), unit.words_.begin(), unit.words_.end());
+    instructionCount_ += unit.instructionCount_;
+    for (const auto &fixup : unit.labelFixups_) {
+        Addr target = fail_addr;
+        if (fixup.label != unit_fail) {
+            target = unit.labelAddrs_[fixup.label];
+            if (target == 0)
+                panic("append: unbound label ", fixup.label);
+            target = target - unit.base_ + at;
+        }
+        patchValue(offset + fixup.index, target, fixup.isTableWord);
+    }
+    for (const auto &fixup : unit.predFixups_) {
+        predFixups_.push_back(
+            {offset + fixup.index, rename(fixup.callee), fixup.isTableWord});
+    }
+    return at;
+}
+
 } // namespace kcm

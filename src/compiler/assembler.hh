@@ -11,6 +11,7 @@
 #define KCM_COMPILER_ASSEMBLER_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -71,6 +72,17 @@ class Assembler
      * linker in Compiler); move the words into @p image.
      */
     void finalize(CodeImage &image);
+
+    /**
+     * Copy the words of @p unit, an unfinalised assembler of its own,
+     * to the current address and return that address. The unit's
+     * bound labels are rebased and resolved here; its label
+     * @p unit_fail, left unbound, resolves to this assembler's @p fail,
+     * which must be bound. Its predicate fixups join this assembler's,
+     * each callee passed through @p rename, for the linker.
+     */
+    Addr append(const Assembler &unit, Label unit_fail, Label fail,
+                const std::function<Functor(const Functor &)> &rename);
 
     /** Unresolved predicate references: offset -> callee. */
     struct PredFixup

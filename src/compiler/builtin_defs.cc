@@ -1,5 +1,8 @@
 #include "compiler/builtin_defs.hh"
 
+#include <atomic>
+#include <memory>
+
 #include "base/logging.hh"
 
 namespace kcm
@@ -60,9 +63,20 @@ builtinTable()
 std::optional<BuiltinDef>
 findBuiltin(const Functor &f)
 {
-    for (const auto &def : builtinTable()) {
-        if (internAtom(def.name) == f.name && def.arity == f.arity)
-            return def;
+    // Each name is interned when a search first reaches it, as it
+    // always was, and remembered. 0 ("[]", the first atom) marks an
+    // entry not reached yet; racing searches store the same id.
+    const std::vector<BuiltinDef> &table = builtinTable();
+    static const std::unique_ptr<std::atomic<AtomId>[]> names =
+        std::make_unique<std::atomic<AtomId>[]>(table.size());
+    for (size_t i = 0; i < table.size(); ++i) {
+        AtomId name = names[i].load(std::memory_order_relaxed);
+        if (name == 0) {
+            name = internAtom(table[i].name);
+            names[i].store(name, std::memory_order_relaxed);
+        }
+        if (name == f.name && table[i].arity == f.arity)
+            return table[i];
     }
     return std::nullopt;
 }

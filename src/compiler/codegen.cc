@@ -1,5 +1,7 @@
 #include "compiler/codegen.hh"
 
+#include <array>
+
 #include "base/logging.hh"
 #include "compiler/builtin_defs.hh"
 #include "prolog/writer.hh"
@@ -34,10 +36,33 @@ constantWord(const TermRef &t)
 }
 
 bool
-isArithOp(const TermRef &t, const char *name, uint32_t arity)
+isArithOp(const TermRef &t, AtomId name, uint32_t arity)
 {
-    return t->isStruct() && t->arity() == arity &&
-           t->functorName() == internAtom(name);
+    return t->isStruct() && t->arity() == arity && t->functorName() == name;
+}
+
+// The operators below were all interned by the first OperatorTable, so
+// resolving them once moves no atom id.
+
+/** The inline comparisons of integer mode and their opcodes. */
+struct Comparison
+{
+    AtomId name;
+    Opcode op;
+};
+
+const std::array<Comparison, 6> &
+comparisons()
+{
+    static const std::array<Comparison, 6> table = {{
+        {internAtom("<"), Opcode::CmpLt},
+        {internAtom(">"), Opcode::CmpGt},
+        {internAtom("=<"), Opcode::CmpLe},
+        {internAtom(">="), Opcode::CmpGe},
+        {internAtom("=:="), Opcode::CmpEq},
+        {internAtom("=\\="), Opcode::CmpNe},
+    }};
+    return table;
 }
 
 } // namespace
@@ -51,24 +76,27 @@ ClauseCompiler::classify(const TermRef &goal) const
         AtomTable &atoms = AtomTable::instance();
         if (goal->atom() == atoms.trueAtom)
             return GoalClass::True;
-        if (goal->atom() == atoms.failAtom ||
-            goal->atom() == internAtom("false")) {
+        if (goal->atom() == atoms.failAtom)
             return GoalClass::Fail;
-        }
+        static const AtomId false_atom = internAtom("false");
+        if (goal->atom() == false_atom)
+            return GoalClass::Fail;
         if (goal->atom() == atoms.cutAtom)
             return GoalClass::Cut;
         return GoalClass::Call;
     }
     if (goal->isStruct() && goal->arity() == 2) {
-        const std::string &name = atomText(goal->functorName());
-        if (name == "=")
+        static const AtomId unify = internAtom("=");
+        static const AtomId is = internAtom("is");
+        AtomId name = goal->functorName();
+        if (name == unify)
             return GoalClass::Unify;
         if (options_.integerArithmetic) {
-            if (name == "is")
+            if (name == is)
                 return GoalClass::Is;
-            if (name == "<" || name == ">" || name == "=<" ||
-                name == ">=" || name == "=:=" || name == "=\\=") {
-                return GoalClass::Compare;
+            for (const Comparison &cmp : comparisons()) {
+                if (name == cmp.name)
+                    return GoalClass::Compare;
             }
         }
     }
@@ -476,7 +504,8 @@ ClauseCompiler::compileQuery(const std::vector<TermRef> &goals,
                              std::vector<TermRef> &var_order)
 {
     NormClause clause;
-    clause.head = Term::makeAtom(internAtom("$query"));
+    static const AtomId query_atom = internAtom("$query");
+    clause.head = Term::makeAtom(query_atom);
     clause.goals = goals;
     analyze(clause, true);
     arity_ = 0;
@@ -1025,24 +1054,28 @@ ClauseCompiler::evalArith(const TermRef &expr)
     if (expr->isVar())
         return termToReg(expr);
 
-    if (isArithOp(expr, "-", 1)) {
+    const AtomTable &atoms = AtomTable::instance();
+    if (isArithOp(expr, atoms.minus, 1)) {
         Reg a = evalArith(expr->arg(0));
         Reg d = newTemp();
         asm_.emit(Instr::makeRegs(Opcode::NativeNeg, a, 0, d));
         return d;
     }
-    if (isArithOp(expr, "+", 1))
+    if (isArithOp(expr, atoms.plus, 1))
         return evalArith(expr->arg(0));
 
     struct BinOp
     {
-        const char *name;
+        AtomId name;
         Opcode op;
     };
     static const BinOp ops[] = {
-        {"+", Opcode::NativeAdd},   {"-", Opcode::NativeSub},
-        {"*", Opcode::NativeMul},   {"//", Opcode::NativeDiv},
-        {"/", Opcode::NativeDiv},   {"mod", Opcode::NativeMod},
+        {atoms.plus, Opcode::NativeAdd},
+        {atoms.minus, Opcode::NativeSub},
+        {internAtom("*"), Opcode::NativeMul},
+        {internAtom("//"), Opcode::NativeDiv},
+        {internAtom("/"), Opcode::NativeDiv},
+        {internAtom("mod"), Opcode::NativeMod},
     };
     for (const auto &bin : ops) {
         if (isArithOp(expr, bin.name, 2)) {
@@ -1107,16 +1140,11 @@ ClauseCompiler::compileIsGoal(const TermRef &goal)
 void
 ClauseCompiler::compileCompareGoal(const TermRef &goal)
 {
-    static const std::pair<const char *, Opcode> cmps[] = {
-        {"<", Opcode::CmpLt},   {">", Opcode::CmpGt},
-        {"=<", Opcode::CmpLe},  {">=", Opcode::CmpGe},
-        {"=:=", Opcode::CmpEq}, {"=\\=", Opcode::CmpNe},
-    };
     Reg a = evalArith(goal->arg(0));
     Reg b = evalArith(goal->arg(1));
-    for (const auto &[name, op] : cmps) {
-        if (goal->functorName() == internAtom(name)) {
-            asm_.emit(Instr::makeRegs(op, a, b));
+    for (const Comparison &cmp : comparisons()) {
+        if (goal->functorName() == cmp.name) {
+            asm_.emit(Instr::makeRegs(cmp.op, a, b));
             markLast();
             return;
         }

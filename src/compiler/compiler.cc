@@ -1,5 +1,7 @@
 #include "compiler/compiler.hh"
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <set>
 
@@ -9,6 +11,83 @@
 
 namespace kcm
 {
+
+namespace
+{
+
+/**
+ * Add the predicate @p goal calls to @p called, unless the goal
+ * compiles inline: true, fail, false, !, =/2, and under integer
+ * arithmetic is/2 and the comparisons.
+ */
+void
+noteCalledGoal(const TermRef &goal, bool integer_arithmetic,
+               std::set<Functor> &called)
+{
+    if (goal->isAtom()) {
+        AtomTable &atoms = AtomTable::instance();
+        AtomId a = goal->atom();
+        if (a == atoms.trueAtom || a == atoms.failAtom ||
+            a == atoms.cutAtom)
+            return;
+        static const AtomId false_atom = internAtom("false");
+        if (a == false_atom)
+            return;
+        called.insert(Functor{a, 0});
+        return;
+    }
+    if (goal->arity() == 2) {
+        // Operators: the first OperatorTable interned them all.
+        static const AtomId unify = internAtom("=");
+        static const std::array<AtomId, 7> arith = {
+            internAtom("is"),  internAtom("<"),   internAtom(">"),
+            internAtom("=<"),  internAtom(">="),  internAtom("=:="),
+            internAtom("=\\=")};
+        AtomId name = goal->functorName();
+        if (name == unify)
+            return;
+        if (integer_arithmetic &&
+            std::find(arith.begin(), arith.end(), name) != arith.end())
+            return;
+    }
+    called.insert(goal->functor());
+}
+
+} // namespace
+
+LibraryUnit::LibraryUnit(const std::vector<ReadClause> &source,
+                         const CompilerOptions &options_in)
+    : options(options_in), clauses(&source)
+{
+    NormProgram program;
+    normalizeProgram(source, program);
+    auxiliaries = program.auxiliaries;
+    std::set<Functor> aux_set(auxiliaries.begin(), auxiliaries.end());
+    for (const Functor &functor : program.order) {
+        if (!aux_set.count(functor))
+            defines.insert(functor);
+        for (const auto &clause : program.preds.at(functor)) {
+            for (const auto &goal : clause.goals)
+                noteCalledGoal(goal, options.integerArithmetic, calls);
+        }
+    }
+    for (const Functor &functor : program.order)
+        calls.erase(functor);
+
+    CodegenOptions cg_options;
+    cg_options.integerArithmetic = options.integerArithmetic;
+    ClauseCompiler codegen(code, cg_options);
+    IndexingOptions ix_options;
+    ix_options.enabled = options.indexing;
+    failLabel = code.newLabel();
+    for (const Functor &functor : program.order) {
+        PredicateInfo info =
+            emitPredicate(code, codegen, functor, program.preds.at(functor),
+                          ix_options, failLabel);
+        info.fromLibrary = true;
+        predicates.push_back(info);
+    }
+}
 
 Compiler::Compiler(const CompilerOptions &options) : options_(options) {}
 
@@ -31,14 +110,34 @@ Compiler::addProgram(const std::string &source)
 void
 Compiler::addLibrary(const std::string &source)
 {
+    unlinkLibraryUnit();
     addSource(source, libraryClauses_);
 }
 
 void
-Compiler::addLibrary(const std::vector<ReadClause> &clauses)
+Compiler::addLibrary(const LibraryUnit &unit)
 {
-    libraryClauses_.insert(libraryClauses_.end(), clauses.begin(),
-                           clauses.end());
+    if (unit.options.integerArithmetic != options_.integerArithmetic ||
+        unit.options.indexing != options_.indexing)
+        panic("addLibrary: the unit was built under other code options");
+    if (libraryUnit_ || !libraryClauses_.empty()) {
+        unlinkLibraryUnit();
+        libraryClauses_.insert(libraryClauses_.end(), unit.clauses->begin(),
+                               unit.clauses->end());
+    } else {
+        libraryUnit_ = &unit;
+    }
+}
+
+void
+Compiler::unlinkLibraryUnit()
+{
+    if (!libraryUnit_)
+        return;
+    libraryClauses_.insert(libraryClauses_.end(),
+                           libraryUnit_->clauses->begin(),
+                           libraryUnit_->clauses->end());
+    libraryUnit_ = nullptr;
 }
 
 void
@@ -65,6 +164,42 @@ Compiler::compile()
         }
     };
     normalize_group(programClauses_, false);
+    const size_t program_end = program.order.size();
+
+    // The library unit links after the program's predicates, its i-th
+    // auxiliary renamed `$aux<P+i>` after the program's P: the names a
+    // whole-program compile gives it. A program that defines, or
+    // declares dynamic, a functor the unit defines under those names
+    // would merge with the library's clauses: compile them instead.
+    const LibraryUnit *unit = libraryUnit_;
+    std::vector<Functor> linked_aux;
+    if (unit) {
+        for (size_t i = 0; i < unit->auxiliaries.size(); ++i) {
+            linked_aux.push_back(Functor{
+                internAtom(cat("$aux", program.auxiliaries.size() + i)),
+                unit->auxiliaries[i].arity});
+        }
+    }
+    auto unit_defines = [&](const Functor &functor) {
+        return unit &&
+               (unit->defines.count(functor) ||
+                std::find(linked_aux.begin(), linked_aux.end(), functor) !=
+                    linked_aux.end());
+    };
+    if (unit &&
+        (std::any_of(program.order.begin(), program.order.end(),
+                     unit_defines) ||
+         std::any_of(program.dynamicDecls.begin(),
+                     program.dynamicDecls.end(), unit_defines))) {
+        normalize_group(*unit->clauses, true);
+        unit = nullptr;
+    }
+    if (unit) {
+        // Reserve the linked names: later auxiliaries number past them.
+        program.auxiliaries.insert(program.auxiliaries.end(),
+                                   linked_aux.begin(), linked_aux.end());
+    }
+    linkedLibrary_ = unit != nullptr;
     normalize_group(libraryClauses_, true);
 
     // In Table 2 mode the I/O predicates are unit clauses costing
@@ -90,8 +225,9 @@ Compiler::compile()
         if (!parser.readClause(read))
             fatal("empty query");
         TermRef body = read.term;
+        static const AtomId query_neck = internAtom("?-");
         if (body->isStruct() && body->arity() == 1 &&
-            (body->functorName() == internAtom("?-") ||
+            (body->functorName() == query_neck ||
              body->functorName() == AtomTable::instance().neck)) {
             body = body->arg(0);
         }
@@ -107,30 +243,12 @@ Compiler::compile()
     CodegenOptions cg_options;
     cg_options.integerArithmetic = options_.integerArithmetic;
 
+    // The unit's calls stand for its clauses' goals.
     std::set<Functor> called;
+    if (unit)
+        called = unit->calls;
     auto note_goal = [&](const TermRef &goal) {
-        if (goal->isAtom()) {
-            AtomTable &atoms = AtomTable::instance();
-            AtomId a = goal->atom();
-            if (a == atoms.trueAtom || a == atoms.failAtom ||
-                a == atoms.cutAtom || a == internAtom("false")) {
-                return;
-            }
-            called.insert(Functor{a, 0});
-            return;
-        }
-        const std::string &name = atomText(goal->functorName());
-        if (goal->arity() == 2) {
-            if (name == "=")
-                return;
-            if (options_.integerArithmetic &&
-                (name == "is" || name == "<" || name == ">" ||
-                 name == "=<" || name == ">=" || name == "=:=" ||
-                 name == "=\\=")) {
-                return;
-            }
-        }
-        called.insert(goal->functor());
+        noteCalledGoal(goal, options_.integerArithmetic, called);
     };
     for (const auto &[functor, clauses] : program.preds) {
         for (const auto &clause : clauses) {
@@ -173,7 +291,8 @@ Compiler::compile()
                                     program.dynamicDecls.end());
     bool wants_dynamic = !dynamic_preds.empty();
     for (const auto &functor : called) {
-        if (program.preds.count(functor) || dynamic_preds.count(functor))
+        if (program.preds.count(functor) || dynamic_preds.count(functor) ||
+            unit_defines(functor))
             continue;
         auto builtin = findBuiltin(functor);
         if (!builtin) {
@@ -270,7 +389,7 @@ Compiler::compile()
     // the predicate clauses at run time.
     for (const auto &functor : called) {
         if (program.preds.count(functor) ||
-            image.predicates.count(functor)) {
+            image.predicates.count(functor) || unit_defines(functor)) {
             continue;
         }
         auto builtin = findBuiltin(functor);
@@ -294,18 +413,40 @@ Compiler::compile()
         image.predicates[functor] = info;
     }
 
-    // User and library predicates.
+    // User and library predicates; a linked unit sits after the
+    // program's, where a whole-program compile emits its clauses.
     IndexingOptions ix_options;
     ix_options.enabled = options_.indexing;
-    for (const auto &functor : program.order) {
-        PredicateInfo info =
-            emitPredicate(assembler, codegen, functor,
-                          program.preds.at(functor), ix_options,
-                          fail_label);
-        auto lib_it = is_library.find(functor);
-        info.fromLibrary = lib_it != is_library.end() && lib_it->second;
-        image.predicates[functor] = info;
+    auto emit_predicates = [&](size_t from, size_t to) {
+        for (size_t i = from; i < to; ++i) {
+            const Functor &functor = program.order[i];
+            PredicateInfo info =
+                emitPredicate(assembler, codegen, functor,
+                              program.preds.at(functor), ix_options,
+                              fail_label);
+            auto lib_it = is_library.find(functor);
+            info.fromLibrary = lib_it != is_library.end() && lib_it->second;
+            image.predicates[functor] = info;
+        }
+    };
+    emit_predicates(0, program_end);
+    if (unit) {
+        auto rename = [&](const Functor &functor) {
+            for (size_t i = 0; i < unit->auxiliaries.size(); ++i) {
+                if (unit->auxiliaries[i] == functor)
+                    return linked_aux[i];
+            }
+            return functor;
+        };
+        Addr at = assembler.append(unit->code, unit->failLabel, fail_label,
+                                   rename);
+        for (PredicateInfo info : unit->predicates) {
+            info.functor = rename(info.functor);
+            info.entry = info.entry - unit->code.base() + at;
+            image.predicates[info.functor] = info;
+        }
     }
+    emit_predicates(program_end, program.order.size());
 
     // Query.
     if (!query_goals.empty()) {

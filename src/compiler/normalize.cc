@@ -11,11 +11,21 @@ namespace kcm
 namespace
 {
 
+// Fixed names are resolved once. Operators were all interned by the
+// first OperatorTable; every other name is resolved where it was
+// always first interned, so no atom id moves.
+
 bool
-isControlStruct(const TermRef &t, const char *name, uint32_t arity)
+isControlStruct(const TermRef &t, AtomId name, uint32_t arity)
 {
-    return t->isStruct() && t->arity() == arity &&
-           t->functorName() == internAtom(name);
+    return t->isStruct() && t->arity() == arity && t->functorName() == name;
+}
+
+AtomId
+negationAtom()
+{
+    static const AtomId id = internAtom("\\+");
+    return id;
 }
 
 class Normalizer
@@ -27,31 +37,35 @@ class Normalizer
     void
     flatten(const TermRef &body, std::vector<TermRef> &goals)
     {
-        if (body->isAtomNamed(AtomTable::instance().comma)) {
-            // A bare ',' atom is malformed; fall through to goal case.
-        }
-        if (isControlStruct(body, ",", 2)) {
+        const AtomTable &atoms = AtomTable::instance();
+        if (isControlStruct(body, atoms.comma, 2)) {
             flatten(body->arg(0), goals);
             flatten(body->arg(1), goals);
             return;
         }
-        if (isControlStruct(body, ";", 2) || isControlStruct(body, "->", 2) ||
-            isControlStruct(body, "\\+", 1)) {
+        if (isControlStruct(body, atoms.semicolon, 2) ||
+            isControlStruct(body, atoms.arrow, 2) ||
+            isControlStruct(body, negationAtom(), 1)) {
             goals.push_back(makeAuxiliary(body));
             return;
         }
-        if (isControlStruct(body, "catch", 3)) {
-            // catch/3 meta-calls its Goal and Recovery at run time; wrap
-            // them in auxiliary predicates so control constructs compile
-            // and cuts stay local to the protected goal (ISO).
-            goals.push_back(Term::makeStruct(
-                "catch", {wrapMetaArg(body->arg(0)), body->arg(1),
-                          wrapMetaArg(body->arg(2))}));
-            return;
+        if (body->isStruct() && body->arity() == 3) {
+            static const AtomId catch_atom = internAtom("catch");
+            if (body->functorName() == catch_atom) {
+                // catch/3 meta-calls its Goal and Recovery at run time;
+                // wrap them in auxiliary predicates so control
+                // constructs compile and cuts stay local to the
+                // protected goal (ISO).
+                goals.push_back(Term::makeStruct(
+                    catch_atom, {wrapMetaArg(body->arg(0)), body->arg(1),
+                                 wrapMetaArg(body->arg(2))}));
+                return;
+            }
         }
         if (body->isVar()) {
             // Meta-call of a variable: route through call/1.
-            goals.push_back(Term::makeStruct("call", {body}));
+            static const AtomId call_atom = internAtom("call");
+            goals.push_back(Term::makeStruct(call_atom, {body}));
             return;
         }
         if (!body->isAtom() && !body->isStruct()) {
@@ -112,35 +126,37 @@ class Normalizer
             program_.add(f, std::move(clause));
         };
 
-        TermRef cut = Term::makeAtom(AtomTable::instance().cutAtom);
-        TermRef fail_atom = Term::makeAtom(AtomTable::instance().failAtom);
-        TermRef true_atom = Term::makeAtom(AtomTable::instance().trueAtom);
+        const AtomTable &atoms = AtomTable::instance();
+        TermRef cut = Term::makeAtom(atoms.cutAtom);
+        TermRef fail_atom = Term::makeAtom(atoms.failAtom);
+        TermRef true_atom = Term::makeAtom(atoms.trueAtom);
+        const AtomId comma = atoms.comma;
 
-        if (isControlStruct(construct, "\\+", 1)) {
+        if (isControlStruct(construct, negationAtom(), 1)) {
             // aux :- G, !, fail.   aux.
             add_clause(Term::makeStruct(
-                ",", {construct->arg(0), Term::makeStruct(",",
-                                                          {cut, fail_atom})}));
+                comma, {construct->arg(0),
+                        Term::makeStruct(comma, {cut, fail_atom})}));
             add_clause(true_atom);
             return call_goal;
         }
 
-        if (isControlStruct(construct, "->", 2)) {
+        if (isControlStruct(construct, atoms.arrow, 2)) {
             // (C -> T): aux :- C, !, T.  (fails if C fails)
             add_clause(Term::makeStruct(
-                ",", {construct->arg(0),
-                      Term::makeStruct(",", {cut, construct->arg(1)})}));
+                comma, {construct->arg(0),
+                        Term::makeStruct(comma, {cut, construct->arg(1)})}));
             return call_goal;
         }
 
         // Disjunction, possibly an if-then-else.
         const TermRef &lhs = construct->arg(0);
         const TermRef &rhs = construct->arg(1);
-        if (isControlStruct(lhs, "->", 2)) {
+        if (isControlStruct(lhs, atoms.arrow, 2)) {
             // (C -> T ; E)
             add_clause(Term::makeStruct(
-                ",", {lhs->arg(0),
-                      Term::makeStruct(",", {cut, lhs->arg(1)})}));
+                comma, {lhs->arg(0),
+                        Term::makeStruct(comma, {cut, lhs->arg(1)})}));
             add_clause(rhs);
         } else {
             add_clause(lhs);
@@ -188,7 +204,7 @@ namespace
 void
 collectDynamicSpec(const TermRef &spec, std::vector<Functor> &out)
 {
-    AtomId slash = internAtom("/");
+    static const AtomId slash = internAtom("/");
     AtomId comma = AtomTable::instance().comma;
     if (spec->isStruct() && spec->arity() == 2 &&
         spec->functorName() == comma) {
@@ -220,8 +236,10 @@ collectDynamicSpec(const TermRef &spec, std::vector<Functor> &out)
 bool
 isDynamicDirective(const TermRef &goal)
 {
-    return goal->isStruct() && goal->arity() == 1 &&
-           goal->functorName() == internAtom("dynamic");
+    if (!goal->isStruct() || goal->arity() != 1)
+        return false;
+    static const AtomId dynamic_atom = internAtom("dynamic");
+    return goal->functorName() == dynamic_atom;
 }
 
 } // namespace
@@ -231,7 +249,7 @@ normalizeProgram(const std::vector<ReadClause> &clauses, NormProgram &out)
 {
     Normalizer normalizer(out);
     AtomId neck = AtomTable::instance().neck;
-    AtomId query_neck = internAtom("?-");
+    static const AtomId query_neck = internAtom("?-");
 
     // Pass 1: collect every dynamic/1 declaration, so the directive
     // is honoured wherever it appears relative to the clauses.
@@ -260,8 +278,11 @@ normalizeProgram(const std::vector<ReadClause> &clauses, NormProgram &out)
             (term->functorName() == neck ||
              term->functorName() == query_neck)) {
             const TermRef &goal = term->arg(0);
-            bool is_op = goal->isStruct() && goal->arity() == 3 &&
-                         goal->functorName() == internAtom("op");
+            bool is_op = false;
+            if (goal->isStruct() && goal->arity() == 3) {
+                static const AtomId op_atom = internAtom("op");
+                is_op = goal->functorName() == op_atom;
+            }
             if (!is_op && !isDynamicDirective(goal)) {
                 warn("ignoring directive: ", writeTerm(term));
             }

@@ -97,14 +97,16 @@ class KcmSystem
     /**
      * Consult the bundled standard library (append/3, member/2,
      * length/2, between/3, once/1, ... — see kcm/stdlib.hh), excluded
-     * from static code sizes. The compiler always gets the process-wide
-     * parse (standardLibraryClauses(): parsed once, shared read-only
-     * across threads), never the text, so the library always reads
-     * under the standard operator table, whatever op/3 directives the
-     * sources consulted before it define. Normalisation, code
-     * generation and linking still run per compile, so the image is
-     * the one a compile of the text under the standard table gives,
-     * byte for byte.
+     * from static code sizes. The compiler gets the process-wide unit
+     * for this system's code options (standardLibraryUnit(): parsed
+     * and compiled once, shared read-only across threads), never the
+     * text, so the library always reads under the standard operator
+     * table, whatever op/3 directives the sources consulted before it
+     * define. A compile normalises and emits only the program and
+     * links the unit's code after it; a program that redefines a
+     * library predicate compiles the library's clauses with its own.
+     * Either way the image is the one a compile of the text under the
+     * standard table gives, byte for byte.
      */
     void consultStandardLibrary();
 
@@ -176,11 +178,11 @@ class KcmSystem
 
   private:
     /** One consulted source, in consult order: program text, or the
-     *  shared standard library parse. */
+     *  standard library. */
     struct Source
     {
         std::string text;
-        const std::vector<ReadClause> *parsed = nullptr;
+        bool library = false;
     };
 
     KcmOptions options_;

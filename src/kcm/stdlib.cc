@@ -1,5 +1,8 @@
 #include "kcm/stdlib.hh"
 
+#include <memory>
+#include <mutex>
+
 #include "base/logging.hh"
 #include "prolog/writer.hh"
 
@@ -101,6 +104,20 @@ standardLibraryClauses()
         return read;
     }();
     return clauses;
+}
+
+const LibraryUnit &
+standardLibraryUnit(const CompilerOptions &options)
+{
+    static std::once_flag built[2][2];
+    static std::unique_ptr<LibraryUnit> units[2][2];
+    const int arith = options.integerArithmetic;
+    const int indexing = options.indexing;
+    std::call_once(built[arith][indexing], [&] {
+        units[arith][indexing] =
+            std::make_unique<LibraryUnit>(standardLibraryClauses(), options);
+    });
+    return *units[arith][indexing];
 }
 
 } // namespace kcm

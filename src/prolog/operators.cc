@@ -1,5 +1,8 @@
 #include "prolog/operators.hh"
 
+#include <array>
+#include <iterator>
+
 #include "base/logging.hh"
 
 namespace kcm
@@ -58,8 +61,16 @@ OperatorTable::OperatorTable()
         {100, OpType::YFX, "."},
         {1, OpType::FX, "$"},
     };
-    for (const auto &op : standard)
-        define(op.priority, op.type, internAtom(op.name));
+    // The first table interns the names, in this order; later tables
+    // reuse the ids.
+    static const auto names = [] {
+        std::array<AtomId, std::size(standard)> ids{};
+        for (size_t i = 0; i < ids.size(); ++i)
+            ids[i] = internAtom(standard[i].name);
+        return ids;
+    }();
+    for (size_t i = 0; i < names.size(); ++i)
+        define(standard[i].priority, standard[i].type, names[i]);
 }
 
 void

@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+
+#include <sys/wait.h>
+
 #include "base/logging.hh"
+#include "bench_support/daemon.hh"
 #include "bench_support/harness.hh"
 #include "bench_support/paper_data.hh"
 
@@ -253,4 +258,29 @@ TEST(Harness, ResilientFailureYieldsTrapExitCode)
     fine.success = true;
     EXPECT_EQ(benchExitCode({fine, doomed}), benchTrapExitCode);
     EXPECT_EQ(benchExitCode({fine}), 0);
+}
+
+TEST(Harness, DaemonOutOfScopeIsKilledAndReaped)
+{
+    // A stand-in daemon that reports a port and then runs for ten
+    // minutes: the owner going out of scope must not leave it running.
+    pid_t pid = -1;
+    {
+        Daemon daemon = spawnDaemon(
+            {"/bin/sh", "-c", "echo '{\"listening\": 1}'; exec sleep 600"},
+            /*quiet_stderr=*/true);
+        EXPECT_EQ(daemon.port, 1);
+        pid = daemon.pid;
+        ASSERT_GT(pid, 0);
+        EXPECT_FALSE(daemon.exited());
+
+        // Moving it hands over the child; the moved-from owner has none.
+        Daemon owner = std::move(daemon);
+        EXPECT_EQ(daemon.pid, -1);
+        EXPECT_EQ(owner.pid, pid);
+    }
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(waitpid(pid, &status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
 }

@@ -765,8 +765,11 @@ TEST(Server, ConcurrentColdMissesShareLibraryAndPool)
 {
     // Four connections miss the cache at once, each with 25 programs of
     // its own that use `;`, `->` and the standard library: the shared
-    // library parse, the compile-miss borrow and return, and the
-    // per-unit auxiliary numbering all run on concurrent threads.
+    // library parse, the library unit's one-time build (when this test
+    // is the first in its process to consult the library, as under
+    // --gtest_filter) and every link of it, the compile-miss borrow and
+    // return, and the per-unit auxiliary numbering all run on
+    // concurrent threads.
     // Every answer must match the baseline interpreter, every cycle
     // count an in-process compile, and the idle stack must stay within
     // the worker count.
