@@ -11,22 +11,16 @@
  * fault-free): it must either
  *
  *   (a) complete with answers bit-identical to the oracle's (the
- *       fault missed, or recovery masked it), or
- *   (b) fail cleanly with a classified FailureReport.
+ *       fault missed), or
+ *   (b) fail cleanly, on its one attempt, with a classified
+ *       FailureReport (the session never re-runs a query: the machine
+ *       is deterministic, so a re-run would meet the same fault).
  *
  * Anything else — a hang (caught by per-query deadlines), a crash, or
  * a silently wrong answer — fails the harness. The workload's answers
  * are ground integers computed through arithmetic chains, so injected
  * corruption either traps during execution or is dead; it cannot leak
- * into an exported answer unseen.
- *
- * Modes:
- *   (default)      chaos sweep; writes BENCH_chaos.json
- *   --overhead     checkpoint + recovery overhead vs interval (the
- *                  EXPERIMENTS.md table: host columns are thread CPU
- *                  time, median and quartiles of 5 repetitions);
- *                  asserts that checkpointing never changes the
- *                  simulated metrics
+ * into an exported answer unseen. Writes BENCH_chaos.json.
  *
  * Options: --queries N (per family, default 200), --workers N
  * (default 4), --json PATH.
@@ -45,7 +39,6 @@
 #include <map>
 #include <random>
 #include <string>
-#include <time.h>
 #include <vector>
 
 #include "base/logging.hh"
@@ -139,16 +132,14 @@ makeQuery(const Family &family, uint32_t seed,
     q.machine = base;
 
     // Mixed workload, all ground-integer answers: mostly short
-    // queries, a tail of multi-megacycle ones that cross checkpoint
-    // boundaries.
+    // queries, a tail of megacycle ones.
     uint64_t span_cycles; // rough length of the run
     switch (pick(0, 9)) {
-      case 0: // long: >1 simulated Mcycle (crosses a checkpoint
-              // boundary); few distinct values so the oracle cache
-              // absorbs the interpreter cost. Each chunk fails and
-              // backtracks, so the oracle's continuation stack
-              // unwinds between chunks instead of nesting across the
-              // whole run.
+      case 0: // long: >1 simulated Mcycle; few distinct values so
+              // the oracle cache absorbs the interpreter cost. Each
+              // chunk fails and backtracks, so the oracle's
+              // continuation stack unwinds between chunks instead of
+              // nesting across the whole run.
         q.goal = cat("longrep(", 10 + pick(0, 2), ", S)");
         span_cycles = 1'600'000;
         break;
@@ -206,9 +197,6 @@ struct FamilyTally
     int failedClassified = 0;
     int diverged = 0;      ///< the bug class this harness exists for
     int shed = 0;
-    unsigned retries = 0;
-    unsigned restarts = 0;
-    uint64_t recoveryCycles = 0;
 };
 
 int
@@ -225,9 +213,6 @@ chaosSweep(int queries_per_family, unsigned workers,
     service::SupervisorOptions service;
     service.workers = workers;
     service.maxQueueDepth = size_t(queries_per_family) * 4 + 16;
-    service.session.checkpointEveryMcycles = 1;
-    service.session.maxRetries = 3;
-    service.session.backoffBaseMs = 0; // chaos wants throughput
     service.session.deadlineMs = 20'000; // anti-hang backstop
     service.session.maxSolutions = 1;
 
@@ -282,9 +267,6 @@ chaosSweep(int queries_per_family, unsigned workers,
         const Family &family = *submitted[i].first;
         const auto &out = results[i].outcome;
         FamilyTally &tally = tallies[family.name];
-        tally.retries += out.counters.retries;
-        tally.restarts += out.counters.restarts;
-        tally.recoveryCycles += out.counters.recoveryCycles;
 
         switch (out.status) {
           case service::QueryStatus::Completed: {
@@ -309,11 +291,15 @@ chaosSweep(int queries_per_family, unsigned workers,
             break;
           }
           case service::QueryStatus::Failed:
-            if (out.failure.classification.empty()) {
+            if (out.failure.classification.empty() ||
+                out.failure.attempts != 1) {
                 ++tally.diverged;
                 ++divergences;
-                fprintf(stderr, "UNCLASSIFIED FAILURE %s\n",
-                        results[i].job.id.c_str());
+                fprintf(stderr,
+                        "UNCLASSIFIED FAILURE %s ('%s', %u attempts)\n",
+                        results[i].job.id.c_str(),
+                        out.failure.classification.c_str(),
+                        out.failure.attempts);
             } else {
                 ++tally.failedClassified;
             }
@@ -326,23 +312,14 @@ chaosSweep(int queries_per_family, unsigned workers,
 
     printf("chaos sweep: %d queries/family, %u workers\n",
            queries_per_family, workers);
-    printf("%-14s %8s %8s %8s %6s %8s %9s %14s\n", "family", "matched",
-           "failed", "diverged", "shed", "retries", "restarts",
-           "recovCycles");
+    printf("%-14s %8s %8s %8s %6s\n", "family", "matched", "failed",
+           "diverged", "shed");
     for (const Family &family : families) {
         const FamilyTally &t = tallies[family.name];
-        printf("%-14s %8d %8d %8d %6d %8u %9u %14llu\n", family.name,
-               t.matched, t.failedClassified, t.diverged, t.shed,
-               t.retries, t.restarts,
-               (unsigned long long)t.recoveryCycles);
+        printf("%-14s %8d %8d %8d %6d\n", family.name, t.matched,
+               t.failedClassified, t.diverged, t.shed);
     }
-    printf("aggregate: %llu checkpoints (%llu bytes), %llu retries, "
-           "%llu restarts, %llu shed\n",
-           (unsigned long long)stats.checkpoints,
-           (unsigned long long)stats.checkpointBytes,
-           (unsigned long long)stats.retries,
-           (unsigned long long)stats.restarts,
-           (unsigned long long)stats.shed);
+    printf("aggregate: %llu shed\n", (unsigned long long)stats.shed);
 
     if (std::FILE *f = std::fopen(json_path.c_str(), "w")) {
         fprintf(f, "{\n  \"label\": \"chaos_recovery\",\n");
@@ -354,184 +331,19 @@ chaosSweep(int queries_per_family, unsigned workers,
             fprintf(f,
                     "    {\"name\": \"%s\", \"matched\": %d, "
                     "\"failedClassified\": %d, \"diverged\": %d, "
-                    "\"shed\": %d, \"retries\": %u, \"restarts\": %u, "
-                    "\"recoveryCycles\": %llu}%s\n",
+                    "\"shed\": %d}%s\n",
                     families[i].name, t.matched, t.failedClassified,
-                    t.diverged, t.shed, t.retries, t.restarts,
-                    (unsigned long long)t.recoveryCycles,
+                    t.diverged, t.shed,
                     i + 1 < std::size(families) ? "," : "");
         }
         fprintf(f, "  ],\n");
-        fprintf(f,
-                "  \"stats\": {\"checkpoints\": %llu, "
-                "\"checkpointBytes\": %llu, \"retries\": %llu, "
-                "\"restarts\": %llu, \"shed\": %llu, "
-                "\"recoveryCycles\": %llu}\n}\n",
-                (unsigned long long)stats.checkpoints,
-                (unsigned long long)stats.checkpointBytes,
-                (unsigned long long)stats.retries,
-                (unsigned long long)stats.restarts,
-                (unsigned long long)stats.shed,
-                (unsigned long long)stats.recoveryCycles);
+        fprintf(f, "  \"stats\": {\"shed\": %llu}\n}\n",
+                (unsigned long long)stats.shed);
         std::fclose(f);
         printf("wrote %s\n", json_path.c_str());
     }
 
     return divergences ? 1 : 0;
-}
-
-/** CPU time of the calling thread, in seconds. */
-double
-threadCpuSeconds()
-{
-    timespec ts;
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
-}
-
-/** "median [q1, q3]" of @p v, each printed with @p format
- *  (linear interpolation between closest ranks). */
-std::string
-quartiles(std::vector<double> v, const char *format)
-{
-    std::sort(v.begin(), v.end());
-    auto at = [&](double q) {
-        const double pos = q * double(v.size() - 1);
-        const size_t lo = size_t(pos);
-        const size_t hi = std::min(lo + 1, v.size() - 1);
-        return v[lo] + (v[hi] - v[lo]) * (pos - double(lo));
-    };
-    char buf[96];
-    const std::string f = cat(format, " [", format, ", ", format, "]");
-    snprintf(buf, sizeof buf, f.c_str(), at(0.5), at(0.25), at(0.75));
-    return buf;
-}
-
-/**
- * Checkpoint + recovery overhead vs interval, on a fixed ~4.9 Mcycle
- * query. For each interval: a fault-free supervised run (checkpoint
- * cost; simulated metrics must be identical to the unsupervised
- * baseline) and a run with a page fault injected mid-query (recovery
- * cost). Prints the EXPERIMENTS.md table.
- *
- * Both sides of the host-overhead ratio time the same work with the
- * calling thread's CPU clock: building the machine, loading the image
- * and running (Session::run builds and loads inside its own run). Each
- * row repeats the pair overheadRepetitions times, alternating which
- * side runs first, and prints the median and quartiles of the
- * per-pair ratios.
- */
-int
-overheadTable()
-{
-    constexpr int overheadRepetitions = 5;
-    // The determinate (cut) iteration: ~4.9 simulated Mcycles with a
-    // flat stack, so the run crosses even the 4-Mcycle checkpoint
-    // interval without piling up choice points.
-    const char *goal = "itc(450, 0, S)";
-
-    KcmOptions options;
-    KcmSystem system(options);
-    system.consult(chaosProgram);
-    CodeImage image = system.compileOnly(goal);
-
-    // Unsupervised baseline: built, loaded and run on this thread.
-    struct BaselineRun
-    {
-        double cpuSeconds;
-        bool completed;
-        uint64_t cycles, instructions;
-    };
-    auto baseline = [&] {
-        const double c0 = threadCpuSeconds();
-        Machine machine(options.machine);
-        machine.load(image);
-        const bool completed = machine.run() == RunStatus::SolutionFound;
-        return BaselineRun{threadCpuSeconds() - c0, completed,
-                           machine.cycles(), machine.instructions()};
-    };
-    // An untimed first run warms the host and fixes the reference.
-    const BaselineRun ref = baseline();
-    if (!ref.completed) {
-        fprintf(stderr, "overhead: baseline run did not complete\n");
-        return 2;
-    }
-    const uint64_t ref_cycles = ref.cycles, ref_instr = ref.instructions;
-
-    printf("checkpoint/recovery overhead, goal %s (%llu cycles); host "
-           "columns: calling-thread CPU time of build + load + run, "
-           "median [q1, q3] of %d alternating repetitions\n\n",
-           goal, (unsigned long long)ref_cycles, overheadRepetitions);
-    printf("| interval (Mcycles) | checkpoints | snapshot bytes | "
-           "host overhead | sim cycles identical | recovery cycles "
-           "(mid-run fault) | recovery host CPU ms |\n");
-    printf("|---|---|---|---|---|---|---|\n");
-
-    int rc = 0;
-    for (uint64_t interval : {0ull, 1ull, 2ull, 4ull}) {
-        service::SessionOptions sopt;
-        sopt.machine = options.machine;
-        sopt.checkpointEveryMcycles = interval;
-        sopt.maxRetries = 3;
-        sopt.backoffBaseMs = 0;
-
-        service::SessionOptions fopt = sopt;
-        FaultAction fault;
-        fault.cycle = ref_cycles / 2;
-        fault.kind = FaultKind::InjectPageFault;
-        fopt.machine.faultPlan.actions.push_back(fault);
-
-        std::vector<double> overhead_pct, recovery_ms;
-        service::QueryOutcome out, fout;
-        bool identical = true, recovered = true;
-        for (int rep = 0; rep < overheadRepetitions; ++rep) {
-            // Fault-free: checkpoint cost + metric determinism. The
-            // side that runs first alternates, so drift in the host's
-            // speed lands on both.
-            double host = 0;
-            auto supervised = [&] {
-                const double c0 = threadCpuSeconds();
-                service::Session clean(image, sopt);
-                out = clean.run();
-                host = threadCpuSeconds() - c0;
-            };
-            if (rep % 2)
-                supervised();
-            const BaselineRun base = baseline();
-            if (!(rep % 2))
-                supervised();
-            overhead_pct.push_back(
-                base.cpuSeconds > 0
-                    ? (host / base.cpuSeconds - 1.0) * 100.0
-                    : 0.0);
-            identical = identical && base.completed &&
-                        base.cycles == ref_cycles &&
-                        base.instructions == ref_instr &&
-                        out.cycles == ref_cycles &&
-                        out.instructions == ref_instr;
-
-            // Faulted: inject a page fault mid-run, measure recovery.
-            const double f0 = threadCpuSeconds();
-            service::Session faulted(image, fopt);
-            fout = faulted.run();
-            recovery_ms.push_back((threadCpuSeconds() - f0) * 1e3);
-            recovered = recovered &&
-                        fout.status == service::QueryStatus::Completed &&
-                        fout.success && fout.cycles == ref_cycles;
-        }
-        if (!identical || !recovered)
-            rc = 1; // determinism violation
-
-        printf("| %llu | %llu | %llu | %s | %s | %llu | %s |\n",
-               (unsigned long long)interval,
-               (unsigned long long)out.counters.checkpoints,
-               (unsigned long long)out.counters.checkpointBytes,
-               quartiles(overhead_pct, "%+.0f%%").c_str(),
-               identical ? "yes" : "NO (BUG)",
-               (unsigned long long)fout.counters.recoveryCycles,
-               quartiles(recovery_ms, "%.1f").c_str());
-    }
-    return rc;
 }
 
 } // namespace
@@ -541,7 +353,6 @@ main(int argc, char **argv)
 {
     int queries = 200;
     unsigned workers = 4;
-    bool overhead = false;
     std::string json_path = benchOutputPath("BENCH_chaos.json");
 
     for (int i = 1; i < argc; ++i) {
@@ -551,19 +362,16 @@ main(int argc, char **argv)
             workers = std::max(1, atoi(argv[++i]));
         else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
             json_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--overhead"))
-            overhead = true;
         else {
             fprintf(stderr,
                     "usage: chaos_recovery [--queries N] [--workers N] "
-                    "[--json PATH] [--overhead]\n");
+                    "[--json PATH]\n");
             return 2;
         }
     }
 
     try {
-        return overhead ? overheadTable()
-                        : chaosSweep(queries, workers, json_path);
+        return chaosSweep(queries, workers, json_path);
     } catch (const std::exception &e) {
         fprintf(stderr, "chaos_recovery: %s\n", e.what());
         return 2;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Durable-database torture harness: kill -9 the daemon mid-assert,
- * recover, and prove nothing acked was lost and nothing unacked was
- * half-applied.
+ * restart it on its journal, and prove nothing acked was lost and
+ * nothing unacked was half-applied.
  *
  * Each iteration runs the full crash-recovery story on a fresh
  * journal directory:

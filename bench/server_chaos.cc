@@ -43,10 +43,10 @@
  *                database (verified against an offline
  *                Journal::scanFile replay); never a silent swallow,
  *                never a half-applied batch
- *   replay       a daemon with --retries 0: a memory hog sent three
- *                times runs once, and the two later replies equal the
- *                run's (failures_replayed 2, queries_accepted 1); six
- *                1 ms per-attempt deadline failures of one shape are not
+ *   replay       a memory hog sent three times runs once, and the two
+ *                later replies equal the run's (failures_replayed 2,
+ *                queries_accepted 1); six 1 ms deadline failures of
+ *                one shape are not
  *                remembered, so the same goal without a deadline
  *                completes with its closed-form answer
  *
@@ -198,8 +198,7 @@ spawnChaosDaemon(const std::string &path,
     std::vector<std::string> args = {
         path,        "--chaos-hooks",     "--workers",
         "4",         "--queue-depth",     "256",
-        "--deadline-ms", "20000",         "--checkpoint-every",
-        "1",         "--read-deadline-ms", "800",
+        "--deadline-ms", "20000",         "--read-deadline-ms", "800",
         "--idle-timeout-ms", "30000",     "--drain-grace-ms",
         "8000"};
     args.insert(args.end(), extra.begin(), extra.end());
@@ -707,9 +706,9 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
 
 // ------------------------------------------------------------------ //
 // replay: a deterministic failure is remembered with its template. A
-// sequential phase with its own daemon (--retries 0): a shape that
-// always fails runs once and is answered from its template after that,
-// and a failure that depends on timing is never remembered.
+// sequential phase with its own daemon: a shape that always fails runs
+// once and is answered from its template after that, and a failure
+// that depends on timing is never remembered.
 // ------------------------------------------------------------------ //
 
 void
@@ -722,7 +721,7 @@ replayPhase(const std::string &serverd, SweepShared &shared)
         fprintf(stderr, "replay: %s\n", why.c_str());
     };
 
-    Daemon daemon = spawnChaosDaemon(serverd, {"--retries", "0"});
+    Daemon daemon = spawnChaosDaemon(serverd);
     Client client;
     if (!client.connect("127.0.0.1", daemon.port, 2'000)) {
         diverge("cannot connect to the replay daemon");
@@ -774,8 +773,8 @@ replayPhase(const std::string &serverd, SweepShared &shared)
     }
     bump(shared, family, "failure_replayed");
 
-    // Six per-attempt deadline failures of one shape are not
-    // remembered: the same goal without a deadline runs and completes.
+    // Six deadline failures of one shape are not remembered: the same
+    // goal without a deadline runs and completes.
     const std::string goal = "itc(500, 0, S)";
     for (int i = 0; i < 6; ++i) {
         ClientReply r = client.query(cat("rd", i), chaosProgram, goal, 1,

@@ -9,7 +9,6 @@
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "service/session.hh"
 
 namespace kcm
 {
@@ -171,68 +170,6 @@ fillBenchRun(BenchRun &run, Machine &machine, RunStatus status)
 }
 
 } // namespace
-
-BenchRun
-runPreparedResilient(const PreparedBenchmark &prep,
-                     uint64_t checkpoint_every_mcycles,
-                     unsigned max_retries, double watchdog_seconds)
-{
-    BenchRun run;
-    run.name = prep.name;
-
-    auto host_start = std::chrono::steady_clock::now();
-    try {
-        service::SessionOptions options;
-        options.machine = prep.machine;
-        options.checkpointEveryMcycles = checkpoint_every_mcycles;
-        options.maxRetries = max_retries;
-        options.deadlineMs = watchdog_seconds > 0
-                                 ? uint64_t(watchdog_seconds * 1000)
-                                 : 0;
-        options.maxSolutions = 1;
-
-        service::Session session(prep.image, options);
-        service::QueryOutcome outcome = session.run();
-
-        run.cycles = outcome.cycles;
-        run.instructions = outcome.instructions;
-        run.inferences = outcome.inferences;
-        run.ms = double(outcome.cycles) * cycleSeconds * 1e3;
-        run.klips = outcome.cycles
-                        ? double(outcome.inferences) /
-                              (double(outcome.cycles) * cycleSeconds) /
-                              1e3
-                        : 0;
-        run.retries = outcome.counters.retries;
-        run.restarts = outcome.counters.restarts;
-        run.checkpoints = outcome.counters.checkpoints;
-        run.checkpointBytes = outcome.counters.checkpointBytes;
-        run.recoveryCycles = outcome.counters.recoveryCycles;
-
-        if (outcome.status == service::QueryStatus::Completed) {
-            run.success = outcome.success && outcome.error.empty();
-            if (!outcome.error.empty())
-                run.failure = outcome.error;
-        } else {
-            run.success = false;
-            run.failure = outcome.failure.classification;
-            run.timedOut =
-                outcome.failure.classification == "deadline_exceeded";
-            run.trapped = !run.timedOut;
-        }
-    } catch (const std::exception &err) {
-        run.success = false;
-        run.failure = cat("exception: ", err.what());
-    }
-
-    run.hostSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-    run.simCyclesPerHostSecond =
-        run.hostSeconds > 0 ? double(run.cycles) / run.hostSeconds : 0;
-    return run;
-}
 
 int
 benchExitCode(const std::vector<BenchRun> &runs)

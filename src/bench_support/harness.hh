@@ -59,14 +59,6 @@ struct BenchRun
     // execution phase: machine setup + warm-up + measured run).
     double hostSeconds = 0;
     double simCyclesPerHostSecond = 0;
-
-    // Robustness counters (nonzero only under supervision —
-    // runPreparedResilient — when recovery actually happened).
-    unsigned retries = 0;          ///< checkpoint restores
-    unsigned restarts = 0;         ///< fresh-machine restarts
-    uint64_t checkpoints = 0;      ///< snapshots taken
-    uint64_t checkpointBytes = 0;  ///< total snapshot bytes
-    uint64_t recoveryCycles = 0;   ///< simulated cycles lost to recovery
 };
 
 /**
@@ -102,21 +94,6 @@ PreparedBenchmark preparePlmBenchmark(const PlmBenchmark &bench, bool pure,
  */
 BenchRun runPrepared(const PreparedBenchmark &prep,
                      double watchdog_seconds = 0);
-
-/**
- * Execute a prepared benchmark under service supervision
- * (service::Session): periodic snapshot checkpoints every
- * @p checkpoint_every_mcycles simulated megacycles, restore + retry
- * on traps up to @p max_retries, full-restart escalation when a
- * checkpoint re-traps. The simulated measurements are those of the
- * final attempt; the BenchRun robustness counters record the recovery
- * work. Runs cold (single attempt protocol, not the paper's
- * best-of-4) — meant for resilience measurements, not Table 2/3.
- */
-BenchRun runPreparedResilient(const PreparedBenchmark &prep,
-                              uint64_t checkpoint_every_mcycles,
-                              unsigned max_retries,
-                              double watchdog_seconds = 0);
 
 /** Compile and run one PLM benchmark (prepare + runPrepared). */
 BenchRun runPlmBenchmark(const PlmBenchmark &bench, bool pure,

@@ -55,11 +55,6 @@ benchRunsJson(const std::string &label, const std::vector<BenchRun> &runs,
            << ", ";
         os << "\"icacheHitRatio\": " << jsonDouble(r.icacheHitRatio)
            << ", ";
-        os << "\"retries\": " << r.retries << ", ";
-        os << "\"restarts\": " << r.restarts << ", ";
-        os << "\"checkpoints\": " << r.checkpoints << ", ";
-        os << "\"checkpointBytes\": " << r.checkpointBytes << ", ";
-        os << "\"recoveryCycles\": " << r.recoveryCycles << ", ";
         os << "\"hostSeconds\": " << jsonDouble(r.hostSeconds) << ", ";
         os << "\"simCyclesPerHostSecond\": "
            << jsonDouble(r.simCyclesPerHostSecond);

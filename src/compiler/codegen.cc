@@ -743,7 +743,7 @@ ClauseCompiler::putGoalArgs(const TermRef &goal, bool is_last_call)
     resolveConflicts(goal);
     int goal_index = -1;
     // Last-occurrence bookkeeping uses lastGoal recorded in analysis;
-    // we recover the index by checking identity below via lastGoal of
+    // we find the index by checking identity below via lastGoal of
     // each variable (put args only need "is this the final goal that
     // mentions the variable", handled in putArg via is_last_call).
     for (uint32_t j = 0; j < goal->arity(); ++j)

@@ -125,9 +125,9 @@ class Machine
      * (0 disarms). Unlike the governor's cycle budget, a slice stop is
      * pure host machinery — it is never delivered to the program as a
      * catchable resource_error ball and is not counted in trapsTaken,
-     * so slicing a run (for wall-clock watchdogs or checkpointing at
-     * run-loop boundaries) leaves every simulated metric identical to
-     * an unsliced run. Takes effect on the next
+     * so slicing a run (for wall-clock watchdogs or interrupt polls
+     * at run-loop boundaries) leaves every simulated metric identical
+     * to an unsliced run. Takes effect on the next
      * run()/nextSolution()/resume().
      */
     void setSliceStop(uint64_t absolute_cycle) { sliceStop_ = absolute_cycle; }
@@ -135,19 +135,6 @@ class Machine
     /** Whether the most recent Trapped status was a slice stop (valid
      *  while trapped(); always an Abort, resumable via resume()). */
     bool sliceExpired() const { return sliceExpired_; }
-
-    /**
-     * Drop every not-yet-applied FaultPlan action. A supervisor that
-     * restores a checkpoint taken before a scripted fault calls this
-     * to model the fault as transient: the retried execution runs
-     * clean instead of deterministically re-injecting it.
-     */
-    void
-    dismissPendingFaults()
-    {
-        faultCursor_ = config_.faultPlan.actions.size();
-        faultsPending_ = false;
-    }
 
     /** Convenience: run and collect up to @p max solutions. */
     std::vector<Solution> solutions(size_t max = SIZE_MAX);

@@ -163,7 +163,7 @@ Journal::scanFile(const std::string &path, ClauseStore *replay_into)
         return scan; // fresh journal: clean, goodBytes 0
     if (bytes.size() < kHeaderBytes) {
         // Only a crash during initial creation leaves a partial
-        // header; recover as an empty journal.
+        // header; reopen it as an empty journal.
         scan.torn = true;
         scan.reason = "partial file header";
         return scan;

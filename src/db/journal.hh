@@ -121,7 +121,7 @@ class Journal
     Journal &operator=(const Journal &) = delete;
 
     /**
-     * Open (creating directory and file as needed) and recover:
+     * Open (creating directory and file as needed) and replay:
      * scan the file, replay it into @p store (which must be empty),
      * truncate a torn or corrupt tail with a warning, and leave the
      * journal positioned to append. @p scan receives the recovery

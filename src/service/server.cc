@@ -473,9 +473,6 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
             .field("pool_completed", ps.completed)
             .field("pool_failed", ps.failed)
             .field("pool_shed", ps.shed)
-            .field("pool_retries", ps.retries)
-            .field("pool_restarts", ps.restarts)
-            .field("pool_checkpoints", ps.checkpoints)
             .field("deadline_propagated_sheds",
                    ps.deadlinePropagatedSheds)
             .field("mem_aborts", ps.memAborts)
@@ -865,8 +862,8 @@ Server::waitDrained()
                            std::memory_order_relaxed) == 0;
             });
         if (!quiesced) {
-            // Phase 2: out of grace — checkpoint-abort the stragglers.
-            // Their sessions stop at the next slice boundary and the
+            // Phase 2: out of grace — abort the stragglers. Their
+            // sessions stop at the next slice boundary and the
             // callbacks still flush classified "interrupted" replies,
             // so accepted == replied holds even on a hard drain.
             requestServiceInterrupt();

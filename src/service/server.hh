@@ -35,9 +35,9 @@
  *  3. **Graceful drain**: requestDrain() (wired to SIGTERM/SIGINT by
  *     kcm_serverd) stops accepting connections and reading requests,
  *     but every already-accepted query still completes and its reply
- *     is flushed; after a grace period stragglers are checkpoint-
- *     aborted via the process-wide interrupt flag and answered with a
- *     classified "interrupted" failure. Accounting invariant:
+ *     is flushed; after a grace period stragglers are aborted at their
+ *     next slice boundary via the process-wide interrupt flag and
+ *     answered with a classified "interrupted" failure. Accounting invariant:
  *     accepted == replied at exit — a drain loses no accepted query.
  *
  * Protocol (one JSON object per line, both directions):
@@ -127,8 +127,8 @@ struct ServerOptions
     unsigned maxInflightPerConn = 8;  ///< per-client fairness cap
     size_t maxConnections = 256;
 
-    /** Drain grace in ms before in-flight queries are checkpoint-
-     *  aborted ("interrupted"). */
+    /** Drain grace in ms before in-flight queries are aborted at
+     *  their next slice boundary ("interrupted"). */
     uint64_t drainGraceMs = 5'000;
 
     /** Enable the chaos hook (the "corrupt_cache" op). Off in any
@@ -245,7 +245,7 @@ class Server
      *  [0, base/2] (seeded xorshift64*; see retryJitterSeed). */
     uint64_t jitteredRetryAfter(uint64_t base) const;
 
-    /** Open/recover the journal and seed @p facts (the validated
+    /** Open (and replay) the journal and seed @p facts (the validated
      *  --db-facts file) on first boot (constructor helper; runs before
      *  the pool copies the session options). */
     void openDurableDb(const std::vector<TermRef> &facts);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <thread>
 
 #include "base/logging.hh"
 #include "mem/traps.hh"
@@ -24,11 +23,17 @@ elapsedSeconds(Clock::time_point since)
 }
 
 uint64_t
-steadyNowNs()
+steadyNs(Clock::time_point t)
 {
     return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now().time_since_epoch())
+                        t.time_since_epoch())
                         .count());
+}
+
+uint64_t
+steadyNowNs()
+{
+    return steadyNs(Clock::now());
 }
 
 /** Process-wide shutdown flag; written by signal handlers (a lock-free
@@ -79,23 +84,44 @@ Session::releaseMachine()
     return std::move(machine_);
 }
 
-void
-Session::checkpoint(std::shared_ptr<const Snapshot> state,
-                    size_t solution_count, bool resume_after)
+QueryOutcome
+Session::run()
 {
-    checkpoint_.snap =
-        state ? std::move(state)
-              : std::make_shared<const Snapshot>(takeSnapshot(*machine_));
-    checkpoint_.solutionCount = solution_count;
-    checkpoint_.resumeAfterRestore = resume_after;
-    checkpoint_.cycle = machine_->cycles();
-    ++counters_.checkpoints;
-    counters_.checkpointBytes += checkpoint_.snap->bytes.size();
-}
+    const auto started = Clock::now();
+    QueryOutcome out;
 
-bool
-Session::coldStart()
-{
+    // Durable queries serialize on the shared store's mutex for the
+    // whole run.
+    db::JournaledStore *durable = options_.durableDb.get();
+    std::unique_lock<std::mutex> durable_lock;
+    if (durable)
+        durable_lock = std::unique_lock<std::mutex>(durable->mutex());
+
+    // One deadline: deadlineMs counts from here and is folded into the
+    // absolute deadline, the earlier of the two winning. Both are
+    // terminal.
+    uint64_t deadline_ns = options_.deadlineAbsNs;
+    bool own_deadline = false; // deadlineMs is the earlier one
+    if (options_.deadlineMs) {
+        const uint64_t own =
+            steadyNs(started) + options_.deadlineMs * 1'000'000;
+        if (!deadline_ns || own < deadline_ns) {
+            deadline_ns = own;
+            own_deadline = true;
+        }
+    }
+    auto deadlineName = [&]() -> std::string {
+        return own_deadline ? cat("deadline of ", options_.deadlineMs, " ms")
+                            : "propagated absolute deadline";
+    };
+    // Slice granularity: the watchdog tick when a deadline (or the
+    // shutdown flag) needs polling.
+    const uint64_t slice = deadline_ns || options_.abortOnInterrupt
+                               ? options_.watchdogSliceCycles
+                               : 0;
+
+    if (!machine_)
+        machine_ = std::make_unique<Machine>(options_.machine);
     // Bring the machine to its ready-to-run state: download the
     // compiled image, or restore the shared post-download KCMSNAP5
     // template (the warm-cache path; restoreSnapshot verifies every
@@ -106,102 +132,32 @@ Session::coldStart()
         try {
             restoreSnapshot(*machine_, *template_);
         } catch (const FatalError &e) {
-            templateError_ = e.what();
-            return false;
+            // Classified so the owner evicts the entry and recompiles.
+            out.status = QueryStatus::Failed;
+            out.failure.classification = "corrupt_image_template";
+            out.failure.trapKind = TrapKind::Abort;
+            out.failure.detail = e.what();
+            out.failure.attempts = 1;
+            out.wallSeconds = elapsedSeconds(started);
+            return out;
         }
         // The template's zone table was snapped under the compiling
         // machine's config; re-impose this session's governor quotas
         // (per-query memory budgets) so the restored state matches a
         // fresh load() under options_.machine.
         machine_->reapplyQuotas();
-        return true;
-    }
-    machine_->load(image_);
-    return true;
-}
-
-bool
-Session::restartFresh()
-{
-    // The checkpoint snapshot itself carries the fault (armed MMU
-    // fault, tightened zone limit, latent corrupt word): throw the
-    // machine away. load() resets everything a fresh Machine has
-    // except the zone hard ends a TightenZone already moved, so
-    // escalation needs a genuinely new machine, not a reload.
-    machine_ = std::make_unique<Machine>(options_.machine);
-    bool ok = coldStart();
-    machine_->dismissPendingFaults();
-    ++counters_.restarts;
-    return ok;
-}
-
-QueryOutcome
-Session::run()
-{
-    const auto started = Clock::now();
-    QueryOutcome out;
-
-    db::JournaledStore *durable = options_.durableDb.get();
-    std::unique_lock<std::mutex> durable_lock;
-    if (durable) {
-        // Durable queries serialize on the shared store's mutex for
-        // the whole run and disable checkpoint recovery/retries: a
-        // snapshot restore would replace the attached store contents
-        // mid-transaction.
-        durable_lock = std::unique_lock<std::mutex>(durable->mutex());
-        options_.checkpointEveryMcycles = 0;
-        options_.maxRetries = 0;
-    }
-
-    const uint64_t checkpoint_cycles =
-        options_.checkpointEveryMcycles * 1'000'000;
-    const bool recovery = options_.maxRetries > 0 ||
-                          checkpoint_cycles > 0;
-    // Slice granularity: the checkpoint interval when checkpointing,
-    // else the watchdog tick when a deadline (or the shutdown flag)
-    // needs polling.
-    uint64_t slice = checkpoint_cycles;
-    if (!slice &&
-        (options_.deadlineMs || options_.deadlineAbsNs ||
-         options_.abortOnInterrupt))
-        slice = options_.watchdogSliceCycles;
-
-    if (!machine_)
-        machine_ = std::make_unique<Machine>(options_.machine);
-    if (!coldStart()) {
-        // The warm-start template failed its checksum verification: a
-        // corrupt cache entry is never executed. Classified so the
-        // owner evicts the entry and recompiles.
-        out.status = QueryStatus::Failed;
-        out.failure.classification = "corrupt_image_template";
-        out.failure.trapKind = TrapKind::Abort;
-        out.failure.detail = templateError_;
-        out.failure.attempts = 1;
-        out.wallSeconds = elapsedSeconds(started);
-        out.counters = counters_;
-        return out;
+    } else {
+        machine_->load(image_);
     }
     if (durable) {
-        // Attach after coldStart: both load() and a warm-template
-        // restore install their own store; the durable store must win.
+        // Attach after the load or restore: both install their own
+        // store; the durable store must win.
         machine_->attachDynamicDb(durable->storePtr());
         durable->store().beginTxn();
     }
-    // Checkpoint zero. A warm machine fresh from coldStart() is the
-    // template plus this session's quotas, so the template itself
-    // serves: recover() restores it the way coldStart() does.
-    if (recovery)
-        checkpoint(template_, 0, /*resume_after=*/false);
 
     const size_t max_solutions =
         options_.maxSolutions == 0 ? SIZE_MAX : options_.maxSolutions;
-
-    enum class Mode { Run, Next, Resume };
-    Mode mode = Mode::Run;
-    unsigned attempts = 1;
-    uint64_t backoff_ms = options_.backoffBaseMs;
-    uint64_t last_failure_cycle = 0;
-    bool failed_before = false;
 
     auto finish = [&](QueryStatus status) {
         if (durable && durable->store().inTxn()) {
@@ -225,7 +181,7 @@ Session::run()
                     out.failure.classification = "journal_io_error";
                     out.failure.trapKind = TrapKind::Abort;
                     out.failure.detail = e.what();
-                    out.failure.attempts = attempts;
+                    out.failure.attempts = 1;
                 }
             } else if (status == QueryStatus::Completed) {
                 durable->store().commitTxn(); // no mutations to journal
@@ -241,7 +197,6 @@ Session::run()
         out.instructions = machine_->instructions();
         out.inferences = machine_->inferences();
         out.wallSeconds = elapsedSeconds(started);
-        out.counters = counters_;
         return out;
     };
     auto fail = [&](std::string classification, TrapKind kind,
@@ -249,31 +204,21 @@ Session::run()
         out.failure.classification = std::move(classification);
         out.failure.trapKind = kind;
         out.failure.detail = std::move(detail);
-        out.failure.attempts = attempts;
-        out.failure.cyclesLost = counters_.recoveryCycles;
-        out.failure.checkpointAgeCycles =
-            machine_->cycles() >= checkpoint_.cycle
-                ? machine_->cycles() - checkpoint_.cycle
-                : machine_->cycles();
+        out.failure.attempts = 1;
         return finish(QueryStatus::Failed);
     };
-    auto deadlineBlown = [&]() {
-        return options_.deadlineMs &&
-               elapsedSeconds(started) * 1000.0 >
-                   double(options_.deadlineMs) * double(attempts);
-    };
-    // End-to-end deadline → governor cycle slices: size each slice so
-    // the machine stops itself at (or just past) the propagated
-    // boundary instead of overshooting by a full watchdog tick. The
-    // simulation rate is observed as the run progresses; the initial
-    // estimate is deliberately low so the first slice under a tight
-    // deadline is short.
+    // Deadline → governor cycle slices: size each slice so the machine
+    // stops itself at (or just past) the boundary instead of
+    // overshooting by a full watchdog tick. The simulation rate is
+    // observed as the run progresses; the initial estimate is
+    // deliberately low so the first slice under a tight deadline is
+    // short.
     double est_cycles_per_sec = 20e6;
     auto deadlineSliceCycles = [&]() -> uint64_t {
-        if (!options_.deadlineAbsNs)
+        if (!deadline_ns)
             return 0;
         uint64_t now_ns = steadyNowNs();
-        if (now_ns >= options_.deadlineAbsNs)
+        if (now_ns >= deadline_ns)
             return 1; // expired: surface at the next boundary
         double elapsed = elapsedSeconds(started);
         if (elapsed > 1e-3 && machine_->cycles() > 0) {
@@ -281,70 +226,25 @@ Session::run()
                 std::min(1e10, std::max(1e6, double(machine_->cycles()) /
                                                  elapsed));
         }
-        double remaining_sec =
-            double(options_.deadlineAbsNs - now_ns) * 1e-9;
+        double remaining_sec = double(deadline_ns - now_ns) * 1e-9;
         double budget = remaining_sec * est_cycles_per_sec;
         return uint64_t(std::max(10e3, std::min(budget, 4e15)));
     };
-    auto absDeadlineExpired = [&]() {
-        return options_.deadlineAbsNs &&
-               steadyNowNs() >= options_.deadlineAbsNs;
-    };
-    // Recover from a trap (or blown deadline slice): restore the last
-    // checkpoint, or escalate to a fresh machine when the checkpoint
-    // re-traps without progress. Returns false when the retry budget
-    // is exhausted — the caller then emits the failure report.
-    auto recover = [&]() {
-        if (attempts > options_.maxRetries)
-            return false;
-        ++attempts;
-        const uint64_t fail_cycle = machine_->cycles();
-        const bool progressed = !failed_before ||
-                                fail_cycle > last_failure_cycle;
-        failed_before = true;
-        last_failure_cycle = fail_cycle;
-        if (progressed) {
-            counters_.recoveryCycles +=
-                fail_cycle - checkpoint_.cycle;
-            if (checkpoint_.snap == template_) {
-                if (!coldStart()) // warm checkpoint zero
-                    return false;
-            } else {
-                restoreSnapshot(*machine_, *checkpoint_.snap);
-            }
-            machine_->dismissPendingFaults();
-            out.solutions.resize(checkpoint_.solutionCount);
-            mode = checkpoint_.resumeAfterRestore ? Mode::Resume
-                                                  : Mode::Run;
-            ++counters_.retries;
-        } else {
-            // The checkpoint re-trapped at (or before) the same
-            // cycle: the fault is baked into the snapshot. Restart
-            // from scratch on a fresh machine.
-            counters_.recoveryCycles += fail_cycle;
-            if (!restartFresh())
-                return false;
-            out.solutions.clear();
-            checkpoint(template_, 0, /*resume_after=*/false);
-            mode = Mode::Run;
-        }
-        if (backoff_ms) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoff_ms));
-            backoff_ms *= 2;
-        }
-        return true;
+    auto deadlineExpired = [&]() {
+        return deadline_ns && steadyNowNs() >= deadline_ns;
     };
 
-    if (absDeadlineExpired()) {
-        // Already past the propagated deadline: spend no cycles at
-        // all (the supervisor sheds these before a worker is burned;
-        // this is the last line of defense).
+    if (deadlineExpired()) {
+        // Already past the deadline: spend no cycles at all (the
+        // supervisor sheds these before a worker is burned; this is
+        // the last line of defense).
         return fail("deadline_exceeded", TrapKind::Abort,
-                    "propagated absolute deadline expired before "
-                    "execution started (0 simulated cycles)");
+                    cat(deadlineName(), " expired before execution "
+                                        "started (0 simulated cycles)"));
     }
 
+    enum class Mode { Run, Next, Resume };
+    Mode mode = Mode::Run;
     for (;;) {
         uint64_t eff_slice = slice;
         if (uint64_t budget = deadlineSliceCycles())
@@ -379,36 +279,19 @@ Session::run()
         }
 
         if (machine_->sliceExpired()) {
-            // Host machinery, not a fault: poll the shutdown flag
-            // and the deadlines, take the periodic checkpoint,
-            // continue where we stopped.
+            // Host machinery, not a fault: poll the shutdown flag and
+            // the deadline, continue where we stopped.
             if (options_.abortOnInterrupt && serviceInterruptRequested()) {
                 return fail("interrupted", TrapKind::Abort,
                             "aborted by shutdown request at an "
                             "instruction boundary");
             }
-            if (absDeadlineExpired()) {
-                // The propagated end-to-end deadline is terminal: a
-                // retry cannot finish any sooner, so the budget is
-                // never extended per attempt.
+            if (deadlineExpired()) {
                 return fail("deadline_exceeded", TrapKind::Abort,
-                            cat("propagated absolute deadline "
-                                "exceeded after ",
+                            cat(deadlineName(), " exceeded after ",
                                 machine_->cycles(),
                                 " simulated cycles"));
             }
-            if (deadlineBlown()) {
-                if (!recover()) {
-                    return fail("deadline_exceeded", TrapKind::Abort,
-                                cat("wall-clock deadline of ",
-                                    options_.deadlineMs,
-                                    " ms per attempt exceeded"));
-                }
-                continue;
-            }
-            if (checkpoint_cycles)
-                checkpoint(nullptr, out.solutions.size(),
-                           /*resume_after=*/true);
             mode = Mode::Resume;
             continue;
         }
@@ -417,17 +300,13 @@ Session::run()
         if (trap.kind == TrapKind::UnhandledException) {
             // A thrown ball with no catch/3 marker is a *program*
             // outcome (the baseline interpreter reports it the same
-            // way), not a service fault — never retried.
+            // way), not a service fault.
             out.error = trapDiagnosis(trap);
             return finish(QueryStatus::Completed);
         }
-        if (!recover()) {
-            if (!templateError_.empty()) {
-                return fail("corrupt_image_template", TrapKind::Abort,
-                            templateError_);
-            }
-            return fail(trapDiagnosis(trap), trap.kind, trap.message);
-        }
+        // The back end is deterministic: a re-run would trap again at
+        // the same cycle, so the first trap is the answer.
+        return fail(trapDiagnosis(trap), trap.kind, trap.message);
     }
 }
 

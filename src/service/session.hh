@@ -5,31 +5,25 @@
  * The paper's system picture (§2, Fig. 1) is a host driving a KCM
  * back end: the host compiles and downloads an image, the KCM runs
  * it, and the host collects solutions. A Session is that host-side
- * protocol hardened for a serving deployment: it wraps one Machine
- * plus one linked image and runs the query to completion under
+ * protocol for a serving deployment: it wraps one Machine plus one
+ * linked image and runs the query once, to completion, under
  *
  *  - a governor budget (cycles, stack quotas — MachineConfig),
- *  - a wall-clock deadline per attempt,
- *  - periodic snapshot checkpoints taken at run-loop boundaries
- *    (every K simulated megacycles, configurable), and
- *  - a crash-recovery loop: when the machine traps (page fault,
- *    FaultPlan corruption, stack ceiling) the session restores the
- *    last checkpoint, dismisses the not-yet-fired scripted faults
- *    (transient-fault model) and retries with exponential backoff up
- *    to a retry budget; if a restored checkpoint re-traps without
- *    making progress the fault is baked into the snapshot (armed MMU
- *    fault, tightened zone, latent corrupt word) and the session
- *    escalates to a full restart on a fresh machine. When the budget
- *    is exhausted the query fails *cleanly* with a structured
- *    FailureReport — never a hang, never a crash, never a silently
- *    wrong answer.
+ *  - a terminal wall-clock deadline (deadlineMs from the start of the
+ *    run, or a propagated absolute one; the earlier wins), and
+ *  - the process-wide interrupt flag (a server drain past its grace).
  *
- * Checkpoint slicing rides on Machine::setSliceStop(), which is pure
- * host machinery: a fault-free run with checkpointing enabled reports
- * bit-identical simulated cycles and counters to one without. A
- * warm-started session's checkpoint zero is the shared template
- * itself: nothing is snapshotted before the first slice, and a
- * recovery to it restores the template exactly as the warm start did.
+ * The back end is deterministic: a trap (page fault, zone violation,
+ * cycle or memory budget) recurs at the same cycle whenever the same
+ * image runs under the same config, so the session never re-runs a
+ * query. A query that cannot be served fails once, *cleanly*, with a
+ * structured FailureReport — never a hang, never a crash, never a
+ * silently wrong answer.
+ *
+ * Deadlines and the interrupt flag are polled at run slices
+ * (Machine::setSliceStop()), which are pure host machinery: a sliced
+ * run reports bit-identical simulated cycles and counters to an
+ * unsliced one.
  */
 
 #ifndef KCM_SERVICE_SESSION_HH
@@ -59,27 +53,20 @@ struct SessionOptions
      * its machine, serializes on its mutex, runs the query inside a
      * store transaction, and — before run() returns, i.e. before any
      * reply is written — journals the op batch on completion or rolls
-     * it back on failure. Checkpoint recovery and retries are forced
-     * off in this mode: a snapshot restore would replace the attached
-     * store contents mid-transaction.
+     * it back on failure.
      */
     std::shared_ptr<db::JournaledStore> durableDb;
 
-    /** Checkpoint interval in simulated megacycles (0 = no periodic
-     *  checkpoints; the post-load checkpoint is still taken when
-     *  recovery is enabled). */
-    uint64_t checkpointEveryMcycles = 4;
-
-    /** Wall-clock deadline per attempt in milliseconds (0 = none). A
-     *  blown deadline is handled like a trap: restore + retry, then a
-     *  clean "deadline_exceeded" failure. */
+    /** Wall-clock deadline in milliseconds from the start of run()
+     *  (0 = none). Terminal: the session folds it into deadlineAbsNs
+     *  (the earlier one wins) and fails "deadline_exceeded" when it
+     *  passes. */
     uint64_t deadlineMs = 0;
 
     /**
      * End-to-end absolute deadline: steady-clock nanoseconds since
      * the clock's epoch (0 = none) — the propagated form of a
-     * client's wire deadline. Unlike deadlineMs this budget is never
-     * extended by retries: the session converts the remaining wall
+     * client's wire deadline. The session converts the remaining wall
      * budget into governor cycle slices (using the observed
      * simulation rate) so the query stops *itself* at the boundary,
      * and expiry is a terminal "deadline_exceeded" failure carrying
@@ -87,19 +74,11 @@ struct SessionOptions
      */
     uint64_t deadlineAbsNs = 0;
 
-    /** Recovery attempts after the first (0 = fail on first trap). */
-    unsigned maxRetries = 3;
-
-    /** First retry backoff; doubles per subsequent retry. Kept small
-     *  by default — the backoff is for politeness under load, not
-     *  correctness. */
-    uint64_t backoffBaseMs = 1;
-
     /** Collect at most this many solutions (0 = all). */
     size_t maxSolutions = 1;
 
-    /** Watchdog slice in cycles when no checkpoint interval is set
-     *  but a deadline is (how often the wall clock is polled). */
+    /** Watchdog slice in cycles when a deadline or abortOnInterrupt
+     *  is set (how often the wall clock and the flag are polled). */
     uint64_t watchdogSliceCycles = 4'000'000;
 
     /** Poll the process-wide interrupt flag (requestServiceInterrupt,
@@ -115,7 +94,7 @@ struct FailureReport
 {
     /** Machine-readable classification, always a re-readable Prolog
      *  term: "resource_error(<kind>)", "machine_trap(<kind>)",
-     *  "deadline_exceeded" (per-attempt or propagated absolute
+     *  "deadline_exceeded" (deadlineMs or the propagated absolute
      *  deadline), "overloaded", "interrupted" (aborted by a shutdown
      *  request at an instruction boundary) or
      *  "corrupt_image_template" (a warm-start
@@ -124,11 +103,9 @@ struct FailureReport
     std::string classification;
 
     TrapKind trapKind = TrapKind::Abort;
-    std::string detail;       ///< trap message of the final attempt
+    std::string detail;       ///< trap or failure message
 
-    unsigned attempts = 0;    ///< attempts made (1 = no retries)
-    uint64_t cyclesLost = 0;  ///< simulated cycles discarded by recovery
-    uint64_t checkpointAgeCycles = 0; ///< fail cycle - last checkpoint
+    unsigned attempts = 0;    ///< 1 = a session took it, 0 = shed
 };
 
 /** How a supervised query ended. */
@@ -139,17 +116,6 @@ enum class QueryStatus
     Failed,    ///< could not be served; see FailureReport
     Shed,      ///< evicted from the admission queue (FailureReport
                ///< classification "overloaded")
-};
-
-/** Robustness counters for one session (also aggregated service-wide
- *  by the Supervisor). */
-struct SessionCounters
-{
-    unsigned retries = 0;          ///< checkpoint restores performed
-    unsigned restarts = 0;         ///< full fresh-machine restarts
-    uint64_t checkpoints = 0;      ///< snapshots taken
-    uint64_t checkpointBytes = 0;  ///< total snapshot bytes
-    uint64_t recoveryCycles = 0;   ///< simulated cycles re-lost to recovery
 };
 
 /** Everything one supervised query produces. */
@@ -163,13 +129,13 @@ struct QueryOutcome
     std::string output;               ///< captured write/1 output
     bool halted = false;
     /** Program-level diagnosis (e.g. "unhandled_exception(<ball>)");
-     *  a program outcome, not a service failure, so it is never
-     *  retried — the baseline interpreter reports it identically. */
+     *  a program outcome, not a service failure — the baseline
+     *  interpreter reports it identically. */
     std::string error;
 
     FailureReport failure;            ///< valid when status != Completed
 
-    // Simulated measurements of the (final, successful) attempt.
+    // Simulated measurements of the run.
     uint64_t cycles = 0;
     uint64_t instructions = 0;
     uint64_t inferences = 0;
@@ -178,8 +144,6 @@ struct QueryOutcome
     // Durable-database accounting (durableDb sessions only).
     uint64_t dbOps = 0;      ///< mutations committed by this query
     uint64_t dbCommitId = 0; ///< journal commit id (0 = no mutations)
-
-    SessionCounters counters;
 };
 
 /** Ask every session with abortOnInterrupt set to stop at its next
@@ -193,7 +157,7 @@ void clearServiceInterrupt();
 bool serviceInterruptRequested();
 
 /**
- * One supervised query: machine + image + recovery loop.
+ * One supervised query: machine + image + run loop.
  * Construct, call run() once, read the outcome; a warm session's
  * machine may then be released for the next warm session. Not
  * thread-safe; each worker thread owns its sessions exclusively.
@@ -232,38 +196,17 @@ class Session
      * Hand the machine over for reuse by a later warm session under
      * the same MachineConfig (null when run() built none). A durable
      * store is detached first: left attached, the next restore would
-     * load the template's store into the shared durable one. After a
-     * fresh-machine restart this is the replacement machine.
+     * load the template's store into the shared durable one. A
+     * machine whose query trapped is handed over as it stands: the
+     * next restore overwrites all of its state.
      */
     std::unique_ptr<Machine> releaseMachine();
 
-    const SessionCounters &counters() const { return counters_; }
-
   private:
-    struct Checkpoint
-    {
-        /** The machine state to restore; for a warm session's
-         *  checkpoint zero, the shared template itself. */
-        std::shared_ptr<const Snapshot> snap;
-        size_t solutionCount = 0; ///< host-collected solutions so far
-        bool resumeAfterRestore = false; ///< restore into resume()?
-        uint64_t cycle = 0;       ///< cycles() at snapshot time
-    };
-
-    /** Make @p state (a fresh snapshot of the machine when null) the
-     *  checkpoint recover() returns to. */
-    void checkpoint(std::shared_ptr<const Snapshot> state,
-                    size_t solution_count, bool resume_after);
-    bool coldStart(); ///< load the image / restore the template
-    bool restartFresh();
-
     CodeImage image_;
     std::shared_ptr<const Snapshot> template_;
     SessionOptions options_;
     std::unique_ptr<Machine> machine_;
-    Checkpoint checkpoint_;
-    SessionCounters counters_;
-    std::string templateError_; ///< set when a template restore failed
 };
 
 } // namespace kcm::service

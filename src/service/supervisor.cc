@@ -284,11 +284,6 @@ Supervisor::bumpStatsLocked(const QueryOutcome &outcome)
         ++stats_.shed;
         break;
     }
-    stats_.retries += outcome.counters.retries;
-    stats_.restarts += outcome.counters.restarts;
-    stats_.checkpoints += outcome.counters.checkpoints;
-    stats_.checkpointBytes += outcome.counters.checkpointBytes;
-    stats_.recoveryCycles += outcome.counters.recoveryCycles;
     stats_.dbCommits += outcome.dbCommitId ? 1 : 0;
     stats_.dbOps += outcome.dbOps;
 }

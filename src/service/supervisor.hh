@@ -5,10 +5,11 @@
  * The serving half of the host in the paper's Fig. 1 system picture:
  * clients submit compiled queries, a bounded admission queue feeds a
  * pool of worker threads, and each worker runs one Session (machine +
- * checkpoints + retry loop) per query. A warm-template query under the
- * pool's own MachineConfig restores into an idle machine from a shared
- * LIFO stack instead of building one; the restore overwrites all of
- * its state, so reuse is invisible to every simulated metric. The
+ * run loop) per query. A warm-template query under the pool's own
+ * MachineConfig restores into an idle machine from a shared LIFO
+ * stack instead of building one; the restore overwrites all of its
+ * state, a trapped query's included, so reuse is invisible to every
+ * simulated metric. The
  * server's compile miss borrows from the same stack to take its
  * template (borrowMachine / returnMachine).
  * Robustness policies live here:
@@ -28,9 +29,8 @@
  *    byte budget (or a configured default) against a global resident
  *    budget; admission is refused — classified "overloaded" — when
  *    the aggregate would exceed it;
- *  - aggregate robustness counters (retries, restarts, checkpoints,
- *    checkpoint bytes, recovery cycles, shed queries, memory aborts)
- *    on top of the per-session ones.
+ *  - aggregate counters (completed, failed and shed queries, memory
+ *    aborts, durable commits).
  *
  * Determinism notes: queries are *compiled on the submitting thread*
  * (atom interning order affects generated switch tables, hence
@@ -67,9 +67,10 @@ struct QueryJob
     std::string id;   ///< client tag, echoed in the result
     std::string goal; ///< query text (for reports; already compiled)
 
-    /** Wall-clock deadline for this query in milliseconds from
-     *  submission (0 = the session default). Also the load-shedding
-     *  eviction key: earliest deadline is shed first. */
+    /** Wall-clock deadline for this query in milliseconds, counted
+     *  from the start of its session's run, not from submission (0 =
+     *  the session default). Also the load-shedding eviction key:
+     *  earliest deadline is shed first. */
     uint64_t deadlineMs = 0;
 
     /** End-to-end absolute deadline in steady-clock nanoseconds
@@ -100,18 +101,13 @@ struct ServiceResult
     QueryOutcome outcome;
 };
 
-/** Aggregate robustness counters across all sessions. */
+/** Aggregate counters across all sessions. */
 struct ServiceStats
 {
     uint64_t submitted = 0;
     uint64_t completed = 0;
     uint64_t failed = 0;
     uint64_t shed = 0;
-    uint64_t retries = 0;
-    uint64_t restarts = 0;
-    uint64_t checkpoints = 0;
-    uint64_t checkpointBytes = 0;
-    uint64_t recoveryCycles = 0;
     uint64_t dbCommits = 0; ///< journaled durable-db commits
     uint64_t dbOps = 0;     ///< mutations across those commits
 

@@ -2,7 +2,7 @@
  * @file
  * Durable-database tests: ClauseStore transactions (exact in-place
  * rollback, op-batch codec round-trips), the write-ahead journal
- * (append / recover / torn-tail truncation / corrupt-record
+ * (append / replay / torn-tail truncation / corrupt-record
  * classification / snapshot compaction / sync modes), and the
  * service-layer commit-before-ack contract including a SIGTERM-style
  * drain arriving mid-mutation. bench/db_crash covers the same

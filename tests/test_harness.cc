@@ -198,68 +198,6 @@ TEST(Harness, PaperDataTablesConsistent)
     }
 }
 
-TEST(Harness, ResilientRunRecordsRecoveryCounters)
-{
-    // A benchmark whose fault plan injects a page fault mid-run: the
-    // supervised harness path recovers it and records the recovery
-    // work in the BenchRun robustness counters; the suite exit code
-    // stays 0 because the run ultimately succeeded.
-    KcmSystem host;
-    host.consult("sumto(0, 0).\n"
-                 "sumto(N, S) :- N > 0, M is N - 1, sumto(M, T), "
-                 "S is T + N.\n");
-
-    PreparedBenchmark prep;
-    prep.name = "faulty_sumto";
-    prep.image = host.compileOnly("sumto(500, S)");
-    FaultAction fault;
-    fault.cycle = 4000;
-    fault.kind = FaultKind::InjectPageFault;
-    prep.machine.faultPlan.actions.push_back(fault);
-
-    BenchRun run = runPreparedResilient(prep,
-                                        /*checkpoint_every_mcycles=*/4,
-                                        /*max_retries=*/3);
-    EXPECT_TRUE(run.success) << run.failure;
-    EXPECT_TRUE(run.failure.empty());
-    EXPECT_GE(run.retries + run.restarts, 1u);
-    EXPECT_GE(run.checkpoints, 1u);
-    EXPECT_GT(run.checkpointBytes, 0u);
-    EXPECT_GT(run.recoveryCycles, 0u);
-    EXPECT_GT(run.cycles, 0u);
-    EXPECT_EQ(benchExitCode({run}), 0);
-}
-
-TEST(Harness, ResilientFailureYieldsTrapExitCode)
-{
-    // Retry exhaustion must surface as a classified failed run and
-    // flip the driver exit code to benchTrapExitCode (2) — the same
-    // contract the bench drivers document — without disturbing the
-    // successful runs around it.
-    KcmSystem host;
-    host.consult("loop :- loop.\n");
-
-    PreparedBenchmark prep;
-    prep.name = "doomed_loop";
-    prep.image = host.compileOnly("loop");
-    prep.machine.governor.cycleBudget = 2000;
-
-    BenchRun doomed = runPreparedResilient(prep,
-                                           /*checkpoint_every_mcycles=*/0,
-                                           /*max_retries=*/1);
-    EXPECT_FALSE(doomed.success);
-    ASSERT_FALSE(doomed.failure.empty());
-    EXPECT_NE(doomed.failure.find("resource_error"), std::string::npos)
-        << doomed.failure;
-    EXPECT_TRUE(doomed.trapped);
-    EXPECT_GE(doomed.retries + doomed.restarts, 1u);
-
-    BenchRun fine;
-    fine.success = true;
-    EXPECT_EQ(benchExitCode({fine, doomed}), benchTrapExitCode);
-    EXPECT_EQ(benchExitCode({fine}), 0);
-}
-
 TEST(Harness, DaemonOutOfScopeIsKilledAndReaped)
 {
     // A stand-in daemon that reports a port and then runs for ten

@@ -550,8 +550,7 @@ TEST(Server, AbsoluteDeadlinePropagatesOverTheWire)
     EXPECT_EQ(cut.status(), "failed") << cut.raw;
     EXPECT_EQ(cut.str("error"), "deadline_exceeded") << cut.raw;
     EXPECT_GT(cut.num("cycles"), 0) << cut.raw;
-    EXPECT_EQ(cut.num("attempts"), 1)
-        << "an absolute deadline must never be extended by retries";
+    EXPECT_EQ(cut.num("attempts"), 1) << "an absolute deadline is terminal";
 
     ClientReply s = h.client.stats();
     ASSERT_EQ(s.status(), "ok");
@@ -560,10 +559,7 @@ TEST(Server, AbsoluteDeadlinePropagatesOverTheWire)
 
 TEST(Server, MemoryBudgetOverTheWireIsClassifiedAndCatchable)
 {
-    service::ServerOptions options;
-    options.session.maxRetries = 0; // the budget re-traps determinis-
-                                    // tically; fail fast
-    Harness h(options);
+    Harness h;
 
     service::JsonWriter hog;
     hog.field("op", "query")
@@ -629,7 +625,6 @@ TEST(Server, DeterministicFailureIsRememberedWithItsTemplate)
     };
 
     service::ServerOptions options;
-    options.session.maxRetries = 0;
     {
         Harness h(options);
         // Take the template first, so that the run is a cache hit like

@@ -1,15 +1,15 @@
 /**
  * @file
- * Supervised query service: Session recovery semantics and Supervisor
+ * Supervised query service: Session failure semantics and Supervisor
  * pool behaviour.
  *
  * The contract under test is the serving one: a supervised query
  * either completes with the same answer an unsupervised run produces
- * (checkpointing must be invisible to every simulated metric), or
- * fails *cleanly* with a structured, classified FailureReport — never
- * a hang, never a silently wrong answer. Recovery escalation (restore
- * the checkpoint, then a fresh-machine restart when the checkpoint
- * re-traps without progress) and load shedding are pinned down
+ * (deadline slices must be invisible to every simulated metric), or
+ * fails *cleanly*, on its one attempt, with a structured, classified
+ * FailureReport — never a hang, never a silently wrong answer. The
+ * machine is deterministic, so a failing query fails exactly as a
+ * bare Machine does; deadlines and load shedding are pinned down
  * deterministically.
  */
 
@@ -74,7 +74,6 @@ compileQuery(const std::string &goal, const MachineConfig &machine)
 service::QueryOutcome
 runSession(const std::string &goal, service::SessionOptions options)
 {
-    options.backoffBaseMs = 0; // tests want wall-clock speed
     CodeImage image = compileQuery(goal, options.machine);
     service::Session session(std::move(image), std::move(options));
     return session.run();
@@ -85,7 +84,6 @@ runSession(const std::string &goal, service::SessionOptions options)
 service::QueryOutcome
 runWarmSession(const std::string &goal, service::SessionOptions options)
 {
-    options.backoffBaseMs = 0;
     Machine loaded;
     loaded.load(compileQuery(goal, MachineConfig{}));
     auto tmpl = std::make_shared<const Snapshot>(takeSnapshot(loaded));
@@ -144,171 +142,55 @@ steadyNowNs()
                         .count());
 }
 
-/** Premise check: the same goal + config traps without supervision. */
-TrapKind
-unsupervisedTrap(const std::string &goal, const MachineConfig &machine)
+/** How a bare Machine running one goal under one config traps. */
+struct BareTrap
+{
+    std::string classification; ///< trapDiagnosis()
+    TrapKind kind = TrapKind::Abort;
+    uint64_t cycles = 0;
+};
+
+BareTrap
+bareTrap(const std::string &goal, const MachineConfig &machine)
 {
     Machine bare(machine);
     bare.load(compileQuery(goal, machine));
     EXPECT_EQ(bare.run(), RunStatus::Trapped)
-        << "test premise: " << goal << " must trap unsupervised";
-    return bare.lastTrap().kind;
+        << "test premise: " << goal << " must trap on a bare machine";
+    return {trapDiagnosis(bare.lastTrap()), bare.lastTrap().kind,
+            bare.cycles()};
 }
 
 } // namespace
 
-TEST(Session, CheckpointingDoesNotPerturbSimulatedMetrics)
+TEST(Session, TrapFailsOnTheFirstAttemptLikeABareMachine)
 {
-    // ~3.3 simulated Mcycles: crosses several 1-Mcycle checkpoint
-    // boundaries (and stays clear of trail exhaustion, which a
-    // deterministic run meets near 11 Mcycles).
-    const char *goal = "itc(300, 0, S)";
-
-    service::SessionOptions plain;
-    plain.checkpointEveryMcycles = 0;
-    plain.maxRetries = 0;
-    service::QueryOutcome base = runSession(goal, plain);
-    ASSERT_EQ(base.status, service::QueryStatus::Completed);
-    ASSERT_TRUE(base.success);
-    ASSERT_EQ(base.counters.checkpoints, 0u);
-    ASSERT_GE(base.cycles, 2'000'000u)
-        << "test premise: the goal must cross checkpoint intervals";
-
-    service::SessionOptions supervised;
-    supervised.checkpointEveryMcycles = 1;
-    service::QueryOutcome ckpt = runSession(goal, supervised);
-    ASSERT_EQ(ckpt.status, service::QueryStatus::Completed);
-    EXPECT_EQ(ckpt.cycles, base.cycles);
-    EXPECT_EQ(ckpt.instructions, base.instructions);
-    EXPECT_EQ(ckpt.inferences, base.inferences);
-    ASSERT_EQ(ckpt.solutions.size(), base.solutions.size());
-    EXPECT_EQ(ckpt.solutions[0].toString(),
-              base.solutions[0].toString());
-    // Initial checkpoint + at least two periodic ones.
-    EXPECT_GE(ckpt.counters.checkpoints, 3u);
-    EXPECT_GT(ckpt.counters.checkpointBytes, 0u);
-    EXPECT_EQ(ckpt.counters.retries, 0u);
-    EXPECT_EQ(ckpt.counters.restarts, 0u);
-}
-
-TEST(Session, RecoversFromInjectedPageFault)
-{
-    const char *goal = "sumto(500, S)";
-    service::SessionOptions clean;
-    service::QueryOutcome want = runSession(goal, clean);
-    ASSERT_TRUE(want.success);
-
-    service::SessionOptions faulty;
-    FaultAction fault;
-    fault.cycle = 4000;
-    fault.kind = FaultKind::InjectPageFault;
-    faulty.machine.faultPlan.actions.push_back(fault);
-    ASSERT_EQ(unsupervisedTrap(goal, faulty.machine),
-              TrapKind::PageFault);
-
-    service::QueryOutcome out = runSession(goal, faulty);
-    EXPECT_EQ(out.status, service::QueryStatus::Completed);
-    ASSERT_TRUE(out.success) << out.failure.classification;
-    EXPECT_EQ(out.solutions[0].toString(),
-              want.solutions[0].toString());
-    EXPECT_GE(out.counters.retries + out.counters.restarts, 1u);
-    EXPECT_GT(out.counters.recoveryCycles, 0u);
-}
-
-TEST(Session, WarmRecoveryRestoresTheTemplateAsCheckpointZero)
-{
-    // A warm session's checkpoint zero is the shared template itself.
-    // Recovering to it must land exactly where the image path's
-    // post-load snapshot does: same answer, same simulated cost.
-    const char *goal = "sumto(500, S)";
-    service::SessionOptions faulty;
-    FaultAction fault;
-    fault.cycle = 4000;
-    fault.kind = FaultKind::InjectPageFault;
-    faulty.machine.faultPlan.actions.push_back(fault);
-
-    service::QueryOutcome image = runSession(goal, faulty);
-    ASSERT_TRUE(image.success) << image.failure.classification;
-    service::QueryOutcome warm = runWarmSession(goal, faulty);
-    EXPECT_EQ(warm.status, service::QueryStatus::Completed);
-    ASSERT_TRUE(warm.success) << warm.failure.classification;
-    EXPECT_EQ(warm.counters.retries, 1u);
-    EXPECT_EQ(warm.counters.restarts, 0u);
-    EXPECT_EQ(warm.counters.checkpoints, image.counters.checkpoints);
-    EXPECT_EQ(warm.solutions[0].toString(),
-              image.solutions[0].toString());
-    EXPECT_EQ(warm.cycles, image.cycles);
-    EXPECT_EQ(warm.instructions, image.instructions);
-    EXPECT_EQ(warm.inferences, image.inferences);
-}
-
-TEST(Session, WarmRecoveryKeepsTheSessionsTighterQuota)
-{
-    // The template carries the default config's zone table; this
-    // session's 1 MiB byte budget must be re-imposed when recovery
-    // restores checkpoint zero, so the catch still sees
-    // resource_error(memory) after the injected fault.
-    const char *goal =
-        "catch(mklist(200000, _), resource_error(E), true)";
-    service::SessionOptions options;
-    options.machine.governor.memoryBudgetBytes = 1u << 20;
-    FaultAction fault;
-    fault.cycle = 4000;
-    fault.kind = FaultKind::InjectPageFault;
-    options.machine.faultPlan.actions.push_back(fault);
-
-    service::QueryOutcome image = runSession(goal, options);
-    ASSERT_TRUE(image.success) << image.failure.classification;
-    service::QueryOutcome warm = runWarmSession(goal, options);
-    ASSERT_TRUE(warm.success) << warm.failure.classification;
-    EXPECT_GE(warm.counters.retries, 1u);
-    EXPECT_NE(warm.solutions[0].toString().find("E = memory"),
-              std::string::npos)
-        << warm.solutions[0].toString();
-    EXPECT_EQ(warm.solutions[0].toString(),
-              image.solutions[0].toString());
-    EXPECT_EQ(warm.cycles, image.cycles);
-}
-
-TEST(Session, RecoversFromTightenedZone)
-{
-    const char *goal = "revsum(40, S)";
-    service::SessionOptions clean;
-    service::QueryOutcome want = runSession(goal, clean);
-    ASSERT_TRUE(want.success);
-
-    service::SessionOptions faulty;
-    FaultAction fault;
-    fault.cycle = 1500;
-    fault.kind = FaultKind::TightenZone;
-    fault.zone = Zone::Global;
+    // The machine is deterministic, so the session never re-runs a
+    // query: an injected fault, or a cycle budget the goal cannot fit
+    // in, fails on the first attempt with the classification, trap
+    // kind and cycles of a bare Machine's trap under the same config,
+    // from the cold image and from a warm template alike.
     DataLayout layout;
-    fault.limit = layout.globalStart + 8;
-    faulty.machine.faultPlan.actions.push_back(fault);
-    unsupervisedTrap(goal, faulty.machine);
-
-    service::QueryOutcome out = runSession(goal, faulty);
-    EXPECT_EQ(out.status, service::QueryStatus::Completed);
-    ASSERT_TRUE(out.success) << out.failure.classification;
-    EXPECT_EQ(out.solutions[0].toString(),
-              want.solutions[0].toString());
-    EXPECT_GE(out.counters.retries + out.counters.restarts, 1u);
-}
-
-TEST(Session, RecoversFromCorruptedWord)
-{
-    const char *goal = "revsum(40, S)";
-    service::SessionOptions clean;
-    service::QueryOutcome want = runSession(goal, clean);
-    ASSERT_TRUE(want.success);
-
-    // Corrupt live list cells with Refs into the unmapped gap between
-    // the static and global zones: the next dereference traps (and
-    // can never decode as a plausible ground answer). rev/app re-read
-    // the low heap throughout the quadratic run, so darts spread over
-    // cells and cycles are guaranteed to be observed.
-    service::SessionOptions faulty;
-    DataLayout layout;
+    MachineConfig page_fault, tightened_zone, corrupted_word, budget;
+    {
+        FaultAction fault;
+        fault.cycle = 4000;
+        fault.kind = FaultKind::InjectPageFault;
+        page_fault.faultPlan.actions.push_back(fault);
+    }
+    {
+        FaultAction fault;
+        fault.cycle = 1500;
+        fault.kind = FaultKind::TightenZone;
+        fault.zone = Zone::Global;
+        fault.limit = layout.globalStart + 8;
+        tightened_zone.faultPlan.actions.push_back(fault);
+    }
+    // Live list cells corrupted with Refs into the unmapped gap between
+    // the static and global zones: the next dereference traps (and can
+    // never decode as a plausible ground answer). rev/app re-read the
+    // low heap throughout the quadratic run, so darts spread over cells
+    // and cycles are observed.
     const uint64_t darts[][2] = {
         {1000, 10}, {3000, 30}, {5000, 50}, {8000, 70}, {12000, 26},
     };
@@ -320,49 +202,71 @@ TEST(Session, RecoversFromCorruptedWord)
         fault.raw = Word::make(Tag::Ref, Zone::Global,
                                layout.staticEnd + 16)
                         .raw();
-        faulty.machine.faultPlan.actions.push_back(fault);
+        corrupted_word.faultPlan.actions.push_back(fault);
     }
-    unsupervisedTrap(goal, faulty.machine);
+    budget.governor.cycleBudget = 3000;
 
-    service::QueryOutcome out = runSession(goal, faulty);
-    EXPECT_EQ(out.status, service::QueryStatus::Completed);
-    ASSERT_TRUE(out.success) << out.failure.classification;
-    EXPECT_EQ(out.solutions[0].toString(),
-              want.solutions[0].toString());
-    EXPECT_GE(out.counters.retries + out.counters.restarts, 1u);
+    const struct
+    {
+        const char *name;
+        const char *goal;
+        const MachineConfig &machine;
+    } cases[] = {
+        {"page fault", "sumto(500, S)", page_fault},
+        {"tightened zone", "revsum(40, S)", tightened_zone},
+        {"corrupted word", "revsum(40, S)", corrupted_word},
+        {"cycle budget", "sumto(1200, S)", budget},
+    };
+    for (const auto &c : cases) {
+        const BareTrap want = bareTrap(c.goal, c.machine);
+        service::SessionOptions options;
+        options.machine = c.machine;
+        service::QueryOutcome cold = runSession(c.goal, options);
+        service::Session warm_session(
+            templateFor(serviceProgram, c.goal, c.machine), options);
+        service::QueryOutcome warm = warm_session.run();
+
+        const std::pair<const char *, const service::QueryOutcome *>
+            runs[] = {{"cold", &cold}, {"warm", &warm}};
+        for (const auto &[start, out] : runs) {
+            SCOPED_TRACE(cat(c.name, ", ", start));
+            EXPECT_EQ(out->status, service::QueryStatus::Failed);
+            EXPECT_FALSE(out->success);
+            EXPECT_EQ(out->failure.attempts, 1u);
+            EXPECT_EQ(out->failure.classification, want.classification);
+            EXPECT_EQ(out->failure.trapKind, want.kind);
+            EXPECT_EQ(out->cycles, want.cycles);
+            EXPECT_FALSE(out->failure.detail.empty());
+        }
+    }
 }
 
-TEST(Session, ExhaustedRetriesFailCleanlyWithRestartEscalation)
+TEST(Session, WarmStartKeepsTheSessionsTighterQuota)
 {
-    // A cycle budget the goal can never fit in: every attempt traps
-    // at the same simulated cycle. The first recovery restores the
-    // checkpoint; the re-trap makes no progress, so the session
-    // escalates to fresh-machine restarts; the budget then runs out
-    // and the failure is classified — not hung, not crashed.
+    // The template carries the default config's zone table; a warm
+    // start must re-impose this session's 1 MiB byte budget, so the
+    // catch sees resource_error(memory) exactly as after a cold load.
+    const char *goal =
+        "catch(mklist(200000, _), resource_error(E), true)";
     service::SessionOptions options;
-    options.machine.governor.cycleBudget = 3000;
-    options.maxRetries = 2;
-    service::QueryOutcome out = runSession("sumto(1200, S)", options);
+    options.machine.governor.memoryBudgetBytes = 1u << 20;
 
-    EXPECT_EQ(out.status, service::QueryStatus::Failed);
-    EXPECT_FALSE(out.success);
-    EXPECT_NE(out.failure.classification.find("resource_error"),
+    service::QueryOutcome image = runSession(goal, options);
+    ASSERT_TRUE(image.success) << image.failure.classification;
+    service::QueryOutcome warm = runWarmSession(goal, options);
+    ASSERT_TRUE(warm.success) << warm.failure.classification;
+    EXPECT_NE(warm.solutions[0].toString().find("E = memory"),
               std::string::npos)
-        << out.failure.classification;
-    EXPECT_EQ(out.failure.trapKind, TrapKind::Abort);
-    EXPECT_EQ(out.failure.attempts, 3u); // 1 + maxRetries
-    EXPECT_EQ(out.counters.retries, 1u);
-    EXPECT_EQ(out.counters.restarts, 1u);
-    EXPECT_GT(out.failure.cyclesLost, 0u);
-    EXPECT_FALSE(out.failure.detail.empty());
+        << warm.solutions[0].toString();
+    EXPECT_EQ(warm.solutions[0].toString(),
+              image.solutions[0].toString());
+    EXPECT_EQ(warm.cycles, image.cycles);
 }
 
 TEST(Session, UnhandledExceptionIsAProgramOutcomeNotRetried)
 {
-    service::SessionOptions options;
-    options.maxRetries = 3;
     service::QueryOutcome out =
-        runSession("sumto(5, S), throw(boom(S))", options);
+        runSession("sumto(5, S), throw(boom(S))", {});
 
     // The baseline interpreter reports the same uncaught ball; the
     // service must treat it as a completed (if failed) program, not a
@@ -371,16 +275,14 @@ TEST(Session, UnhandledExceptionIsAProgramOutcomeNotRetried)
     EXPECT_FALSE(out.success);
     EXPECT_NE(out.error.find("boom(15)"), std::string::npos)
         << out.error;
-    EXPECT_EQ(out.counters.retries, 0u);
-    EXPECT_EQ(out.counters.restarts, 0u);
 }
 
 TEST(Session, BlownDeadlineFailsCleanly)
 {
+    // deadlineMs is terminal: under the default options the runaway
+    // stops on its one attempt, reporting the cycles it spent.
     service::SessionOptions options;
     options.deadlineMs = 60;
-    options.checkpointEveryMcycles = 0;
-    options.maxRetries = 0;
     options.watchdogSliceCycles = 100'000;
     service::QueryOutcome out = runSession("loop", options);
 
@@ -388,13 +290,13 @@ TEST(Session, BlownDeadlineFailsCleanly)
     EXPECT_EQ(out.failure.classification, "deadline_exceeded");
     EXPECT_EQ(out.failure.attempts, 1u);
     EXPECT_EQ(out.failure.trapKind, TrapKind::Abort);
+    EXPECT_GT(out.cycles, 0u);
 }
 
 TEST(Supervisor, BatchCompletesInSubmissionOrder)
 {
     service::SupervisorOptions options;
     options.workers = 4;
-    options.session.backoffBaseMs = 0;
 
     KcmOptions compile_options;
     compile_options.machine = options.session.machine;
@@ -440,7 +342,6 @@ TEST(Supervisor, ShedsEarliestDeadlineWhenQueueFull)
     options.workers = 2;
     options.maxQueueDepth = 2;
     options.startPaused = true;
-    options.session.backoffBaseMs = 0;
 
     KcmOptions compile_options;
     compile_options.machine = options.session.machine;
@@ -472,44 +373,6 @@ TEST(Supervisor, ShedsEarliestDeadlineWhenQueueFull)
     EXPECT_EQ(stats.shed, 1u);
 }
 
-TEST(Supervisor, AggregatesRecoveryCountersAcrossSessions)
-{
-    service::SupervisorOptions options;
-    options.workers = 2;
-    options.session.backoffBaseMs = 0;
-
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-
-    service::Supervisor supervisor(options);
-    for (int i = 0; i < 4; ++i) {
-        service::QueryJob job;
-        job.id = cat("q", i);
-        job.goal = "sumto(500, S)";
-        MachineConfig machine = options.session.machine;
-        FaultAction fault;
-        fault.cycle = 4000;
-        fault.kind = FaultKind::InjectPageFault;
-        machine.faultPlan.actions.push_back(fault);
-        job.machine = machine;
-        supervisor.submit(job, host.compileOnly(job.goal));
-    }
-    std::vector<service::ServiceResult> results = supervisor.drain();
-    service::ServiceStats stats = supervisor.stats();
-
-    for (const auto &res : results) {
-        EXPECT_EQ(res.outcome.status, service::QueryStatus::Completed)
-            << res.outcome.failure.classification;
-        EXPECT_TRUE(res.outcome.success);
-    }
-    EXPECT_EQ(stats.completed, 4u);
-    EXPECT_GE(stats.retries + stats.restarts, 4u);
-    EXPECT_GE(stats.checkpoints, 4u);
-    EXPECT_GT(stats.recoveryCycles, 0u);
-}
-
 TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
 {
     // The always-on server's admission path: submitAsync() a burst
@@ -522,7 +385,6 @@ TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
     options.workers = 2;
     options.maxQueueDepth = 4;
     options.startPaused = true;
-    options.session.backoffBaseMs = 0;
 
     KcmOptions compile_options;
     compile_options.machine = options.session.machine;
@@ -592,7 +454,6 @@ TEST(Supervisor, WarmTemplateAsyncMatchesColdImage)
     // as one cold-started from the compiled image.
     service::SupervisorOptions options;
     options.workers = 2;
-    options.session.backoffBaseMs = 0;
 
     KcmOptions compile_options;
     compile_options.machine = options.session.machine;
@@ -653,8 +514,6 @@ TEST(Supervisor, PooledMachineNeverCrossesMachineConfigs)
     // to the pool: the next default job must run as it did before.
     service::SupervisorOptions options;
     options.workers = 1;
-    options.session.backoffBaseMs = 0;
-    options.session.maxRetries = 0;
     const char *goal = "mklist(200000, _)";
     auto tmpl = templateFor(serviceProgram, goal, options.session.machine);
 
@@ -683,19 +542,24 @@ TEST(Supervisor, PooledMachineNeverCrossesMachineConfigs)
 
 TEST(Supervisor, PooledMachineRunsAlternatingTemplatesLikeAFreshOne)
 {
-    // Two templates take turns on the pool's one machine. One grows
-    // the heap far past the other's allocated prefix and writes
-    // output; every outcome must equal a fresh machine's.
+    // Three templates take turns on the pool's one machine. One grows
+    // the heap far past another's allocated prefix and writes output;
+    // a third fills the heap until the pool's cycle budget traps it,
+    // and the machine goes back to the pool as it stands. Every
+    // outcome, the failure and the job after it included, must equal
+    // a fresh machine's.
     service::SupervisorOptions options;
     options.workers = 1;
-    options.session.backoffBaseMs = 0;
+    options.session.machine.governor.cycleBudget = 4'000'000;
     const std::string program =
         std::string(serviceProgram) +
         "shout(N, S) :- revsum(N, S), write(S), nl.\n";
-    auto big = templateFor(program, "shout(300, S)",
-                           options.session.machine);
-    auto small = templateFor(program, "sumto(50, S)",
-                             options.session.machine);
+    const char *goals[] = {"shout(300, S)", "sumto(50, S)",
+                           "mklist(1000000, _)"};
+    std::shared_ptr<const Snapshot> templates[3];
+    for (int i = 0; i < 3; ++i)
+        templates[i] = templateFor(program, goals[i],
+                                   options.session.machine);
 
     auto pagesAfterRun = [&](const Snapshot &tmpl) {
         Machine m(options.session.machine);
@@ -703,32 +567,43 @@ TEST(Supervisor, PooledMachineRunsAlternatingTemplatesLikeAFreshOne)
         m.run();
         return m.mem().mmu().allocatedPages();
     };
-    ASSERT_GT(pagesAfterRun(*big), pagesAfterRun(*small))
+    ASSERT_GT(pagesAfterRun(*templates[0]), pagesAfterRun(*templates[1]))
         << "test premise: one template must outgrow the other";
 
     WarmJobs jobs;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < 6; ++i) {
         service::QueryJob job;
         job.id = cat("q", i);
-        job.goal = i % 2 ? "sumto(50, S)" : "shout(300, S)";
-        jobs.emplace_back(job, i % 2 ? small : big);
+        job.goal = goals[i % 3];
+        jobs.emplace_back(job, templates[i % 3]);
     }
     std::vector<service::QueryOutcome> out = runWarmJobs(options, jobs);
 
     for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(jobs[i].first.goal);
         service::Session fresh(jobs[i].second, options.session);
         service::QueryOutcome want = fresh.run();
-        ASSERT_EQ(want.status, service::QueryStatus::Completed);
-        ASSERT_EQ(out[i].status, want.status) << jobs[i].first.goal;
-        ASSERT_EQ(out[i].solutions.size(), 1u) << jobs[i].first.goal;
-        EXPECT_EQ(out[i].solutions[0].toString(),
-                  want.solutions[0].toString());
-        EXPECT_EQ(out[i].output, want.output) << jobs[i].first.goal;
-        EXPECT_EQ(out[i].cycles, want.cycles) << jobs[i].first.goal;
+        ASSERT_EQ(want.status, i % 3 == 2 ? service::QueryStatus::Failed
+                                          : service::QueryStatus::Completed)
+            << want.failure.classification;
+        ASSERT_EQ(out[i].status, want.status);
+        EXPECT_EQ(out[i].failure.classification,
+                  want.failure.classification);
+        EXPECT_EQ(out[i].failure.trapKind, want.failure.trapKind);
+        ASSERT_EQ(out[i].solutions.size(), want.solutions.size());
+        if (!want.solutions.empty()) {
+            EXPECT_EQ(out[i].solutions[0].toString(),
+                      want.solutions[0].toString());
+        }
+        EXPECT_EQ(out[i].output, want.output);
+        EXPECT_EQ(out[i].cycles, want.cycles);
         EXPECT_EQ(out[i].instructions, want.instructions);
         EXPECT_EQ(out[i].inferences, want.inferences);
     }
     EXPECT_EQ(out[0].output, "45150\n");
+    EXPECT_NE(out[2].failure.classification.find("resource_error"),
+              std::string::npos)
+        << out[2].failure.classification;
 }
 
 TEST(Supervisor, BorrowedMachineTakesTheTemplateAFreshOneTakes)
@@ -779,8 +654,6 @@ TEST(Supervisor, BorrowedMachineTakesTheTemplateAFreshOneTakes)
 
     service::SupervisorOptions options;
     options.workers = 1;
-    options.session.backoffBaseMs = 0;
-    options.session.maxRetries = 0;
     options.session.machine = config;
     {
         service::Supervisor pool(options);
@@ -835,11 +708,9 @@ TEST(Supervisor, IdleStackHoldsAtMostOneMachinePerWorker)
 TEST(Session, AbsoluteDeadlineTerminatesRunawayWithCyclesSpent)
 {
     // The propagated client deadline: "loop" never finishes, so the
-    // session must stop *itself* at the boundary — terminally (no
-    // retries, unlike the per-attempt deadlineMs) and reporting the
-    // simulated cycles it burned before giving up.
+    // session must stop *itself* at the boundary — terminally, and
+    // reporting the simulated cycles it burned before giving up.
     service::SessionOptions options;
-    options.checkpointEveryMcycles = 1;
     options.watchdogSliceCycles = 100'000;
     // Wide enough that compile + setup on a loaded (sanitized) host
     // cannot burn the whole budget before the first slice runs.
@@ -856,8 +727,8 @@ TEST(Session, AbsoluteDeadlineTerminatesRunawayWithCyclesSpent)
 
 TEST(Session, AbsoluteDeadlineShorterThanOneGovernorSlice)
 {
-    // With checkpoints off and a 2-Gcycle watchdog slice, the governor
-    // would run "loop" for minutes before the first slice boundary.
+    // With a 2-Gcycle watchdog slice, the governor would run "loop"
+    // for minutes before the first slice boundary.
     // The deadline-to-cycle-slice conversion must cut the slice down
     // to the remaining wall budget so the query still stops in a
     // fraction of a second, far short of one configured slice. The
@@ -865,7 +736,6 @@ TEST(Session, AbsoluteDeadlineShorterThanOneGovernorSlice)
     // here and session start on a loaded host (which would legally
     // yield the zero-cycle pre-execution shed instead).
     service::SessionOptions options;
-    options.checkpointEveryMcycles = 0;
     options.watchdogSliceCycles = 2'000'000'000;
     options.deadlineAbsNs = steadyNowNs() + 300'000'000ull; // +300ms
     service::QueryOutcome out = runSession("loop", options);
@@ -893,16 +763,17 @@ TEST(Session, ExpiredAbsoluteDeadlineFailsBeforeExecution)
 
 TEST(Session, GenerousAbsoluteDeadlineIsInvisibleToSimulatedMetrics)
 {
-    // Deadline slices interleave with checkpoint boundaries; when the
-    // deadline is not hit, neither may perturb the simulated answer.
+    // ~3.3 simulated Mcycles in 1-Mcycle deadline slices: when the
+    // deadline is not hit, the slices may not perturb the simulated
+    // answer of an unsliced run.
     const char *goal = "itc(300, 0, S)";
-    service::SessionOptions plain;
-    plain.checkpointEveryMcycles = 1;
-    service::QueryOutcome base = runSession(goal, plain);
+    service::QueryOutcome base = runSession(goal, {});
     ASSERT_EQ(base.status, service::QueryStatus::Completed);
+    ASSERT_GE(base.cycles, 2'000'000u)
+        << "test premise: the goal must cross slice boundaries";
 
     service::SessionOptions guarded;
-    guarded.checkpointEveryMcycles = 1;
+    guarded.watchdogSliceCycles = 1'000'000;
     guarded.deadlineAbsNs = steadyNowNs() + 60'000'000'000ull; // +60s
     service::QueryOutcome out = runSession(goal, guarded);
 
@@ -911,7 +782,8 @@ TEST(Session, GenerousAbsoluteDeadlineIsInvisibleToSimulatedMetrics)
     EXPECT_EQ(out.solutions[0].toString(),
               base.solutions[0].toString());
     EXPECT_EQ(out.cycles, base.cycles);
-    EXPECT_GT(out.counters.checkpoints, 0u);
+    EXPECT_EQ(out.instructions, base.instructions);
+    EXPECT_EQ(out.inferences, base.inferences);
 }
 
 // --------------------------------------- per-query memory governance
@@ -999,7 +871,6 @@ TEST(Service, BaselineInterpreterAgreesOnMemoryBudget)
 TEST(Session, MemoryBudgetFailureIsClassified)
 {
     service::SessionOptions options;
-    options.maxRetries = 0;
     options.machine.governor.memoryBudgetBytes = 1u << 20;
     service::QueryOutcome out =
         runSession("mklist(200000, L)", options);
@@ -1019,7 +890,6 @@ TEST(Supervisor, UnmeetableDeadlineShedsAtAdmission)
     service::SupervisorOptions options;
     options.workers = 1;
     options.startPaused = true;
-    options.session.backoffBaseMs = 0;
 
     KcmOptions compile_options;
     compile_options.machine = options.session.machine;
@@ -1063,7 +933,6 @@ TEST(Supervisor, PredictedQueueWaitShedsAtAdmission)
     // sanitizers).
     service::SupervisorOptions options;
     options.workers = 1;
-    options.session.backoffBaseMs = 0;
     CodeImage measured = compileQuery("itc(300, 0, S)",
                                       options.session.machine);
     CodeImage runaway = compileQuery("loop", options.session.machine);
@@ -1120,7 +989,6 @@ TEST(Supervisor, CollidingShapeIsNotShedOnAnotherShapesEstimate)
     // stops it.
     service::SupervisorOptions options;
     options.workers = 1;
-    options.session.backoffBaseMs = 0;
     CodeImage measured = compileQuery("itc(300, 0, S)",
                                       options.session.machine);
     CodeImage runaway = compileQuery("loop", options.session.machine);
@@ -1170,7 +1038,6 @@ TEST(Supervisor, GlobalMemoryBudgetRefusesAdmission)
     options.workers = 1;
     options.startPaused = true;
     options.globalMemoryBudgetBytes = 64ull << 20;
-    options.session.backoffBaseMs = 0;
 
     KcmOptions compile_options;
     compile_options.machine = options.session.machine;
@@ -1207,8 +1074,6 @@ TEST(Supervisor, PerJobMemoryBudgetAbortIsCounted)
 {
     service::SupervisorOptions options;
     options.workers = 1;
-    options.session.backoffBaseMs = 0;
-    options.session.maxRetries = 0;
 
     KcmOptions compile_options;
     compile_options.machine = options.session.machine;

@@ -500,6 +500,13 @@ TEST(Traps, HarnessRecordsTrappedBenchmarkAsFailed)
     EXPECT_NE(run.failure.find("machine_trap(zone_violation)"),
               std::string::npos)
         << run.failure;
+
+    // The trapped run sets the suite's exit code, whatever succeeded
+    // beside it.
+    BenchRun fine;
+    fine.success = true;
+    EXPECT_EQ(benchExitCode({fine, run}), benchTrapExitCode);
+    EXPECT_EQ(benchExitCode({fine}), 0);
 }
 
 TEST(Traps, WatchdogSlicingLeavesMetricsUntouched)

@@ -26,13 +26,10 @@
  *                  a rule, a non-callable term, an over-arity head —
  *                  aborts before anything is loaded, with a
  *                  diagnostic naming the file and clause.
- *
- * Supervision (any of these routes the query through a supervised
- * service::Session — checkpoints, restore-and-retry, clean failure):
- *   --deadline-ms N        wall-clock deadline per attempt
- *   --checkpoint-every K   snapshot checkpoint every K simulated
- *                          megacycles
- *   --retries N            recovery attempts after a trap
+ *   --deadline-ms N  wall-clock deadline for the query, counted from its
+ *                  start; past it the run stops at the next slice
+ *                  boundary, prints the solutions found so far and
+ *                  "error: deadline_exceeded."
  *
  * SIGINT/SIGTERM stop the run at the next instruction-boundary slice:
  * solutions found so far are still printed (with a trailing
@@ -41,11 +38,11 @@
  * Exit codes: 0 = solutions found, 1 = clean "no", 2 = query failed
  * (trap, resource exhaustion, blown deadline, usage error, or a
  * missing/unreadable program or --db-facts file — always a one-line
- * diagnostic, never an uncaught exception), 3 = reserved (shed by an
- * overloaded service), 4 = interrupted by SIGINT/SIGTERM (partial
- * solutions flushed).
+ * diagnostic, never an uncaught exception), 3 = reserved,
+ * 4 = interrupted by SIGINT/SIGTERM (partial solutions flushed).
  */
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -67,8 +64,8 @@ namespace
 void
 onSignal(int)
 {
-    // Only an atomic store — async-signal-safe. Both the supervised
-    // session and the interruptible query poll it between slices.
+    // Only an atomic store — async-signal-safe. The interruptible
+    // query polls it between slices.
     kcm::service::requestServiceInterrupt();
 }
 
@@ -114,13 +111,10 @@ usage()
             "  --db-facts FILE  preload a fact file into the dynamic\n"
             "                   clause store (facts only; a malformed\n"
             "                   clause aborts with a diagnostic)\n"
-            "supervision (runs the query in a supervised session):\n"
-            "  --deadline-ms N       wall-clock deadline per attempt\n"
-            "  --checkpoint-every K  checkpoint every K megacycles\n"
-            "  --retries N           recovery attempts after a trap\n"
+            "  --deadline-ms N  wall-clock deadline for the query\n"
             "exit codes: 0 = solutions found, 1 = clean 'no',\n"
             "  2 = failed (trap, resources, deadline, usage),\n"
-            "  3 = shed by an overloaded service,\n"
+            "  3 = reserved,\n"
             "  4 = interrupted (partial solutions flushed)\n");
     exit(2);
 }
@@ -139,8 +133,7 @@ main(int argc, char **argv)
     std::string load_path;
     std::vector<SourceArg> source_args;
     std::vector<std::string> fact_files;
-    bool supervised = false;
-    kcm::service::SessionOptions supervision;
+    uint64_t deadline_ms = 0;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -176,17 +169,7 @@ main(int argc, char **argv)
         } else if (arg == "--max-cycles") {
             options.machine.maxCycles = strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--deadline-ms") {
-            supervision.deadlineMs =
-                strtoull(next().c_str(), nullptr, 10);
-            supervised = true;
-        } else if (arg == "--checkpoint-every") {
-            supervision.checkpointEveryMcycles =
-                strtoull(next().c_str(), nullptr, 10);
-            supervised = true;
-        } else if (arg == "--retries") {
-            supervision.maxRetries =
-                unsigned(strtoul(next().c_str(), nullptr, 10));
-            supervised = true;
+            deadline_ms = strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--fast") {
             options.machine.fastDispatch = true;
         } else if (arg == "--oracle") {
@@ -258,62 +241,19 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (supervised) {
-            supervision.machine = options.machine;
-            supervision.maxSolutions = options.maxSolutions == SIZE_MAX
-                                           ? 0
-                                           : options.maxSolutions;
-            supervision.abortOnInterrupt = true;
-            kcm::service::Session session(system.compileOnly(query),
-                                          supervision);
-            kcm::service::QueryOutcome outcome = session.run();
-
-            for (const auto &solution : outcome.solutions)
-                printf("%s ;\n", solution.toString().c_str());
-            fprintf(stderr,
-                    "[%llu inferences, %llu cycles = %.3f ms simulated; "
-                    "%u retries, %u restarts, %llu checkpoints "
-                    "(%llu bytes), %llu cycles recovered]\n",
-                    (unsigned long long)outcome.inferences,
-                    (unsigned long long)outcome.cycles,
-                    double(outcome.cycles) * kcm::cycleSeconds * 1e3,
-                    outcome.counters.retries, outcome.counters.restarts,
-                    (unsigned long long)outcome.counters.checkpoints,
-                    (unsigned long long)outcome.counters.checkpointBytes,
-                    (unsigned long long)outcome.counters.recoveryCycles);
-            if (outcome.status == kcm::service::QueryStatus::Shed) {
-                printf("error: %s.\n",
-                       outcome.failure.classification.c_str());
-                return 3;
-            }
-            if (outcome.status == kcm::service::QueryStatus::Failed) {
-                if (outcome.failure.classification == "interrupted") {
-                    printf("%% interrupted.\n");
-                    fflush(stdout);
-                    return 4;
-                }
-                printf("error: %s.\n",
-                       outcome.failure.classification.c_str());
-                fprintf(stderr,
-                        "[failed after %u attempts: %s; checkpoint age "
-                        "%llu cycles]\n",
-                        outcome.failure.attempts,
-                        outcome.failure.detail.c_str(),
-                        (unsigned long long)
-                            outcome.failure.checkpointAgeCycles);
-                return 2;
-            }
-            if (!outcome.error.empty()) {
-                printf("error: %s.\n", outcome.error.c_str());
-                return 2;
-            }
-            printf("%s.\n", outcome.success ? "yes" : "no");
-            return outcome.success ? 0 : 1;
-        }
-
-        kcm::QueryResult result = system.query(
-            query, [] { return kcm::service::serviceInterruptRequested(); });
-        if (result.interrupted) {
+        // The poll stops the run on a signal or once the deadline has
+        // passed, and records which of the two it was.
+        using Clock = std::chrono::steady_clock;
+        const Clock::time_point deadline =
+            Clock::now() + std::chrono::milliseconds(deadline_ms);
+        bool timed_out = false;
+        kcm::QueryResult result = system.query(query, [&] {
+            if (kcm::service::serviceInterruptRequested())
+                return true;
+            timed_out = deadline_ms && Clock::now() >= deadline;
+            return timed_out;
+        });
+        if (result.interrupted && !timed_out) {
             // Partial solutions first, so a long all-solutions run
             // killed from the shell still yields everything found.
             for (const auto &solution : result.solutions)
@@ -322,10 +262,12 @@ main(int argc, char **argv)
             fflush(stdout);
             return 4;
         }
-        if (result.trapped) {
+        const bool failed = result.trapped || timed_out;
+        if (failed) {
             for (const auto &solution : result.solutions)
                 printf("%s ;\n", solution.toString().c_str());
-            printf("error: %s.\n", result.error.c_str());
+            printf("error: %s.\n", timed_out ? "deadline_exceeded"
+                                              : result.error.c_str());
         } else if (!result.success) {
             printf("no.\n");
         } else {
@@ -347,7 +289,7 @@ main(int argc, char **argv)
         }
         if (want_profile)
             fputs(system.machine().profiler().report().c_str(), stderr);
-        if (result.trapped)
+        if (failed)
             return 2;
         return result.success ? 0 : 1;
     } catch (const std::exception &e) {

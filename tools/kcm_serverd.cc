@@ -7,9 +7,9 @@
  * newline-delimited JSON query protocol (service/server.hh) until
  * SIGTERM or SIGINT. The signal starts a graceful drain: the listen
  * socket closes, no further requests are read, every accepted query
- * finishes (or, past the grace period, is checkpoint-aborted with a
- * classified "interrupted" failure) and its reply is flushed. The
- * daemon then prints one final accounting line —
+ * finishes (or, past the grace period, is aborted at its next slice
+ * boundary with a classified "interrupted" failure) and its reply is
+ * flushed. The daemon then prints one final accounting line —
  *
  *   {"drain": true, "accepted": N, "replied": N, ...}
  *
@@ -26,9 +26,8 @@
  *   --workers N          execution worker threads (default 4)
  *   --queue-depth N      admission-queue bound (default 64)
  *   --cache-mb N         warm-template cache budget in MiB (default 256)
- *   --deadline-ms N      default per-attempt query deadline (default 0)
- *   --checkpoint-every K checkpoint every K simulated Mcycles (default 4)
- *   --retries N          recovery attempts per query (default 3)
+ *   --deadline-ms N      default query deadline, terminal, counted
+ *                        from the start of the run (default 0 = none)
  *   --idle-timeout-ms N  per-connection idle timeout (default 30000)
  *   --read-deadline-ms N first byte -> full request bound (default 5000)
  *   --write-deadline-ms N reply write bound (default 5000)
@@ -39,7 +38,7 @@
  *                        startup — a malformed clause (bad syntax, a
  *                        rule, a non-callable term, an over-arity
  *                        head) refuses to start with a diagnostic
- *   --db-journal DIR     durable dynamic database: open (or recover)
+ *   --db-journal DIR     durable dynamic database: open (and replay)
  *                        the write-ahead journal in DIR before
  *                        accepting connections; every query's
  *                        mutations are journaled before its reply is
@@ -105,8 +104,7 @@ usage()
     fprintf(stderr,
             "usage: kcm_serverd [options]\n"
             "  --port N  --workers N  --queue-depth N  --cache-mb N\n"
-            "  --deadline-ms N  --checkpoint-every K  --retries N\n"
-            "  --idle-timeout-ms N  --read-deadline-ms N\n"
+            "  --deadline-ms N  --idle-timeout-ms N  --read-deadline-ms N\n"
             "  --write-deadline-ms N  --max-inflight N\n"
             "  --drain-grace-ms N  --db-facts FILE  --no-stdlib\n"
             "  --db-journal DIR  --journal-sync always|group|none\n"
@@ -149,12 +147,6 @@ main(int argc, char **argv)
         } else if (arg == "--deadline-ms") {
             options.session.deadlineMs =
                 strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--checkpoint-every") {
-            options.session.checkpointEveryMcycles =
-                strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--retries") {
-            options.session.maxRetries =
-                unsigned(strtoul(next().c_str(), nullptr, 10));
         } else if (arg == "--idle-timeout-ms") {
             options.idleTimeoutMs =
                 strtoull(next().c_str(), nullptr, 10);
