@@ -6,7 +6,13 @@
  * through the service::Supervisor while every query carries a
  * deterministic FaultPlan from one of the three fault families —
  * page-fault arming, zone tightening, word corruption — plus a
- * fault-free control family. Every query is checked against the
+ * fault-free control family. Each query goes the server's way for a
+ * per-query MachineConfig: its template is taken on a pooled machine
+ * under the pool's config and restored under the query's fault plan.
+ * Queries are compiled on the harness thread in submission order
+ * (atom interning order affects generated switch tables, hence
+ * simulated cycle counts), so every simulated metric is reproducible
+ * whatever the worker scheduling. Every query is checked against the
  * baseline interpreter (the differential-testing oracle, run
  * fault-free): it must either
  *
@@ -37,6 +43,7 @@
 #include <cstring>
 #include <iterator>
 #include <map>
+#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -45,6 +52,7 @@
 #include "base/strutil.hh"
 #include "baseline/interp.hh"
 #include "bench_support/json_report.hh"
+#include "core/snapshot.hh"
 #include "kcm/kcm.hh"
 #include "mem/zone_check.hh"
 #include "service/supervisor.hh"
@@ -241,8 +249,13 @@ chaosSweep(int queries_per_family, unsigned workers,
         return entry;
     };
 
+    // Declared before the supervisor, so they outlive its workers'
+    // callbacks.
+    std::vector<service::QueryOutcome> outcomes(
+        std::size(families) * size_t(queries_per_family));
+    std::mutex outcomesMutex;
     service::Supervisor supervisor(service);
-    std::vector<std::pair<const Family *, ChaosQuery>> submitted;
+    std::vector<std::pair<const Family *, service::QueryJob>> submitted;
 
     uint32_t seed = 1;
     for (const Family &family : families) {
@@ -253,25 +266,37 @@ chaosSweep(int queries_per_family, unsigned workers,
             job.id = cat(family.name, "/", i);
             job.goal = q.goal;
             job.machine = q.machine;
-            supervisor.submit(job, system.compileOnly(q.goal));
-            submitted.emplace_back(&family, std::move(q));
+
+            std::unique_ptr<Machine> machine = supervisor.borrowMachine();
+            machine->load(system.compileOnly(q.goal));
+            auto tmpl =
+                std::make_shared<const Snapshot>(takeSnapshot(*machine));
+            supervisor.returnMachine(std::move(machine));
+
+            const size_t index = submitted.size();
+            submitted.emplace_back(&family, job);
+            supervisor.submitAsync(
+                std::move(job), std::move(tmpl),
+                [&, index](service::QueryOutcome out) {
+                    std::lock_guard<std::mutex> lock(outcomesMutex);
+                    outcomes[index] = std::move(out);
+                });
         }
     }
 
-    auto results = supervisor.drain();
+    supervisor.drain();
     auto stats = supervisor.stats();
 
     std::map<std::string, FamilyTally> tallies;
     int divergences = 0;
-    for (size_t i = 0; i < results.size(); ++i) {
-        const Family &family = *submitted[i].first;
-        const auto &out = results[i].outcome;
-        FamilyTally &tally = tallies[family.name];
+    for (size_t i = 0; i < submitted.size(); ++i) {
+        const auto &[family, job] = submitted[i];
+        const service::QueryOutcome &out = outcomes[i];
+        FamilyTally &tally = tallies[family->name];
 
         switch (out.status) {
           case service::QueryStatus::Completed: {
-            auto [want_answers, want_error] =
-                oracleAnswer(results[i].job.goal);
+            auto [want_answers, want_error] = oracleAnswer(job.goal);
             std::string got;
             for (const auto &s : out.solutions)
                 got += stripVarNumbers(s.toString()) + ";";
@@ -283,8 +308,7 @@ chaosSweep(int queries_per_family, unsigned workers,
                 fprintf(stderr,
                         "DIVERGENCE %s goal=%s\n  kcm:    '%s' "
                         "err='%s'\n  oracle: '%s' err='%s'\n",
-                        results[i].job.id.c_str(),
-                        results[i].job.goal.c_str(), got.c_str(),
+                        job.id.c_str(), job.goal.c_str(), got.c_str(),
                         out.error.c_str(), want_answers.c_str(),
                         want_error.c_str());
             }
@@ -297,7 +321,7 @@ chaosSweep(int queries_per_family, unsigned workers,
                 ++divergences;
                 fprintf(stderr,
                         "UNCLASSIFIED FAILURE %s ('%s', %u attempts)\n",
-                        results[i].job.id.c_str(),
+                        job.id.c_str(),
                         out.failure.classification.c_str(),
                         out.failure.attempts);
             } else {

@@ -509,13 +509,9 @@ runProbes(Daemon &daemon, const std::vector<MutEntry> &sched,
             Machine machine(cfg);
             machine.attachDynamicDb(oracle);
             machine.load(image);
-            RunStatus st = machine.run();
-            while (st == RunStatus::SolutionFound && out.size() < 64) {
-                out.push_back(stripVarNumbers(
-                    machine.lastSolution().toString()));
-                st = machine.nextSolution();
-            }
-            if (st == RunStatus::Trapped)
+            for (const Solution &solution : machine.solutions(64))
+                out.push_back(stripVarNumbers(solution.toString()));
+            if (machine.trapped())
                 fatal("probe trapped: ", goal);
             cycles = machine.cycles();
             return out;

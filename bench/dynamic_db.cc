@@ -228,15 +228,9 @@ runMachineQuery(const CodeImage &image, const MachineConfig &config,
     machine.attachDynamicDb(std::move(store));
     machine.load(image);
 
-    size_t n = 0;
-    RunStatus status = machine.run();
-    while (status == RunStatus::SolutionFound && n < 64) {
-        answers.solutions.push_back(goal_label + " " +
-                                    machine.lastSolution().toString());
-        ++n;
-        status = machine.nextSolution();
-    }
-    if (status == RunStatus::Trapped)
+    for (const Solution &solution : machine.solutions(64))
+        answers.solutions.push_back(goal_label + " " + solution.toString());
+    if (machine.trapped())
         fatal("oracle query trapped: ", goal_label, ": ",
               trapDiagnosis(machine.lastTrap()));
     answers.solutions.push_back(goal_label + " <end>");
@@ -356,8 +350,8 @@ try {
     const std::string program = ":- dynamic(f/2).";
 
     // Phase 1: bound-key hits and misses at full size. The linear
-    // machine sits this one out (its full-list resolution of a
-    // nextSolution() exhaustion is the quadratic case above); it is
+    // machine sits this one out (its full-list resolution when
+    // backtracking runs dry is the quadratic case above); it is
     // exercised at small scale in phase 2.
     std::vector<std::string> big_goals;
     for (uint64_t k :

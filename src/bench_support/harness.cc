@@ -41,47 +41,8 @@ namespace
  *  sampled several times per second even on a slow host. */
 constexpr uint64_t watchdogSliceCycles = 4'000'000;
 
-/**
- * Run to the next real stop under the wall-clock watchdog. The
- * machine executes in host-side slices (Machine::setSliceStop): at
- * each slice boundary a resumable Abort returns control, the host
- * clock is sampled, and resume() re-enters exactly where the slice
- * stopped. Slice stops are pure host machinery — never delivered to
- * the program as a resource_error ball, never counted in trapsTaken —
- * so slicing leaves every simulated metric bit-identical to an
- * unsliced run, and a governor cycle budget configured by the caller
- * keeps its exact meaning (reaching it reports the genuine Abort
- * instead of resuming).
- */
-RunStatus
-runWatched(Machine &machine, double watchdog_seconds,
-           std::chrono::steady_clock::time_point host_start, bool &timed_out)
-{
-    if (watchdog_seconds <= 0)
-        return machine.run();
-
-    bool first = true;
-    for (;;) {
-        machine.setSliceStop(machine.cycles() + watchdogSliceCycles);
-        RunStatus status = first ? machine.run() : machine.resume();
-        first = false;
-        if (status != RunStatus::Trapped || !machine.sliceExpired()) {
-            machine.setSliceStop(0);
-            return status; // a real stop (or the caller's own budget)
-        }
-        double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - host_start)
-                             .count();
-        if (elapsed > watchdog_seconds) {
-            timed_out = true;
-            machine.setSliceStop(0);
-            return status;
-        }
-    }
-}
-
 /** Copy a finished machine's measurements into the BenchRun. */
-void fillBenchRun(BenchRun &run, Machine &machine, RunStatus status);
+void fillBenchRun(BenchRun &run, Machine &machine, bool solved);
 
 } // namespace
 
@@ -100,18 +61,32 @@ runPrepared(const PreparedBenchmark &prep, double watchdog_seconds)
         Machine machine(prep.machine);
         bool timed_out = false;
 
-        machine.load(prep.image);
-        RunStatus status = runWatched(machine, watchdog_seconds,
-                                      host_start,
-                                      timed_out); // warm-up (cold caches)
-        if (!timed_out && status != RunStatus::Trapped) {
-            machine.load(prep.image, /*cold_caches=*/false);
-            machine.resetMeasurement();
-            status = runWatched(machine, watchdog_seconds, host_start,
-                                timed_out);
+        // The wall-clock watchdog samples the host clock at slice
+        // boundaries. Slice stops are pure host machinery, so slicing
+        // leaves every simulated metric bit-identical to an unsliced
+        // run, and a governor cycle budget configured by the caller
+        // keeps its exact meaning.
+        HostPoll watchdog;
+        if (watchdog_seconds > 0) {
+            watchdog.nextSlice = [] { return watchdogSliceCycles; };
+            watchdog.stop = [&] {
+                timed_out = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() -
+                                host_start)
+                                .count() > watchdog_seconds;
+                return timed_out;
+            };
         }
 
-        fillBenchRun(run, machine, status);
+        machine.load(prep.image);
+        bool solved = !machine.solutions(1, watchdog).empty(); // warm-up
+        if (!machine.trapped()) {
+            machine.load(prep.image, /*cold_caches=*/false);
+            machine.resetMeasurement();
+            solved = !machine.solutions(1, watchdog).empty();
+        }
+
+        fillBenchRun(run, machine, solved);
         if (timed_out) {
             run.success = false;
             run.timedOut = true;
@@ -119,7 +94,7 @@ runPrepared(const PreparedBenchmark &prep, double watchdog_seconds)
                 cat("timeout: wall clock exceeded ",
                     fixed(watchdog_seconds, 1), "s after ",
                     machine.cycles(), " simulated cycles");
-        } else if (status == RunStatus::Trapped) {
+        } else if (machine.trapped()) {
             run.success = false;
             run.trapped = true;
             run.failure = trapDiagnosis(machine.lastTrap());
@@ -144,9 +119,9 @@ namespace
 {
 
 void
-fillBenchRun(BenchRun &run, Machine &machine, RunStatus status)
+fillBenchRun(BenchRun &run, Machine &machine, bool solved)
 {
-    run.success = status == RunStatus::SolutionFound;
+    run.success = solved;
     run.cycles = machine.cycles();
     run.instructions = machine.instructions();
     run.inferences = machine.inferences();

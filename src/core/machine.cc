@@ -1127,9 +1127,9 @@ Machine::recordTrap(const MachineTrap &trap)
     lastTrap_.instructions = instructions_;
     lastTrap_.state = stateString();
     trapped_ = true;
-    // Slice stops are host machinery (watchdogs, checkpointing): not
-    // counting them keeps the counter identical between a sliced and
-    // an unsliced run of the same query.
+    // Slice stops are host machinery (watchdogs, deadlines, interrupt
+    // polls): not counting them keeps the counter identical between a
+    // sliced and an unsliced run of the same query.
     if (!sliceExpired_)
         ++trapsTaken;
     return RunStatus::Trapped;
@@ -1331,16 +1331,30 @@ Machine::trapCycleBudget()
 }
 
 std::vector<Solution>
-Machine::solutions(size_t max)
+Machine::solutions(size_t max, const HostPoll &poll)
 {
+    auto armSlice = [&] {
+        const uint64_t slice = poll.nextSlice ? poll.nextSlice() : 0;
+        sliceStop_ = slice ? cycles_ + slice : 0;
+    };
     std::vector<Solution> out;
+    armSlice();
     RunStatus status = run();
-    while (status == RunStatus::SolutionFound) {
-        out.push_back(solution_);
-        if (out.size() >= max)
+    for (;;) {
+        if (status == RunStatus::SolutionFound) {
+            out.push_back(solution_);
+            if (out.size() >= max)
+                break;
+            status = nextSolution(); // same window: no re-arm
+        } else if (status == RunStatus::Trapped && sliceExpired_ &&
+                   !(poll.stop && poll.stop())) {
+            armSlice();
+            status = resume();
+        } else {
             break;
-        status = nextSolution();
+        }
     }
+    sliceStop_ = 0;
     return out;
 }
 

@@ -64,6 +64,17 @@ struct Solution
     std::string toString() const;
 };
 
+/** The host's hold on a run (Machine::solutions): how long each slice
+ *  of simulated time is, and whether to stop at a slice boundary. */
+struct HostPoll
+{
+    /** Asked as each slice starts, the first included: its length in
+     *  cycles (unset or 0 = run on unsliced). */
+    std::function<uint64_t()> nextSlice;
+    /** Asked at every slice boundary; true ends the run there. */
+    std::function<bool()> stop;
+};
+
 class Machine
 {
   public:
@@ -136,8 +147,24 @@ class Machine
      *  while trapped(); always an Abort, resumable via resume()). */
     bool sliceExpired() const { return sliceExpired_; }
 
-    /** Convenience: run and collect up to @p max solutions. */
-    std::vector<Solution> solutions(size_t max = SIZE_MAX);
+    /**
+     * Run the loaded query and backtrack into it for up to @p max
+     * solutions: the one host loop over run()/nextSolution()/resume().
+     * It ends when @p max solutions are collected, the run fails,
+     * halts or reaches maxCycles, a trap is taken, or poll.stop()
+     * returns true at a slice boundary. Slices are consecutive
+     * windows of simulated time, each poll.nextSlice() cycles long; a
+     * solution does not re-arm the window, so stop() is asked at least
+     * once per slice however fast solutions come. Slicing leaves every
+     * simulated metric identical to an unsliced run (setSliceStop).
+     *
+     * After it returns, trapped() && sliceExpired() means stop() ended
+     * the run (resume() continues it); trapped() alone is a genuine
+     * trap (lastTrap()); otherwise the run ended by itself or reached
+     * @p max. No slice is left armed.
+     */
+    std::vector<Solution> solutions(size_t max = SIZE_MAX,
+                                    const HostPoll &poll = {});
 
     /**
      * Attach an externally built dynamic clause store. load() then

@@ -147,91 +147,39 @@ KcmSystem::compileOnly(const std::string &goal)
 }
 
 QueryResult
-KcmSystem::query(const std::string &goal)
+KcmSystem::query(const std::string &goal, const std::function<bool()> &stop,
+                 uint64_t slice_cycles)
 {
     if (goal.empty())
         fatal("empty query");
-    CodeImage image = compileOnly(goal);
+    return run(compileOnly(goal), stop, slice_cycles);
+}
 
+QueryResult
+KcmSystem::run(const CodeImage &image, const std::function<bool()> &stop,
+               uint64_t slice_cycles)
+{
     machine_ = std::make_unique<Machine>(options_.machine);
     machine_->load(image);
 
+    HostPoll poll;
+    if (stop) {
+        poll.nextSlice = [slice_cycles] { return slice_cycles; };
+        poll.stop = stop;
+    }
     QueryResult result;
     result.solutions = machine_->solutions(
-        options_.maxSolutions == 0 ? SIZE_MAX : options_.maxSolutions);
+        options_.maxSolutions == 0 ? SIZE_MAX : options_.maxSolutions,
+        poll);
     result.success = !result.solutions.empty();
     result.halted = machine_->halted();
-    if (machine_->trapped()) {
+    if (machine_->trapped() && machine_->sliceExpired()) {
+        result.interrupted = true;
+    } else if (machine_->trapped()) {
         result.trapped = true;
         result.trap = machine_->lastTrap();
         result.error = trapDiagnosis(result.trap);
     }
-    result.output = machine_->output();
-    result.cycles = machine_->cycles();
-    result.instructions = machine_->instructions();
-    result.inferences = machine_->inferences();
-    result.seconds = machine_->seconds();
-    result.klips = machine_->klips();
-    result.residentBytes = machine_->residentZoneBytes();
-    return result;
-}
-
-QueryResult
-KcmSystem::query(const std::string &goal,
-                 const std::function<bool()> &interrupted,
-                 uint64_t poll_slice_cycles)
-{
-    if (goal.empty())
-        fatal("empty query");
-    CodeImage image = compileOnly(goal);
-
-    machine_ = std::make_unique<Machine>(options_.machine);
-    machine_->load(image);
-
-    QueryResult result;
-    const size_t max_solutions =
-        options_.maxSolutions == 0 ? SIZE_MAX : options_.maxSolutions;
-    auto poll = [&] { return interrupted && interrupted(); };
-
-    // The same collection loop as Machine::solutions(), interleaved
-    // with host slice stops so a signal is honoured at the next
-    // instruction boundary instead of after the run.
-    enum class Mode { Run, Next, Resume };
-    Mode mode = Mode::Run;
-    while (!result.interrupted) {
-        if (poll_slice_cycles)
-            machine_->setSliceStop(machine_->cycles() +
-                                   poll_slice_cycles);
-        RunStatus status;
-        switch (mode) {
-          case Mode::Run: status = machine_->run(); break;
-          case Mode::Next: status = machine_->nextSolution(); break;
-          case Mode::Resume: status = machine_->resume(); break;
-        }
-        if (status == RunStatus::SolutionFound) {
-            result.solutions.push_back(machine_->lastSolution());
-            if (result.solutions.size() >= max_solutions)
-                break;
-            result.interrupted = poll();
-            mode = Mode::Next;
-            continue;
-        }
-        if (status != RunStatus::Trapped)
-            break;
-        if (!machine_->sliceExpired()) {
-            // A genuine trap, reported exactly as the plain overload.
-            result.trapped = true;
-            result.trap = machine_->lastTrap();
-            result.error = trapDiagnosis(result.trap);
-            break;
-        }
-        result.interrupted = poll();
-        mode = Mode::Resume;
-    }
-    machine_->setSliceStop(0);
-
-    result.success = !result.solutions.empty();
-    result.halted = machine_->halted();
     result.output = machine_->output();
     result.cycles = machine_->cycles();
     result.instructions = machine_->instructions();

@@ -14,6 +14,13 @@
  *   // result.solutions[0].toString() == "X = [1,2,3]"
  *   // result.cycles, result.seconds, result.klips, result.inferences
  * @endcode
+ *
+ * query() compiles the goal against the consulted program and hands
+ * the image to run(), which also runs a linked image saved earlier
+ * (kcm_run --load). run() downloads the image to a fresh machine and
+ * collects solutions through Machine::solutions, the one host loop;
+ * an optional stop callback, asked at slice boundaries, ends the run
+ * early (kcm_run's SIGINT/SIGTERM and deadline).
  */
 
 #ifndef KCM_KCM_HH
@@ -41,9 +48,9 @@ struct QueryResult
      *  exhausting alternatives). */
     bool halted = false;
 
-    /** True when the interruptible query() overload stopped early
-     *  because its poll callback asked for it (SIGINT/SIGTERM in the
-     *  drivers); the collected solutions are a valid partial result. */
+    /** True when the run's stop callback ended it at a slice boundary
+     *  (SIGINT/SIGTERM or a deadline in kcm_run); the collected
+     *  solutions are a valid partial result. */
     bool interrupted = false;
 
     /** True when the run ended in a machine trap instead of a normal
@@ -152,26 +159,28 @@ class KcmSystem
      */
     static std::string factDeclarations(const std::vector<TermRef> &facts);
 
-    /** Compile and run a query; collects up to maxSolutions. */
-    QueryResult query(const std::string &goal);
+    /** Compile and run a query: run(compileOnly(goal), ...). */
+    QueryResult query(const std::string &goal,
+                      const std::function<bool()> &stop = {},
+                      uint64_t slice_cycles = 4'000'000);
 
     /**
-     * Interruptible variant: runs the query in host slices of
-     * @p poll_slice_cycles simulated cycles and calls @p interrupted
-     * between slices (and between solutions); when it returns true the
-     * run stops at that instruction boundary with the solutions
-     * collected so far and QueryResult::interrupted set. Slice stops
-     * are pure host machinery, so all simulated metrics are
-     * bit-identical to the plain overload.
+     * Download @p image to a fresh machine under this system's config
+     * and collect up to maxSolutions (Machine::solutions). With
+     * @p stop set, the run goes in host slices of @p slice_cycles
+     * simulated cycles and asks stop() at each boundary; when it
+     * returns true the run ends there with the solutions collected so
+     * far and QueryResult::interrupted set. Slice stops are pure host
+     * machinery, so every simulated metric equals an unsliced run's.
      */
-    QueryResult query(const std::string &goal,
-                      const std::function<bool()> &interrupted,
-                      uint64_t poll_slice_cycles = 4'000'000);
+    QueryResult run(const CodeImage &image,
+                    const std::function<bool()> &stop = {},
+                    uint64_t slice_cycles = 4'000'000);
 
     /** Compile the current program plus @p goal without running. */
     CodeImage compileOnly(const std::string &goal);
 
-    /** The machine used by the last query (valid until the next). */
+    /** The machine of the last query or run (valid until the next). */
     Machine &machine();
 
     const KcmOptions &options() const { return options_; }

@@ -60,11 +60,6 @@ serviceInterruptRequested()
     return interruptFlag.load(std::memory_order_relaxed);
 }
 
-Session::Session(CodeImage image, SessionOptions options)
-    : image_(std::move(image)), options_(std::move(options))
-{
-}
-
 Session::Session(std::shared_ptr<const Snapshot> warm_template,
                  SessionOptions options, std::unique_ptr<Machine> machine)
     : template_(std::move(warm_template)), options_(std::move(options)),
@@ -122,42 +117,34 @@ Session::run()
 
     if (!machine_)
         machine_ = std::make_unique<Machine>(options_.machine);
-    // Bring the machine to its ready-to-run state: download the
-    // compiled image, or restore the shared post-download KCMSNAP5
-    // template (the warm-cache path; restoreSnapshot verifies every
-    // section checksum before mutating anything, and the cache lookup
-    // does not, so this is the one check: a corrupt template is
-    // reported here and never executes).
-    if (template_) {
-        try {
-            restoreSnapshot(*machine_, *template_);
-        } catch (const FatalError &e) {
-            // Classified so the owner evicts the entry and recompiles.
-            out.status = QueryStatus::Failed;
-            out.failure.classification = "corrupt_image_template";
-            out.failure.trapKind = TrapKind::Abort;
-            out.failure.detail = e.what();
-            out.failure.attempts = 1;
-            out.wallSeconds = elapsedSeconds(started);
-            return out;
-        }
-        // The template's zone table was snapped under the compiling
-        // machine's config; re-impose this session's governor quotas
-        // (per-query memory budgets) so the restored state matches a
-        // fresh load() under options_.machine.
-        machine_->reapplyQuotas();
-    } else {
-        machine_->load(image_);
+    // Bring the machine to its ready-to-run state by restoring the
+    // shared post-download KCMSNAP5 template. restoreSnapshot verifies
+    // every section checksum before mutating anything, and the cache
+    // lookup does not, so this is the one check: a corrupt template is
+    // reported here and never executes.
+    try {
+        restoreSnapshot(*machine_, *template_);
+    } catch (const FatalError &e) {
+        // Classified so the owner evicts the entry and recompiles.
+        out.status = QueryStatus::Failed;
+        out.failure.classification = "corrupt_image_template";
+        out.failure.trapKind = TrapKind::Abort;
+        out.failure.detail = e.what();
+        out.failure.attempts = 1;
+        out.wallSeconds = elapsedSeconds(started);
+        return out;
     }
+    // The template's zone table was snapped under the compiling
+    // machine's config; re-impose this session's governor quotas
+    // (per-query memory budgets) so the restored state matches a fresh
+    // load() under options_.machine.
+    machine_->reapplyQuotas();
     if (durable) {
-        // Attach after the load or restore: both install their own
+        // Attach after the restore: it installs the template's own
         // store; the durable store must win.
         machine_->attachDynamicDb(durable->storePtr());
         durable->store().beginTxn();
     }
-
-    const size_t max_solutions =
-        options_.maxSolutions == 0 ? SIZE_MAX : options_.maxSolutions;
 
     auto finish = [&](QueryStatus status) {
         if (durable && durable->store().inTxn()) {
@@ -243,71 +230,53 @@ Session::run()
                                         "started (0 simulated cycles)"));
     }
 
-    enum class Mode { Run, Next, Resume };
-    Mode mode = Mode::Run;
-    for (;;) {
-        uint64_t eff_slice = slice;
+    // One run: slices of the watchdog tick, cut down to the remaining
+    // deadline budget; at each boundary the shutdown flag, then the
+    // deadline, may stop it.
+    bool interrupted = false;
+    HostPoll poll;
+    poll.nextSlice = [&]() -> uint64_t {
+        uint64_t cycles = slice;
         if (uint64_t budget = deadlineSliceCycles())
-            eff_slice = eff_slice ? std::min(eff_slice, budget)
-                                  : budget;
-        if (eff_slice)
-            machine_->setSliceStop(machine_->cycles() + eff_slice);
-        const RunStatus status = mode == Mode::Run ? machine_->run()
-                                 : mode == Mode::Next
-                                     ? machine_->nextSolution()
-                                     : machine_->resume();
+            cycles = cycles ? std::min(cycles, budget) : budget;
+        return cycles;
+    };
+    poll.stop = [&] {
+        interrupted =
+            options_.abortOnInterrupt && serviceInterruptRequested();
+        return interrupted || deadlineExpired();
+    };
+    out.solutions = machine_->solutions(
+        options_.maxSolutions == 0 ? SIZE_MAX : options_.maxSolutions,
+        poll);
 
-        switch (status) {
-          case RunStatus::SolutionFound:
-            out.solutions.push_back(machine_->lastSolution());
-            if (out.solutions.size() >= max_solutions)
-                return finish(QueryStatus::Completed);
-            mode = Mode::Next;
-            continue;
-
-          case RunStatus::Failed:
-          case RunStatus::Halted:
-            return finish(QueryStatus::Completed);
-
-          case RunStatus::CycleLimit:
-            // maxCycles is an informational stop, same contract as
-            // KcmSystem::query: the run simply ends.
-            return finish(QueryStatus::Completed);
-
-          case RunStatus::Trapped:
-            break;
-        }
-
-        if (machine_->sliceExpired()) {
-            // Host machinery, not a fault: poll the shutdown flag and
-            // the deadline, continue where we stopped.
-            if (options_.abortOnInterrupt && serviceInterruptRequested()) {
-                return fail("interrupted", TrapKind::Abort,
-                            "aborted by shutdown request at an "
-                            "instruction boundary");
-            }
-            if (deadlineExpired()) {
-                return fail("deadline_exceeded", TrapKind::Abort,
-                            cat(deadlineName(), " exceeded after ",
-                                machine_->cycles(),
-                                " simulated cycles"));
-            }
-            mode = Mode::Resume;
-            continue;
-        }
-
-        const TrapInfo &trap = machine_->lastTrap();
-        if (trap.kind == TrapKind::UnhandledException) {
-            // A thrown ball with no catch/3 marker is a *program*
-            // outcome (the baseline interpreter reports it the same
-            // way), not a service fault.
-            out.error = trapDiagnosis(trap);
-            return finish(QueryStatus::Completed);
-        }
-        // The back end is deterministic: a re-run would trap again at
-        // the same cycle, so the first trap is the answer.
-        return fail(trapDiagnosis(trap), trap.kind, trap.message);
+    if (!machine_->trapped()) {
+        // Solutions, failure, halt, or maxCycles (an informational
+        // stop, same contract as KcmSystem::query): the run simply
+        // ends.
+        return finish(QueryStatus::Completed);
     }
+    if (machine_->sliceExpired()) {
+        if (interrupted) {
+            return fail("interrupted", TrapKind::Abort,
+                        "aborted by shutdown request at an "
+                        "instruction boundary");
+        }
+        return fail("deadline_exceeded", TrapKind::Abort,
+                    cat(deadlineName(), " exceeded after ",
+                        machine_->cycles(), " simulated cycles"));
+    }
+    const TrapInfo &trap = machine_->lastTrap();
+    if (trap.kind == TrapKind::UnhandledException) {
+        // A thrown ball with no catch/3 marker is a *program* outcome
+        // (the baseline interpreter reports it the same way), not a
+        // service fault.
+        out.error = trapDiagnosis(trap);
+        return finish(QueryStatus::Completed);
+    }
+    // The back end is deterministic: a re-run would trap again at the
+    // same cycle, so the first trap is the answer.
+    return fail(trapDiagnosis(trap), trap.kind, trap.message);
 }
 
 } // namespace kcm::service

@@ -5,8 +5,9 @@
  * The paper's system picture (§2, Fig. 1) is a host driving a KCM
  * back end: the host compiles and downloads an image, the KCM runs
  * it, and the host collects solutions. A Session is that host-side
- * protocol for a serving deployment: it wraps one Machine plus one
- * linked image and runs the query once, to completion, under
+ * protocol for a serving deployment: it restores one post-download
+ * template (the state a load() of the compiled image leaves) into one
+ * Machine and runs the query once, to completion, under
  *
  *  - a governor budget (cycles, stack quotas — MachineConfig),
  *  - a terminal wall-clock deadline (deadlineMs from the start of the
@@ -20,10 +21,12 @@
  * structured FailureReport — never a hang, never a crash, never a
  * silently wrong answer.
  *
- * Deadlines and the interrupt flag are polled at run slices
- * (Machine::setSliceStop()), which are pure host machinery: a sliced
- * run reports bit-identical simulated cycles and counters to an
- * unsliced one.
+ * The run is one call to Machine::solutions, whose host poll sizes
+ * the slices and checks the interrupt flag and the deadline at each
+ * slice boundary. Slices are consecutive windows of simulated time, so
+ * a query that enumerates fast is still polled once per slice, and
+ * they are pure host machinery: a sliced run reports bit-identical
+ * simulated cycles and counters to an unsliced one.
  */
 
 #ifndef KCM_SERVICE_SESSION_HH
@@ -34,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "compiler/code_image.hh"
 #include "core/machine.hh"
 #include "core/snapshot.hh"
 #include "db/journal.hh"
@@ -123,7 +125,8 @@ struct QueryOutcome
 {
     QueryStatus status = QueryStatus::Completed;
 
-    // Completed payload (mirrors KcmSystem::QueryResult).
+    // Completed payload (the fields it shares with
+    // KcmSystem::QueryResult mean the same).
     bool success = false;             ///< at least one solution
     std::vector<Solution> solutions;
     std::string output;               ///< captured write/1 output
@@ -157,25 +160,23 @@ void clearServiceInterrupt();
 bool serviceInterruptRequested();
 
 /**
- * One supervised query: machine + image + run loop.
- * Construct, call run() once, read the outcome; a warm session's
- * machine may then be released for the next warm session. Not
- * thread-safe; each worker thread owns its sessions exclusively.
+ * One supervised query: machine + template + run.
+ * Construct, call run() once, read the outcome; the machine may then
+ * be released for the next session. Not thread-safe; each worker
+ * thread owns its sessions exclusively.
  */
 class Session
 {
   public:
-    Session(CodeImage image, SessionOptions options);
-
     /**
-     * Warm start: instead of compiling and load()ing an image, the
-     * session restores a post-download KCMSNAP5 template (the state a
-     * load() of the compiled image produces) into its machine — the
-     * server's snapshot-template cache path. The template buffer is
-     * shared between concurrent sessions and never modified; if its
-     * checksums fail verification on restore the session fails
-     * cleanly with classification "corrupt_image_template" so the
-     * owner can evict the entry and recompile.
+     * The session restores @p warm_template, a post-download KCMSNAP5
+     * template (the state a load() of the compiled image produces),
+     * into its machine — the server's snapshot-template cache path.
+     * The template buffer is shared between concurrent sessions and
+     * never modified; if its checksums fail verification on restore
+     * the session fails cleanly with classification
+     * "corrupt_image_template" so the owner can evict the entry and
+     * recompile.
      *
      * @p machine, when given, is restored into instead of building a
      * fresh one: a machine from an earlier session's releaseMachine(),
@@ -193,8 +194,8 @@ class Session
     QueryOutcome run();
 
     /**
-     * Hand the machine over for reuse by a later warm session under
-     * the same MachineConfig (null when run() built none). A durable
+     * Hand the machine over for reuse by a later session under the
+     * same MachineConfig (null before run() when none was given). A durable
      * store is detached first: left attached, the next restore would
      * load the template's store into the shared durable one. A
      * machine whose query trapped is handed over as it stands: the
@@ -203,7 +204,6 @@ class Session
     std::unique_ptr<Machine> releaseMachine();
 
   private:
-    CodeImage image_;
     std::shared_ptr<const Snapshot> template_;
     SessionOptions options_;
     std::unique_ptr<Machine> machine_;

@@ -103,9 +103,8 @@ Supervisor::deadlineShedOutcome(const QueryJob &job,
 /**
  * Evict the queued query with the earliest deadline (queue is full).
  * Ties (and the no-deadline default, key 0 meaning "infinite") fall
- * back to oldest-submitted-first among equals. A slot-based victim is
- * completed in the result vector here; an async victim's callback is
- * returned through @p shed_cb for the caller to invoke outside the
+ * back to oldest-submitted-first among equals. The victim's callback
+ * is returned through @p shed_cb for the caller to invoke outside the
  * lock (callbacks write to sockets — never under the pool mutex).
  */
 QueryOutcome
@@ -131,12 +130,7 @@ Supervisor::shedOneLocked(Completion &shed_cb)
             "); evicted earliest-deadline query");
     ++stats_.shed;
     stats_.memChargedBytes -= (*victim)->memCharge;
-    if ((*victim)->slot == asyncSlot) {
-        shed_cb = std::move((*victim)->done);
-    } else {
-        results_[(*victim)->slot].outcome = out;
-        done_[(*victim)->slot] = true;
-    }
+    shed_cb = std::move((*victim)->done);
     --outstanding_;
     queue_.erase(victim);
     doneCv_.notify_all();
@@ -163,13 +157,7 @@ Supervisor::enqueue(std::unique_ptr<Pending> pending)
                 deadlineShedOutcome(pending->job, "admission");
             ++stats_.deadlinePropagatedSheds;
             bumpStatsLocked(refuse_out);
-            if (pending->slot == asyncSlot) {
-                refuse_cb = std::move(pending->done);
-            } else {
-                results_[pending->slot].outcome = refuse_out;
-                done_[pending->slot] = true;
-                doneCv_.notify_all();
-            }
+            refuse_cb = std::move(pending->done);
         } else if (uint64_t budget = options_.globalMemoryBudgetBytes;
                    budget &&
                    stats_.memChargedBytes + pending->memCharge >
@@ -185,13 +173,7 @@ Supervisor::enqueue(std::unique_ptr<Pending> pending)
                 pending->memCharge, " > ", budget, " bytes)");
             ++stats_.shed;
             ++stats_.memAdmissionRefusals;
-            if (pending->slot == asyncSlot) {
-                refuse_cb = std::move(pending->done);
-            } else {
-                results_[pending->slot].outcome = refuse_out;
-                done_[pending->slot] = true;
-                doneCv_.notify_all();
-            }
+            refuse_cb = std::move(pending->done);
         } else {
             ++outstanding_;
             stats_.memChargedBytes += pending->memCharge;
@@ -208,44 +190,14 @@ Supervisor::enqueue(std::unique_ptr<Pending> pending)
 }
 
 void
-Supervisor::submit(QueryJob job, CodeImage image)
-{
-    auto p = std::make_unique<Pending>();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        p->slot = results_.size();
-        results_.push_back(ServiceResult{job, QueryOutcome{}});
-        done_.push_back(false);
-    }
-    p->deadlineKeyMs = job.deadlineMs;
-    p->memCharge = memChargeFor(job);
-    p->job = std::move(job);
-    p->image = std::move(image);
-    enqueue(std::move(p));
-}
-
-void
-Supervisor::submitAsync(QueryJob job, CodeImage image, Completion done)
-{
-    auto p = std::make_unique<Pending>();
-    p->deadlineKeyMs = job.deadlineMs;
-    p->memCharge = memChargeFor(job);
-    p->job = std::move(job);
-    p->image = std::move(image);
-    p->done = std::move(done);
-    enqueue(std::move(p));
-}
-
-void
-Supervisor::submitAsync(QueryJob job,
-                        std::shared_ptr<const Snapshot> warm,
+Supervisor::submitAsync(QueryJob job, std::shared_ptr<const Snapshot> tmpl,
                         Completion done)
 {
     auto p = std::make_unique<Pending>();
     p->deadlineKeyMs = job.deadlineMs;
     p->memCharge = memChargeFor(job);
     p->job = std::move(job);
-    p->warm = std::move(warm);
+    p->tmpl = std::move(tmpl);
     p->done = std::move(done);
     enqueue(std::move(p));
 }
@@ -286,16 +238,6 @@ Supervisor::bumpStatsLocked(const QueryOutcome &outcome)
     }
     stats_.dbCommits += outcome.dbCommitId ? 1 : 0;
     stats_.dbOps += outcome.dbOps;
-}
-
-void
-Supervisor::finishLocked(size_t slot, QueryOutcome outcome)
-{
-    bumpStatsLocked(outcome);
-    results_[slot].outcome = std::move(outcome);
-    done_[slot] = true;
-    --outstanding_;
-    doneCv_.notify_all();
 }
 
 void
@@ -359,9 +301,8 @@ Supervisor::idleMachines() const
 bool
 Supervisor::pooled(const Pending &p)
 {
-    // A job with its own MachineConfig gets a machine built for it;
-    // a cold image session load()s, which is not a full reset.
-    return p.warm && !p.job.machine;
+    // A job with its own MachineConfig gets a machine built for it.
+    return !p.job.machine;
 }
 
 void
@@ -394,18 +335,14 @@ Supervisor::workerMain()
                     deadlineShedOutcome(p->job, "dequeue");
                 ++stats_.deadlinePropagatedSheds;
                 stats_.memChargedBytes -= p->memCharge;
-                if (p->slot == asyncSlot) {
-                    bumpStatsLocked(out);
-                    Completion cb = std::move(p->done);
-                    lock.unlock();
-                    if (cb)
-                        cb(std::move(out));
-                    lock.lock();
-                    --outstanding_;
-                    doneCv_.notify_all();
-                } else {
-                    finishLocked(p->slot, std::move(out));
-                }
+                bumpStatsLocked(out);
+                Completion cb = std::move(p->done);
+                lock.unlock();
+                if (cb)
+                    cb(std::move(out));
+                lock.lock();
+                --outstanding_;
+                doneCv_.notify_all();
                 continue;
             }
 
@@ -427,21 +364,11 @@ Supervisor::workerMain()
         if (p->job.maxSolutions)
             session_options.maxSolutions = *p->job.maxSolutions;
         session_options.deadlineAbsNs = p->job.deadlineAbsNs;
-        QueryOutcome outcome;
-        if (p->warm) {
-            Session session(p->warm, std::move(session_options),
-                            std::move(machine));
-            outcome = session.run();
-            if (pooled(*p))
-                machine = session.releaseMachine();
-        } else {
-            Session session(std::move(p->image),
-                            std::move(session_options));
-            outcome = session.run();
-        }
-
-        if (machine)
-            returnMachine(std::move(machine));
+        Session session(p->tmpl, std::move(session_options),
+                        std::move(machine));
+        QueryOutcome outcome = session.run();
+        if (pooled(*p))
+            returnMachine(session.releaseMachine());
 
         Completion cb;
         {
@@ -450,13 +377,8 @@ Supervisor::workerMain()
             if (outcome.status == QueryStatus::Completed)
                 recordShapeLatencyLocked(p->job.shapeKey,
                                          elapsedMs(started));
-            if (p->slot == asyncSlot) {
-                bumpStatsLocked(outcome);
-                cb = std::move(p->done);
-            } else {
-                finishLocked(p->slot, std::move(outcome));
-                continue;
-            }
+            bumpStatsLocked(outcome);
+            cb = std::move(p->done);
         }
 
         if (cb) {
@@ -470,7 +392,7 @@ Supervisor::workerMain()
     }
 }
 
-std::vector<ServiceResult>
+void
 Supervisor::drain()
 {
     {
@@ -485,8 +407,6 @@ Supervisor::drain()
         if (t.joinable())
             t.join();
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    return std::move(results_);
 }
 
 ServiceStats

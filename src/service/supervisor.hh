@@ -3,15 +3,16 @@
  * Supervisor: N supervised sessions over a worker-thread pool.
  *
  * The serving half of the host in the paper's Fig. 1 system picture:
- * clients submit compiled queries, a bounded admission queue feeds a
- * pool of worker threads, and each worker runs one Session (machine +
- * run loop) per query. A warm-template query under the pool's own
- * MachineConfig restores into an idle machine from a shared LIFO
- * stack instead of building one; the restore overwrites all of its
- * state, a trapped query's included, so reuse is invisible to every
- * simulated metric. The
- * server's compile miss borrows from the same stack to take its
- * template (borrowMachine / returnMachine).
+ * clients submit post-download templates of compiled queries
+ * (submitAsync, the one entry point), a bounded admission queue feeds
+ * a pool of worker threads, and each worker runs one Session (machine
+ * + run) per query and hands its outcome to the query's callback. A
+ * query under the pool's own MachineConfig restores into an idle
+ * machine from a shared LIFO stack instead of building one; the
+ * restore overwrites all of its state, a trapped query's included, so
+ * reuse is invisible to every simulated metric. The server's compile
+ * miss borrows from the same stack to take its template
+ * (borrowMachine / returnMachine).
  * Robustness policies live here:
  *
  *  - load shedding: the admission queue is bounded; when it is full,
@@ -32,12 +33,8 @@
  *  - aggregate counters (completed, failed and shed queries, memory
  *    aborts, durable commits).
  *
- * Determinism notes: queries are *compiled on the submitting thread*
- * (atom interning order affects generated switch tables, hence
- * simulated cycle counts — serial compilation keeps every simulated
- * metric reproducible across runs regardless of worker scheduling);
- * only execution fans out. startPaused + resume() let tests fill the
- * admission queue and observe shedding without racing the workers.
+ * startPaused + resume() let tests fill the admission queue and
+ * observe shedding without racing the workers.
  */
 
 #ifndef KCM_SERVICE_SUPERVISOR_HH
@@ -94,13 +91,6 @@ struct QueryJob
     std::optional<size_t> maxSolutions;
 };
 
-/** A finished query, in submission order. */
-struct ServiceResult
-{
-    QueryJob job;
-    QueryOutcome outcome;
-};
-
 /** Aggregate counters across all sessions. */
 struct ServiceStats
 {
@@ -149,9 +139,8 @@ struct SupervisorOptions
 };
 
 /**
- * The session pool. submit() compiled queries, then drain() for the
- * results (in submission order). Thread-safe for a single submitting
- * thread; results are produced by the worker pool.
+ * The session pool. submitAsync() templates; each outcome arrives
+ * through its callback. Thread-safe against concurrent submitters.
  */
 class Supervisor
 {
@@ -164,24 +153,16 @@ class Supervisor
     explicit Supervisor(SupervisorOptions options);
     ~Supervisor();
 
-    /** Admit a compiled query. May shed (and immediately complete
-     *  with an "overloaded" failure) the earliest-deadline queued
-     *  query when the admission queue is full. */
-    void submit(QueryJob job, CodeImage image);
-
     /**
-     * Streaming admission (the always-on server path): the outcome is
-     * delivered through @p done instead of drain()'s result vector —
-     * including a shed query, whose callback fires with the
-     * "overloaded" failure before submitAsync returns. Queries run
-     * from the compiled @p image, or warm-start from a shared
-     * post-download KCMSNAP5 @p warm template (Session verifies its
-     * checksums on restore). Thread-safe against concurrent
+     * Admit a query that restores the shared post-download KCMSNAP5
+     * template @p tmpl (Session verifies its checksums on restore).
+     * Its outcome is delivered through @p done — also for a refused
+     * or shed query, whose callback fires with the classified failure
+     * before submitAsync returns. A full admission queue sheds the
+     * earliest-deadline queued query. Thread-safe against concurrent
      * submitters.
      */
-    void submitAsync(QueryJob job, CodeImage image, Completion done);
-    void submitAsync(QueryJob job,
-                     std::shared_ptr<const Snapshot> warm,
+    void submitAsync(QueryJob job, std::shared_ptr<const Snapshot> tmpl,
                      Completion done);
 
     /** Queued-but-not-yet-running queries (admission backlog; the
@@ -191,9 +172,9 @@ class Supervisor
     /** Start the workers (after startPaused). */
     void resume();
 
-    /** Close admissions, run everything down, join the workers and
-     *  return every result in submission order. */
-    std::vector<ServiceResult> drain();
+    /** Close admissions, run everything down (every callback has
+     *  returned) and join the workers. */
+    void drain();
 
     /** Aggregate counters (stable after drain()). */
     ServiceStats stats() const;
@@ -224,17 +205,11 @@ class Supervisor
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** SIZE_MAX slot marks an async submission (callback delivery,
-     *  no result-vector slot). */
-    static constexpr size_t asyncSlot = SIZE_MAX;
-
     struct Pending
     {
-        size_t slot = asyncSlot; ///< result slot, in submission order
         QueryJob job;
-        CodeImage image;                      ///< cold start (no template)
-        std::shared_ptr<const Snapshot> warm; ///< warm-start template
-        Completion done;                      ///< async delivery
+        std::shared_ptr<const Snapshot> tmpl; ///< template to restore
+        Completion done;                      ///< outcome delivery
         uint64_t deadlineKeyMs = 0;           ///< eviction key
         uint64_t memCharge = 0;   ///< bytes charged while admitted
     };
@@ -248,7 +223,6 @@ class Supervisor
     void enqueue(std::unique_ptr<Pending> pending);
     QueryOutcome shedOneLocked(Completion &shed_cb);
     void bumpStatsLocked(const QueryOutcome &outcome);
-    void finishLocked(size_t slot, QueryOutcome outcome);
     void recordShapeLatencyLocked(uint64_t shape_key, double ms);
     uint64_t memChargeFor(const QueryJob &job) const;
     /** Whether job's absolute deadline is unmeetable given the
@@ -263,8 +237,6 @@ class Supervisor
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
     std::deque<std::unique_ptr<Pending>> queue_;
-    std::vector<ServiceResult> results_;
-    std::vector<bool> done_;
     size_t outstanding_ = 0;
     bool paused_ = false;
     bool stopping_ = false;
@@ -284,8 +256,8 @@ class Supervisor
     std::array<ShapeStat, shapeSlots> shapes_{};
 
     /**
-     * Idle machines built under options_.session.machine, for warm
-     * jobs without a MachineConfig of their own and for the server's
+     * Idle machines built under options_.session.machine, for jobs
+     * without a MachineConfig of their own and for the server's
      * compile miss. A worker pops the top one (or builds one when
      * empty), its Session restores the template into it, and the
      * worker pushes it back; borrowMachine() pops and resets one to

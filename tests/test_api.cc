@@ -97,6 +97,82 @@ TEST(Api, MaxSolutionsZeroMeansAll)
     EXPECT_EQ(result.solutions.size(), 3u);
 }
 
+TEST(Api, StopThatNeverFiresLeavesTheResultUntouched)
+{
+    // The stop callback slices the run; slices are host machinery, so
+    // every field of the result equals the plain call's.
+    KcmOptions options;
+    options.maxSolutions = 0;
+    KcmSystem system(options);
+    system.consult("sel(X, [X|T], T).\n"
+                   "sel(X, [H|T], [H|R]) :- sel(X, T, R).\n"
+                   "perm([], []).\n"
+                   "perm(L, [X|P]) :- sel(X, L, R), perm(R, P).\n"
+                   "shout(P) :- perm([1,2,3,4,5], P), write(P), nl.\n");
+    const QueryResult plain = system.query("shout(P)");
+    int polls = 0;
+    const QueryResult sliced = system.query(
+        "shout(P)",
+        [&] {
+            ++polls;
+            return false;
+        },
+        1'000);
+
+    EXPECT_GT(polls, 3);
+    EXPECT_FALSE(sliced.interrupted);
+    EXPECT_EQ(sliced.success, plain.success);
+    ASSERT_EQ(sliced.solutions.size(), 120u);
+    ASSERT_EQ(plain.solutions.size(), 120u);
+    for (size_t i = 0; i < plain.solutions.size(); ++i)
+        EXPECT_EQ(sliced.solutions[i].toString(),
+                  plain.solutions[i].toString());
+    EXPECT_EQ(sliced.output, plain.output);
+    EXPECT_EQ(sliced.halted, plain.halted);
+    EXPECT_EQ(sliced.trapped, plain.trapped);
+    EXPECT_EQ(sliced.error, plain.error);
+    EXPECT_EQ(sliced.cycles, plain.cycles);
+    EXPECT_EQ(sliced.instructions, plain.instructions);
+    EXPECT_EQ(sliced.inferences, plain.inferences);
+    EXPECT_EQ(sliced.seconds, plain.seconds);
+    EXPECT_EQ(sliced.klips, plain.klips);
+    EXPECT_EQ(sliced.residentBytes, plain.residentBytes);
+}
+
+TEST(Api, StopEndsTheRunAtASliceBoundary)
+{
+    // A stop that fires at the third slice boundary ends the run
+    // there: interrupted, not trapped, with a prefix of the full
+    // solution list.
+    KcmOptions options;
+    options.maxSolutions = 0;
+    KcmSystem system(options);
+    system.consult("sel(X, [X|T], T).\n"
+                   "sel(X, [H|T], [H|R]) :- sel(X, T, R).\n"
+                   "perm([], []).\n"
+                   "perm(L, [X|P]) :- sel(X, L, R), perm(R, P).\n");
+    const uint64_t slice = 1'000;
+    const QueryResult full = system.query("perm([1,2,3,4,5], P)");
+    ASSERT_GT(full.cycles, 4 * slice) << "test premise";
+    int polls = 0;
+    const QueryResult cut = system.query(
+        "perm([1,2,3,4,5], P)", [&] { return ++polls == 3; }, slice);
+
+    EXPECT_EQ(polls, 3);
+    EXPECT_TRUE(cut.interrupted);
+    EXPECT_FALSE(cut.trapped);
+    EXPECT_TRUE(cut.error.empty()) << cut.error;
+    EXPECT_GE(cut.cycles, 3 * slice);
+    EXPECT_LT(cut.cycles, full.cycles);
+    ASSERT_GT(cut.solutions.size(), 0u);
+    ASSERT_LT(cut.solutions.size(), full.solutions.size());
+    for (size_t i = 0; i < cut.solutions.size(); ++i)
+        EXPECT_EQ(cut.solutions[i].toString(),
+                  full.solutions[i].toString());
+    EXPECT_TRUE(system.machine().trapped());
+    EXPECT_TRUE(system.machine().sliceExpired());
+}
+
 TEST(Api, ResultCarriesAllMeasurements)
 {
     KcmSystem system;

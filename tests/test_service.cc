@@ -70,27 +70,6 @@ compileQuery(const std::string &goal, const MachineConfig &machine)
     return host.compileOnly(goal);
 }
 
-/** Run one supervised query to completion. */
-service::QueryOutcome
-runSession(const std::string &goal, service::SessionOptions options)
-{
-    CodeImage image = compileQuery(goal, options.machine);
-    service::Session session(std::move(image), std::move(options));
-    return session.run();
-}
-
-/** Run one supervised query warm-started, as the server's image cache
- *  does, from a template snapped under the default config. */
-service::QueryOutcome
-runWarmSession(const std::string &goal, service::SessionOptions options)
-{
-    Machine loaded;
-    loaded.load(compileQuery(goal, MachineConfig{}));
-    auto tmpl = std::make_shared<const Snapshot>(takeSnapshot(loaded));
-    service::Session session(std::move(tmpl), std::move(options));
-    return session.run();
-}
-
 /** A post-download template of @p goal against @p program, snapped
  *  under @p machine: what the server's image cache holds. */
 std::shared_ptr<const Snapshot>
@@ -106,31 +85,74 @@ templateFor(const std::string &program, const std::string &goal,
     return std::make_shared<const Snapshot>(takeSnapshot(loaded));
 }
 
-/** Warm jobs and the templates they restore, in submission order. */
+/** Run one supervised query to completion from a template snapped
+ *  under the session's own config. */
+service::QueryOutcome
+runSession(const std::string &goal, service::SessionOptions options)
+{
+    service::Session session(
+        templateFor(serviceProgram, goal, options.machine),
+        std::move(options));
+    return session.run();
+}
+
+/** Run one supervised query as the server runs a query with its own
+ *  config: from a template snapped under the default config. */
+service::QueryOutcome
+runWarmSession(const std::string &goal, service::SessionOptions options)
+{
+    service::Session session(
+        templateFor(serviceProgram, goal, MachineConfig{}),
+        std::move(options));
+    return session.run();
+}
+
+/** Jobs and the templates they restore, in submission order. */
 using WarmJobs =
     std::vector<std::pair<service::QueryJob, std::shared_ptr<const Snapshot>>>;
 
-/** Run @p jobs warm through a supervisor and return their outcomes in
- *  submission order. With one worker they run one after another, so
- *  every job under the pool's config reuses the same idle machine. */
-std::vector<service::QueryOutcome>
-runWarmJobs(const service::SupervisorOptions &options, const WarmJobs &jobs)
+/** Outcomes of submitAsync() callbacks, by submission index. */
+struct OutcomeSlots
 {
     std::mutex mutex;
-    std::vector<service::QueryOutcome> outcomes(jobs.size());
+    std::vector<service::QueryOutcome> outcomes;
+
+    void
+    submit(service::Supervisor &pool, service::QueryJob job,
+           std::shared_ptr<const Snapshot> tmpl)
     {
-        service::Supervisor supervisor(options);
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            supervisor.submitAsync(
-                jobs[i].first, jobs[i].second,
-                [&, i](service::QueryOutcome out) {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    outcomes[i] = std::move(out);
-                });
+        size_t slot = 0;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            slot = outcomes.size();
+            outcomes.emplace_back();
         }
-        supervisor.drain();
+        pool.submitAsync(std::move(job), std::move(tmpl),
+                         [this, slot](service::QueryOutcome out) {
+                             std::lock_guard<std::mutex> lock(mutex);
+                             outcomes[slot] = std::move(out);
+                         });
     }
-    return outcomes;
+};
+
+/** Run @p jobs through a supervisor and return their outcomes in
+ *  submission order (and its final stats through @p stats). Under
+ *  startPaused every job is queued, and shed decisions made, before
+ *  drain() starts the workers. With one worker the jobs run one after
+ *  another, so every job under the pool's config reuses the same idle
+ *  machine. */
+std::vector<service::QueryOutcome>
+runWarmJobs(const service::SupervisorOptions &options, const WarmJobs &jobs,
+            service::ServiceStats *stats = nullptr)
+{
+    OutcomeSlots slots;
+    service::Supervisor supervisor(options);
+    for (const auto &[job, tmpl] : jobs)
+        slots.submit(supervisor, job, tmpl);
+    supervisor.drain();
+    if (stats)
+        *stats = supervisor.stats();
+    return std::move(slots.outcomes);
 }
 
 /** The session's absolute-deadline clock: steady ns since epoch. */
@@ -169,7 +191,9 @@ TEST(Session, TrapFailsOnTheFirstAttemptLikeABareMachine)
     // query: an injected fault, or a cycle budget the goal cannot fit
     // in, fails on the first attempt with the classification, trap
     // kind and cycles of a bare Machine's trap under the same config,
-    // from the cold image and from a warm template alike.
+    // from a template snapped under the default config (the server's
+    // path for a query with its own config) and from one snapped under
+    // the case's config alike.
     DataLayout layout;
     MachineConfig page_fault, tightened_zone, corrupted_word, budget;
     {
@@ -221,13 +245,12 @@ TEST(Session, TrapFailsOnTheFirstAttemptLikeABareMachine)
         const BareTrap want = bareTrap(c.goal, c.machine);
         service::SessionOptions options;
         options.machine = c.machine;
-        service::QueryOutcome cold = runSession(c.goal, options);
-        service::Session warm_session(
-            templateFor(serviceProgram, c.goal, c.machine), options);
-        service::QueryOutcome warm = warm_session.run();
+        service::QueryOutcome pooled = runWarmSession(c.goal, options);
+        service::QueryOutcome own = runSession(c.goal, options);
 
         const std::pair<const char *, const service::QueryOutcome *>
-            runs[] = {{"cold", &cold}, {"warm", &warm}};
+            runs[] = {{"default-config template", &pooled},
+                      {"own-config template", &own}};
         for (const auto &[start, out] : runs) {
             SCOPED_TRACE(cat(c.name, ", ", start));
             EXPECT_EQ(out->status, service::QueryStatus::Failed);
@@ -245,22 +268,22 @@ TEST(Session, WarmStartKeepsTheSessionsTighterQuota)
 {
     // The template carries the default config's zone table; a warm
     // start must re-impose this session's 1 MiB byte budget, so the
-    // catch sees resource_error(memory) exactly as after a cold load.
+    // catch sees resource_error(memory) exactly as from a template
+    // snapped under the session's own config.
     const char *goal =
         "catch(mklist(200000, _), resource_error(E), true)";
     service::SessionOptions options;
     options.machine.governor.memoryBudgetBytes = 1u << 20;
 
-    service::QueryOutcome image = runSession(goal, options);
-    ASSERT_TRUE(image.success) << image.failure.classification;
+    service::QueryOutcome own = runSession(goal, options);
+    ASSERT_TRUE(own.success) << own.failure.classification;
     service::QueryOutcome warm = runWarmSession(goal, options);
     ASSERT_TRUE(warm.success) << warm.failure.classification;
     EXPECT_NE(warm.solutions[0].toString().find("E = memory"),
               std::string::npos)
         << warm.solutions[0].toString();
-    EXPECT_EQ(warm.solutions[0].toString(),
-              image.solutions[0].toString());
-    EXPECT_EQ(warm.cycles, image.cycles);
+    EXPECT_EQ(warm.solutions[0].toString(), own.solutions[0].toString());
+    EXPECT_EQ(warm.cycles, own.cycles);
 }
 
 TEST(Session, UnhandledExceptionIsAProgramOutcomeNotRetried)
@@ -293,17 +316,39 @@ TEST(Session, BlownDeadlineFailsCleanly)
     EXPECT_GT(out.cycles, 0u);
 }
 
+TEST(Session, InterruptStopsAFastEnumeration)
+{
+    // A drain past its grace sets the interrupt flag. rep yields a
+    // solution every few dozen cycles, far faster than one per slice;
+    // a solution must not re-arm the slice, or the flag is never
+    // polled and the session enumerates until maxCycles.
+    service::SessionOptions options;
+    options.maxSolutions = 0;
+    options.abortOnInterrupt = true;
+    options.watchdogSliceCycles = 100'000;
+    options.machine.maxCycles = 20'000'000;
+    service::Session session(
+        templateFor("rep.\nrep :- rep.\n", "rep", options.machine),
+        options);
+
+    service::requestServiceInterrupt();
+    service::QueryOutcome out = session.run();
+    service::clearServiceInterrupt();
+
+    EXPECT_EQ(out.status, service::QueryStatus::Failed)
+        << out.solutions.size() << " solutions, " << out.cycles
+        << " cycles";
+    EXPECT_EQ(out.failure.classification, "interrupted");
+    EXPECT_EQ(out.failure.attempts, 1u);
+    EXPECT_LT(out.cycles, 200'000u);
+}
+
 TEST(Supervisor, BatchCompletesInSubmissionOrder)
 {
     service::SupervisorOptions options;
     options.workers = 4;
 
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-
-    service::Supervisor supervisor(options);
+    WarmJobs jobs;
     std::vector<uint64_t> expected;
     for (int i = 0; i < 12; ++i) {
         uint64_t n = 50 + uint64_t(i);
@@ -311,18 +356,18 @@ TEST(Supervisor, BatchCompletesInSubmissionOrder)
         service::QueryJob job;
         job.id = cat("q", i);
         job.goal = cat("sumto(", n, ", S)");
-        supervisor.submit(job, host.compileOnly(job.goal));
+        jobs.emplace_back(job, templateFor(serviceProgram, job.goal,
+                                           options.session.machine));
     }
-    std::vector<service::ServiceResult> results = supervisor.drain();
-    service::ServiceStats stats = supervisor.stats();
+    service::ServiceStats stats;
+    std::vector<service::QueryOutcome> out =
+        runWarmJobs(options, jobs, &stats);
 
-    ASSERT_EQ(results.size(), 12u);
-    for (size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].job.id, cat("q", i));
-        EXPECT_EQ(results[i].outcome.status,
-                  service::QueryStatus::Completed);
-        ASSERT_TRUE(results[i].outcome.success);
-        EXPECT_NE(results[i].outcome.solutions[0].toString().find(
+    ASSERT_EQ(out.size(), 12u);
+    for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i].status, service::QueryStatus::Completed);
+        ASSERT_TRUE(out[i].success);
+        EXPECT_NE(out[i].solutions[0].toString().find(
                       std::to_string(expected[i])),
                   std::string::npos);
     }
@@ -343,31 +388,26 @@ TEST(Supervisor, ShedsEarliestDeadlineWhenQueueFull)
     options.maxQueueDepth = 2;
     options.startPaused = true;
 
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-
-    service::Supervisor supervisor(options);
+    auto tmpl = templateFor(serviceProgram, "sumto(100, S)",
+                            options.session.machine);
+    WarmJobs jobs;
     const uint64_t deadlines[] = {5000, 100, 0};
     for (int i = 0; i < 3; ++i) {
         service::QueryJob job;
         job.id = cat("q", i);
         job.goal = "sumto(100, S)";
         job.deadlineMs = deadlines[i];
-        supervisor.submit(job, host.compileOnly(job.goal));
+        jobs.emplace_back(job, tmpl);
     }
-    supervisor.resume();
-    std::vector<service::ServiceResult> results = supervisor.drain();
-    service::ServiceStats stats = supervisor.stats();
+    service::ServiceStats stats;
+    std::vector<service::QueryOutcome> out =
+        runWarmJobs(options, jobs, &stats);
 
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[0].outcome.status,
-              service::QueryStatus::Completed);
-    EXPECT_EQ(results[1].outcome.status, service::QueryStatus::Shed);
-    EXPECT_EQ(results[1].outcome.failure.classification, "overloaded");
-    EXPECT_EQ(results[2].outcome.status,
-              service::QueryStatus::Completed);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].status, service::QueryStatus::Completed);
+    EXPECT_EQ(out[1].status, service::QueryStatus::Shed);
+    EXPECT_EQ(out[1].failure.classification, "overloaded");
+    EXPECT_EQ(out[2].status, service::QueryStatus::Completed);
     EXPECT_EQ(stats.submitted, 3u);
     EXPECT_EQ(stats.completed, 2u);
     EXPECT_EQ(stats.shed, 1u);
@@ -386,11 +426,8 @@ TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
     options.maxQueueDepth = 4;
     options.startPaused = true;
 
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-    CodeImage image = host.compileOnly("sumto(100, S)");
+    auto tmpl = templateFor(serviceProgram, "sumto(100, S)",
+                            options.session.machine);
 
     service::Supervisor supervisor(options);
     std::mutex mutex;
@@ -406,7 +443,7 @@ TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
         // last maxQueueDepth submissions.
         job.deadlineMs = 1000 * uint64_t(i + 1);
         supervisor.submitAsync(
-            job, image, [&, id = job.id](service::QueryOutcome out) {
+            job, tmpl, [&, id = job.id](service::QueryOutcome out) {
                 std::lock_guard<std::mutex> lock(mutex);
                 outcomes[id] = std::move(out);
             });
@@ -451,57 +488,34 @@ TEST(Supervisor, WarmTemplateAsyncMatchesColdImage)
     // The warm snapshot-template path the server's image cache uses:
     // a query warm-started from a post-download KCMSNAP5 template
     // must produce the same answer and the same simulated cycle count
-    // as one cold-started from the compiled image.
+    // as a bare machine that loads the compiled image.
     service::SupervisorOptions options;
     options.workers = 2;
 
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-    CodeImage image = host.compileOnly("revsum(15, S)");
-
+    const CodeImage image =
+        compileQuery("revsum(15, S)", options.session.machine);
     auto tmpl = std::make_shared<const Snapshot>([&] {
         Machine machine(options.session.machine);
         machine.load(image);
         return takeSnapshot(machine);
     }());
+    Machine cold(options.session.machine);
+    cold.load(image);
+    const std::vector<Solution> want = cold.solutions(1);
+    ASSERT_EQ(want.size(), 1u);
 
-    service::Supervisor supervisor(options);
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::vector<service::QueryOutcome> warm_outcomes;
-    const int warm_runs = 4;
-    for (int i = 0; i < warm_runs; ++i) {
+    WarmJobs jobs;
+    for (int i = 0; i < 4; ++i) {
         service::QueryJob job;
         job.id = cat("warm", i);
         job.goal = "revsum(15, S)";
-        supervisor.submitAsync(
-            job, tmpl, [&](service::QueryOutcome out) {
-                std::lock_guard<std::mutex> lock(mutex);
-                warm_outcomes.push_back(std::move(out));
-                cv.notify_all();
-            });
+        jobs.emplace_back(job, tmpl);
     }
-    service::QueryJob cold;
-    cold.id = "cold";
-    cold.goal = "revsum(15, S)";
-    supervisor.submit(cold, image);
-    std::vector<service::ServiceResult> results = supervisor.drain();
-
-    ASSERT_EQ(results.size(), 1u);
-    const service::QueryOutcome &cold_out = results[0].outcome;
-    ASSERT_EQ(cold_out.status, service::QueryStatus::Completed);
-    ASSERT_TRUE(cold_out.success);
-
-    std::lock_guard<std::mutex> lock(mutex);
-    ASSERT_EQ(warm_outcomes.size(), size_t(warm_runs));
-    for (const auto &out : warm_outcomes) {
+    for (const service::QueryOutcome &out : runWarmJobs(options, jobs)) {
         ASSERT_EQ(out.status, service::QueryStatus::Completed);
         ASSERT_TRUE(out.success);
-        EXPECT_EQ(out.solutions[0].toString(),
-                  cold_out.solutions[0].toString());
-        EXPECT_EQ(out.cycles, cold_out.cycles)
+        EXPECT_EQ(out.solutions[0].toString(), want[0].toString());
+        EXPECT_EQ(out.cycles, cold.cycles())
             << "warm restore must be invisible to simulated time";
     }
 }
@@ -891,33 +905,24 @@ TEST(Supervisor, UnmeetableDeadlineShedsAtAdmission)
     options.workers = 1;
     options.startPaused = true;
 
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-    CodeImage image = host.compileOnly("sumto(100, S)");
-
-    service::Supervisor supervisor(options);
+    auto tmpl = templateFor(serviceProgram, "sumto(100, S)",
+                            options.session.machine);
     service::QueryJob dead;
     dead.id = "dead";
     dead.goal = "sumto(100, S)";
     dead.deadlineAbsNs = 1;
-    supervisor.submit(dead, image);
     service::QueryJob live;
     live.id = "live";
     live.goal = "sumto(100, S)";
-    supervisor.submit(live, image);
-    supervisor.resume();
-    std::vector<service::ServiceResult> results = supervisor.drain();
-    service::ServiceStats stats = supervisor.stats();
+    service::ServiceStats stats;
+    std::vector<service::QueryOutcome> out =
+        runWarmJobs(options, {{dead, tmpl}, {live, tmpl}}, &stats);
 
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].outcome.status, service::QueryStatus::Failed);
-    EXPECT_EQ(results[0].outcome.failure.classification,
-              "deadline_exceeded");
-    EXPECT_EQ(results[0].outcome.cycles, 0u);
-    EXPECT_EQ(results[1].outcome.status,
-              service::QueryStatus::Completed);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].status, service::QueryStatus::Failed);
+    EXPECT_EQ(out[0].failure.classification, "deadline_exceeded");
+    EXPECT_EQ(out[0].cycles, 0u);
+    EXPECT_EQ(out[1].status, service::QueryStatus::Completed);
     EXPECT_EQ(stats.deadlinePropagatedSheds, 1u);
     EXPECT_EQ(stats.completed, 1u);
 }
@@ -933,13 +938,14 @@ TEST(Supervisor, PredictedQueueWaitShedsAtAdmission)
     // sanitizers).
     service::SupervisorOptions options;
     options.workers = 1;
-    CodeImage measured = compileQuery("itc(300, 0, S)",
-                                      options.session.machine);
-    CodeImage runaway = compileQuery("loop", options.session.machine);
+    auto measured = templateFor(serviceProgram, "itc(300, 0, S)",
+                                options.session.machine);
+    auto runaway =
+        templateFor(serviceProgram, "loop", options.session.machine);
 
     service::Supervisor supervisor(options);
-    auto run = [&](const CodeImage &image, uint64_t shape_key,
-                   uint64_t deadline_abs_ns) {
+    auto run = [&](const std::shared_ptr<const Snapshot> &tmpl,
+                   uint64_t shape_key, uint64_t deadline_abs_ns) {
         service::QueryJob job;
         job.id = cat("shape", shape_key);
         job.shapeKey = shape_key;
@@ -947,7 +953,7 @@ TEST(Supervisor, PredictedQueueWaitShedsAtAdmission)
         // Shared with the callback, so the promise outlives set_value.
         auto done = std::make_shared<std::promise<service::QueryOutcome>>();
         std::future<service::QueryOutcome> outcome = done->get_future();
-        supervisor.submitAsync(job, image,
+        supervisor.submitAsync(job, tmpl,
                                [done](service::QueryOutcome out) {
                                    done->set_value(std::move(out));
                                });
@@ -989,19 +995,20 @@ TEST(Supervisor, CollidingShapeIsNotShedOnAnotherShapesEstimate)
     // stops it.
     service::SupervisorOptions options;
     options.workers = 1;
-    CodeImage measured = compileQuery("itc(300, 0, S)",
-                                      options.session.machine);
-    CodeImage runaway = compileQuery("loop", options.session.machine);
+    auto measured = templateFor(serviceProgram, "itc(300, 0, S)",
+                                options.session.machine);
+    auto runaway =
+        templateFor(serviceProgram, "loop", options.session.machine);
 
     service::Supervisor supervisor(options);
-    auto run = [&](const CodeImage &image, uint64_t shape_key,
-                   uint64_t deadline_abs_ns) {
+    auto run = [&](const std::shared_ptr<const Snapshot> &tmpl,
+                   uint64_t shape_key, uint64_t deadline_abs_ns) {
         service::QueryJob job;
         job.shapeKey = shape_key;
         job.deadlineAbsNs = deadline_abs_ns;
         auto done = std::make_shared<std::promise<service::QueryOutcome>>();
         std::future<service::QueryOutcome> outcome = done->get_future();
-        supervisor.submitAsync(job, image,
+        supervisor.submitAsync(job, tmpl,
                                [done](service::QueryOutcome out) {
                                    done->set_value(std::move(out));
                                });
@@ -1039,61 +1046,55 @@ TEST(Supervisor, GlobalMemoryBudgetRefusesAdmission)
     options.startPaused = true;
     options.globalMemoryBudgetBytes = 64ull << 20;
 
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-    CodeImage image = host.compileOnly("sumto(100, S)");
-
+    auto tmpl = templateFor(serviceProgram, "sumto(100, S)",
+                            options.session.machine);
+    OutcomeSlots slots;
     service::Supervisor supervisor(options);
     for (int i = 0; i < 3; ++i) {
         service::QueryJob job;
         job.id = cat("q", i);
         job.goal = "sumto(100, S)";
-        supervisor.submit(job, image);
+        slots.submit(supervisor, job, tmpl);
     }
     EXPECT_EQ(supervisor.stats().memAdmissionRefusals, 1u);
     EXPECT_EQ(supervisor.stats().memChargedBytes, 64ull << 20);
 
     supervisor.resume();
-    std::vector<service::ServiceResult> results = supervisor.drain();
+    supervisor.drain();
     service::ServiceStats stats = supervisor.stats();
 
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[0].outcome.status,
-              service::QueryStatus::Completed);
-    EXPECT_EQ(results[1].outcome.status,
-              service::QueryStatus::Completed);
-    EXPECT_EQ(results[2].outcome.status, service::QueryStatus::Shed);
-    EXPECT_EQ(results[2].outcome.failure.classification, "overloaded");
+    const std::vector<service::QueryOutcome> &out = slots.outcomes;
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].status, service::QueryStatus::Completed);
+    EXPECT_EQ(out[1].status, service::QueryStatus::Completed);
+    EXPECT_EQ(out[2].status, service::QueryStatus::Shed);
+    EXPECT_EQ(out[2].failure.classification, "overloaded");
     EXPECT_EQ(stats.memChargedBytes, 0u)
         << "charges must be released as queries retire";
 }
 
 TEST(Supervisor, PerJobMemoryBudgetAbortIsCounted)
 {
+    // The server's path for a query with its own config: a template
+    // snapped under the pool's config, restored under the job's.
     service::SupervisorOptions options;
     options.workers = 1;
 
-    KcmOptions compile_options;
-    compile_options.machine = options.session.machine;
-    KcmSystem host(compile_options);
-    host.consult(serviceProgram);
-
-    service::Supervisor supervisor(options);
     service::QueryJob job;
     job.id = "hog";
     job.goal = "mklist(200000, L)";
     MachineConfig machine = options.session.machine;
     machine.governor.memoryBudgetBytes = 1u << 20;
     job.machine = machine;
-    supervisor.submit(job, host.compileOnly(job.goal));
-    std::vector<service::ServiceResult> results = supervisor.drain();
-    service::ServiceStats stats = supervisor.stats();
+    service::ServiceStats stats;
+    std::vector<service::QueryOutcome> out = runWarmJobs(
+        options,
+        {{job, templateFor(serviceProgram, job.goal,
+                           options.session.machine)}},
+        &stats);
 
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].outcome.status, service::QueryStatus::Failed);
-    EXPECT_EQ(results[0].outcome.failure.classification,
-              "resource_error(memory)");
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].status, service::QueryStatus::Failed);
+    EXPECT_EQ(out[0].failure.classification, "resource_error(memory)");
     EXPECT_EQ(stats.memAborts, 1u);
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/logging.hh"
 #include "bench_support/harness.hh"
 #include "compiler/assembler.hh"
 #include "core/machine.hh"
@@ -523,6 +524,133 @@ TEST(Traps, WatchdogSlicingLeavesMetricsUntouched)
     EXPECT_EQ(plain.cycles, watched.cycles);
     EXPECT_EQ(plain.instructions, watched.instructions);
     EXPECT_EQ(plain.inferences, watched.inferences);
+}
+
+namespace
+{
+
+/** Everything Machine::solutions() reports about one run. */
+struct SolutionsRun
+{
+    std::vector<std::string> solutions;
+    uint64_t cycles = 0;
+    uint64_t instructions = 0;
+    uint64_t inferences = 0;
+    uint64_t trapsTaken = 0;
+    bool trapped = false;
+    TrapKind trapKind = TrapKind::Abort;
+    uint64_t trapCycle = 0;
+    uint64_t polls = 0; ///< stop() calls
+};
+
+SolutionsRun
+runSolutions(const CodeImage &image, const MachineConfig &config,
+             size_t max, uint64_t slice)
+{
+    Machine machine(config);
+    machine.load(image);
+    SolutionsRun run;
+    HostPoll poll;
+    if (slice) {
+        poll.nextSlice = [slice] { return slice; };
+        poll.stop = [&run] {
+            ++run.polls;
+            return false;
+        };
+    }
+    for (const Solution &solution : machine.solutions(max, poll))
+        run.solutions.push_back(solution.toString());
+    run.cycles = machine.cycles();
+    run.instructions = machine.instructions();
+    run.inferences = machine.inferences();
+    run.trapsTaken = machine.trapsTaken.value();
+    run.trapped = machine.trapped();
+    if (run.trapped) {
+        EXPECT_FALSE(machine.sliceExpired())
+            << "a stop that never fires cannot end the run";
+        run.trapKind = machine.lastTrap().kind;
+        run.trapCycle = machine.lastTrap().cycle;
+    }
+    return run;
+}
+
+} // namespace
+
+TEST(Traps, SolutionsLoopSlicingLeavesEveryGoalUntouched)
+{
+    // The one host loop (Machine::solutions) under every slice length,
+    // on both cores: solutions, counters and traps equal the unsliced
+    // run's. A slice length of 1 puts a boundary right after every
+    // solution. Slices are consecutive windows that a solution does
+    // not re-arm, so stop() is asked about once per slice however
+    // fast solutions come (rep yields one every few dozen cycles).
+    KcmSystem host;
+    host.consult(
+        "app([], L, L).\n"
+        "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+        "sel(X, [X|T], T).\n"
+        "sel(X, [H|T], [H|R]) :- sel(X, T, R).\n"
+        "perm([], []).\n"
+        "perm(L, [X|P]) :- sel(X, L, R), perm(R, P).\n"
+        "nat(N) :- from(0, N).\n"
+        "from(N, N).\n"
+        "from(N, M) :- N1 is N + 1, from(N1, M).\n"
+        "rep.\n"
+        "rep :- rep.\n"
+        "sumto(0, 0).\n"
+        "sumto(N, S) :- N > 0, M is N - 1, sumto(M, T), S is T + N.\n"
+        "loop :- loop.\n");
+    const struct
+    {
+        const char *goal;
+        size_t max;
+        uint64_t budget; ///< governor cycle budget (0 = none)
+        int solutions; ///< expected count (-1: some, then the trap)
+        bool trapped;
+    } goals[] = {
+        {"app(X, Y, [1,2,3,4,5])", SIZE_MAX, 0, 6, false},
+        {"perm([1,2,3,4,5], P)", SIZE_MAX, 0, 120, false},
+        {"nat(N)", 300, 0, 300, false},
+        {"rep", 500, 0, 500, false},
+        {"sumto(300, S)", SIZE_MAX, 0, 1, false},
+        {"loop", SIZE_MAX, 5'000, 0, true},
+        {"catch(loop, resource_error(E), true)", SIZE_MAX, 5'000, 1,
+         false},
+        {"nat(N)", SIZE_MAX, 20'000, -1, true},
+    };
+    const uint64_t slices[] = {1, 2, 3, 7, 64, 4'096, 1'000'000};
+
+    for (const auto &g : goals) {
+        const CodeImage image = host.compileOnly(g.goal);
+        for (bool fast : {true, false}) {
+            MachineConfig config;
+            config.fastDispatch = fast;
+            config.governor.cycleBudget = g.budget;
+            const SolutionsRun want = runSolutions(image, config, g.max, 0);
+            SCOPED_TRACE(cat(g.goal, fast ? " (fast)" : " (oracle)"));
+            ASSERT_EQ(want.trapped, g.trapped);
+            if (g.solutions >= 0)
+                ASSERT_EQ(want.solutions.size(), size_t(g.solutions));
+            else
+                ASSERT_GT(want.solutions.size(), 0u)
+                    << "the trap must come mid-enumeration";
+            for (uint64_t slice : slices) {
+                SCOPED_TRACE(cat("slice ", slice));
+                const SolutionsRun got =
+                    runSolutions(image, config, g.max, slice);
+                EXPECT_EQ(got.solutions, want.solutions);
+                EXPECT_EQ(got.cycles, want.cycles);
+                EXPECT_EQ(got.instructions, want.instructions);
+                EXPECT_EQ(got.inferences, want.inferences);
+                EXPECT_EQ(got.trapsTaken, want.trapsTaken);
+                EXPECT_EQ(got.trapped, want.trapped);
+                EXPECT_EQ(got.trapKind, want.trapKind);
+                EXPECT_EQ(got.trapCycle, want.trapCycle);
+                EXPECT_LE(got.polls, got.cycles / slice);
+                EXPECT_GE(got.polls, got.cycles / (slice + 256));
+            }
+        }
+    }
 }
 
 TEST(Traps, TrapCountersAreConsistentAcrossCores)

@@ -64,8 +64,8 @@ namespace
 void
 onSignal(int)
 {
-    // Only an atomic store — async-signal-safe. The interruptible
-    // query polls it between slices.
+    // Only an atomic store — async-signal-safe. The run's stop
+    // callback polls it at slice boundaries.
     kcm::service::requestServiceInterrupt();
 }
 
@@ -198,47 +198,28 @@ main(int argc, char **argv)
         for (const SourceArg &sa : source_args)
             sources.push_back(sa.isFile ? readFile(sa.value) : sa.value);
 
-        if (!load_path.empty()) {
-            // Run a downloaded image directly on the machine.
-            kcm::CodeImage image = kcm::loadImageFile(load_path);
-            kcm::Machine machine(options.machine);
-            machine.load(image);
-            kcm::RunStatus status = machine.run();
-            size_t shown = 0;
-            while (status == kcm::RunStatus::SolutionFound &&
-                   shown < options.maxSolutions) {
-                printf("%s ;\n",
-                       machine.lastSolution().toString().c_str());
-                ++shown;
-                if (shown >= options.maxSolutions)
-                    break;
-                status = machine.nextSolution();
-            }
-            printf("%s.\n", shown ? "yes" : "no");
-            fprintf(stderr, "[%llu cycles = %.3f ms simulated]\n",
-                    (unsigned long long)machine.cycles(),
-                    machine.seconds() * 1e3);
-            return shown ? 0 : 1;
-        }
-
+        // A saved image runs exactly as a freshly compiled one.
         kcm::KcmSystem system(options);
-        for (const auto &source : sources)
-            system.consult(source);
-        for (const auto &path : fact_files)
-            system.preloadFacts(readFile(path), path);
-
-        if (!save_path.empty()) {
-            kcm::saveImageFile(system.compileOnly(query), save_path);
-            fprintf(stderr, "image saved to %s\n", save_path.c_str());
-            return 0;
-        }
-
-        if (want_disasm) {
-            kcm::CodeImage image = system.compileOnly(query);
-            printf("%s", kcm::disasmRange(image.words, 0,
-                                          image.words.size())
-                             .c_str());
-            return 0;
+        kcm::CodeImage image;
+        if (!load_path.empty()) {
+            image = kcm::loadImageFile(load_path);
+        } else {
+            for (const auto &source : sources)
+                system.consult(source);
+            for (const auto &path : fact_files)
+                system.preloadFacts(readFile(path), path);
+            image = system.compileOnly(query);
+            if (!save_path.empty()) {
+                kcm::saveImageFile(image, save_path);
+                fprintf(stderr, "image saved to %s\n", save_path.c_str());
+                return 0;
+            }
+            if (want_disasm) {
+                printf("%s", kcm::disasmRange(image.words, 0,
+                                              image.words.size())
+                                 .c_str());
+                return 0;
+            }
         }
 
         // The poll stops the run on a signal or once the deadline has
@@ -247,7 +228,7 @@ main(int argc, char **argv)
         const Clock::time_point deadline =
             Clock::now() + std::chrono::milliseconds(deadline_ms);
         bool timed_out = false;
-        kcm::QueryResult result = system.query(query, [&] {
+        kcm::QueryResult result = system.run(image, [&] {
             if (kcm::service::serviceInterruptRequested())
                 return true;
             timed_out = deadline_ms && Clock::now() >= deadline;
