@@ -25,7 +25,7 @@
  *   mem_hog      real queries carrying a 1 MiB "memory_budget_bytes"
  *                with heap-hungry work: every one must fail
  *                resource_error(memory) — run, or answered from the
- *                failure remembered with its template — never complete,
+ *                outcome remembered with its template — never complete,
  *                never hang
  *
  * plus a kill-and-restart event: mid-run the daemon is SIGKILLed and
@@ -44,11 +44,12 @@
  *                Journal::scanFile replay); never a silent swallow,
  *                never a half-applied batch
  *   replay       a memory hog sent three times runs once, and the two
- *                later replies equal the run's (failures_replayed 2,
- *                queries_accepted 1); six 1 ms deadline failures of
- *                one shape are not
- *                remembered, so the same goal without a deadline
- *                completes with its closed-form answer
+ *                later replies equal the run's (outcomes_replayed 2,
+ *                queries_accepted 1); so does a completed
+ *                multi-solution query, but for "id", "cache" and
+ *                "wall_ms"; six 1 ms deadline failures of one shape
+ *                are not remembered, so the same goal without a
+ *                deadline completes with its closed-form answer
  *
  * Every completed reply is checked bit-identical against the baseline
  * interpreter (the differential oracle); everything else must be a
@@ -62,8 +63,9 @@
  *   (default)      chaos sweep; writes BENCH_server_chaos.json
  *   --cache-bench  warm-cache speedup: compile+link+download vs
  *                  snapshot-template restore, measured both in-process
- *                  and as client-observed latency; writes
- *                  BENCH_server_cache.json
+ *                  and as client-observed latency, plus the
+ *                  client-observed replay of a remembered outcome;
+ *                  writes BENCH_server_cache.json
  *
  * Options: --clients N (default 10), --queries N (per client, default
  * 60), --serverd PATH (default: sibling ../tools/kcm_serverd, or
@@ -505,7 +507,7 @@ clientMain(SweepShared &shared, int client_id, int queries)
         } else { // mem_hog
             // A 1 MiB budget against multi-MiB work: the reply must
             // be resource_error(memory), from a run or from the
-            // failure remembered with the shape's template — never a
+            // outcome remembered with the shape's template — never a
             // completion, another classification or a hang.
             service::JsonWriter w;
             w.field("op", "query")
@@ -705,10 +707,10 @@ journalCorruptPhase(const std::string &serverd, SweepShared &shared)
 }
 
 // ------------------------------------------------------------------ //
-// replay: a deterministic failure is remembered with its template. A
-// sequential phase with its own daemon: a shape that always fails runs
-// once and is answered from its template after that, and a failure
-// that depends on timing is never remembered.
+// replay: a completed run or a deterministic failure is remembered with
+// its template. A sequential phase with its own daemon: a repeated
+// shape runs once and is answered from its template after that, and a
+// failure that depends on timing is never remembered.
 // ------------------------------------------------------------------ //
 
 void
@@ -766,12 +768,48 @@ replayPhase(const std::string &serverd, SweepShared &shared)
         return;
     }
     ClientReply s = client.stats();
-    if (s.io != IoStatus::Ok || s.num("failures_replayed") != 2 ||
+    if (s.io != IoStatus::Ok || s.num("outcomes_replayed") != 2 ||
         s.num("queries_accepted") != 1) {
         diverge(cat("memory hog ran more than once: ", s.raw));
         return;
     }
     bump(shared, family, "failure_replayed");
+
+    // A completed query with four answers, sent three times: it runs
+    // once, and the two later replies equal the run's but for "id",
+    // "cache" and "wall_ms".
+    auto runFields = [](const ClientReply &r) {
+        const size_t from = r.raw.find("\"status\"");
+        return r.raw.substr(from, r.raw.rfind("\"cache\"") - from);
+    };
+    std::vector<ClientReply> split;
+    for (int i = 0; i < 3; ++i) {
+        ClientReply r = client.query(cat("rc", i), chaosProgram,
+                                     "app(X, Y, [1, 2, 3])", 0, 0, 60'000);
+        auto answers = r.fields.find("answers");
+        if (r.io != IoStatus::Ok || r.status() != "completed" ||
+            answers == r.fields.end() || answers->second.items.size() != 4) {
+            diverge(cat("completed query ", i, " not completed: ", r.raw));
+            return;
+        }
+        split.push_back(r);
+    }
+    if (runFields(split[1]) != runFields(split[0]) ||
+        runFields(split[2]) != runFields(split[0]) ||
+        split[1].str("cache") != "hit" || split[2].str("cache") != "hit" ||
+        split[1].num("wall_ms", -1) != 0 || split[2].num("wall_ms", -1) != 0) {
+        diverge(cat("replayed completion differs from the run: ",
+                    split[0].raw, " / ", split[1].raw, " / ",
+                    split[2].raw));
+        return;
+    }
+    s = client.stats();
+    if (s.io != IoStatus::Ok || s.num("outcomes_replayed") != 4 ||
+        s.num("queries_accepted") != 2) {
+        diverge(cat("completed query ran more than once: ", s.raw));
+        return;
+    }
+    bump(shared, family, "completion_replayed");
 
     // Six deadline failures of one shape are not remembered: the same
     // goal without a deadline runs and completes.
@@ -809,8 +847,8 @@ replayPhase(const std::string &serverd, SweepShared &shared)
     std::string err;
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
         !service::parseJsonObject(drain, obj, err) ||
-        obj["failures_replayed"].asInt() != 2 ||
-        obj["accepted"].asInt() != 8) {
+        obj["outcomes_replayed"].asInt() != 4 ||
+        obj["accepted"].asInt() != 9) {
         diverge(cat("replay daemon drain: ", drain));
         return;
     }
@@ -1041,52 +1079,85 @@ cacheBench(const std::string &serverd, const std::string &json_path)
     compile_us /= reps;
     restore_us /= reps;
 
-    // Client-observed: end-to-end latency of the first (miss) query
-    // vs the mean of the warm repeats, against a real daemon.
+    // Client-observed, against a real daemon, the mean end-to-end
+    // latency of each path a query can take: a compile miss (a program
+    // text of its own each time), a template restore (a hit whose
+    // solution cap differs from the remembered run's, so it runs) and
+    // a replay of the remembered outcome (the same cap again).
     Daemon daemon = spawnChaosDaemon(serverd);
     Client client;
     if (!client.connect("127.0.0.1", daemon.port, 2'000)) {
         fprintf(stderr, "cache-bench: cannot connect\n");
         return 2;
     }
-    auto timedQuery = [&](int i) -> double {
+    int sent = 0;
+    auto timedQuery = [&](const std::string &program,
+                          size_t max_solutions) -> double {
+        const std::string id = cat("b", sent++);
         auto t0 = Clock::now();
-        ClientReply r = client.query(cat("b", i), chaosProgram, goal,
-                                     1, 0, 60'000);
+        ClientReply r = client.query(id, program, goal, max_solutions, 0,
+                                     60'000);
         if (r.io != IoStatus::Ok || r.status() != "completed") {
-            fprintf(stderr, "cache-bench: query %d failed (%s)\n", i,
-                    r.raw.c_str());
+            fprintf(stderr, "cache-bench: query %s failed (%s)\n",
+                    id.c_str(), r.raw.c_str());
             return -1;
         }
         return std::chrono::duration<double, std::micro>(Clock::now() -
                                                          t0)
             .count();
     };
-    double miss_us = timedQuery(0);
-    double hit_us = 0;
-    for (int i = 1; i <= reps; ++i) {
-        double us = timedQuery(i);
-        if (us < 0 || miss_us < 0)
-            return 1;
-        hit_us += us;
-    }
-    hit_us /= reps;
+    auto meanOf = [&](auto &&query) {
+        double sum = 0;
+        for (int i = 0; i < reps; ++i) {
+            const double us = query(i);
+            if (us < 0)
+                return -1.0;
+            sum += us;
+        }
+        return sum / reps;
+    };
+    const double miss_us = meanOf([&](int i) {
+        return timedQuery(cat(chaosProgram, "bench_miss(", i, ").\n"), 1);
+    });
+    // Compile the restore loop's template first, untimed; then every
+    // query's cap differs from the one its run left.
+    const double primed = timedQuery(chaosProgram, 2);
+    const double hit_us =
+        meanOf([&](int i) { return timedQuery(chaosProgram, 1 + i % 2); });
+    const double replay_us = meanOf([&](int) {
+        return timedQuery(chaosProgram, 1 + (reps - 1) % 2);
+    });
+    if (miss_us < 0 || primed < 0 || hit_us < 0 || replay_us < 0)
+        return 1;
 
     ClientReply s = client.stats();
-    uint64_t hits = uint64_t(s.num("cache_hits"));
+    const uint64_t hits = uint64_t(s.num("cache_hits"));
+    const uint64_t replays = uint64_t(s.num("outcomes_replayed"));
+    const uint64_t compiles = uint64_t(s.num("compiles"));
     client.close();
     daemon.stop(SIGTERM);
     daemon.closeFd();
+    // Every query took the path it is timed as: one compile per miss
+    // and one to prime the restores, every other query a hit, and only
+    // the last loop's replayed.
+    const bool paths_held = compiles == uint64_t(reps) + 1 &&
+                            hits == uint64_t(2 * reps) &&
+                            replays == uint64_t(reps);
 
     printf("warm-cache speedup (%d reps, goal %s):\n", reps,
            goal.c_str());
     printf("  in-process: compile+link+download %.0f us, template "
            "restore %.0f us  -> %.1fx\n",
            compile_us, restore_us, compile_us / restore_us);
-    printf("  client-observed: cold %.0f us, warm %.0f us -> %.1fx "
-           "(cache_hits=%llu)\n",
-           miss_us, hit_us, miss_us / hit_us,
-           (unsigned long long)hits);
+    printf("  client-observed: compile miss %.0f us, template restore "
+           "%.0f us (%.1fx), outcome replay %.0f us (%.1fx)\n",
+           miss_us, hit_us, miss_us / hit_us, replay_us,
+           miss_us / replay_us);
+    printf("  daemon: %llu compiles, %llu cache hits, %llu outcomes "
+           "replayed%s\n",
+           (unsigned long long)compiles, (unsigned long long)hits,
+           (unsigned long long)replays,
+           paths_held ? "" : " -- a query took another path");
 
     if (std::FILE *f = std::fopen(json_path.c_str(), "w")) {
         fprintf(f,
@@ -1096,16 +1167,20 @@ cacheBench(const std::string &serverd, const std::string &json_path)
                 "  \"inProcessSpeedup\": %.2f,\n"
                 "  \"clientColdMicros\": %.1f,\n"
                 "  \"clientWarmMicros\": %.1f,\n"
+                "  \"clientReplayMicros\": %.1f,\n"
                 "  \"clientSpeedup\": %.2f,\n"
-                "  \"cacheHits\": %llu\n}\n",
+                "  \"clientReplaySpeedup\": %.2f,\n"
+                "  \"cacheHits\": %llu,\n"
+                "  \"outcomesReplayed\": %llu\n}\n",
                 reps, compile_us, restore_us, compile_us / restore_us,
-                miss_us, hit_us, miss_us / hit_us,
-                (unsigned long long)hits);
+                miss_us, hit_us, replay_us, miss_us / hit_us,
+                miss_us / replay_us, (unsigned long long)hits,
+                (unsigned long long)replays);
         std::fclose(f);
         printf("wrote %s\n", json_path.c_str());
     }
 
-    return hits == 0 ? 1 : 0;
+    return paths_held ? 0 : 1;
 }
 
 } // namespace

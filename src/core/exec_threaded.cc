@@ -72,16 +72,12 @@ Machine::runFast()
 
     const DecodedInstr *d;
 
-    // Per-step prologue: cycle-stop check (maxCycles or the
-    // governor's budget — trapCycleBudget throws the Abort trap to
-    // the run-loop boundary in run()), then fetch + dispatch.
+    // Per-step prologue: cycle-stop check (maxCycles, the governor's
+    // budget or a host slice: l_cycle_stop), then fetch + dispatch.
 #define KCM_DISPATCH()                                                  \
     do {                                                                \
-        if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]] {       \
-            if (stopKind_ != StopKind::Limit)                           \
-                trapCycleBudget();                                      \
-            return RunStatus::CycleLimit;                               \
-        }                                                               \
+        if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]]         \
+            goto l_cycle_stop;                                          \
         d = &fetchDecoded();                                            \
         goto *table[d->op];                                             \
     } while (0)
@@ -136,6 +132,11 @@ Machine::runFast()
 
 #undef KCM_DISPATCH
 #undef KCM_NEXT
+
+  l_cycle_stop:
+    if (stopKind_ != StopKind::Limit)
+        return takeCycleStop();
+    return RunStatus::CycleLimit;
 
   l_stopped:
     if (solutionReady_) {

@@ -1036,9 +1036,9 @@ Machine::run()
         } catch (const MachineTrap &trap) {
             // Governor exhaustion with an enclosing catch/3 becomes a
             // catchable resource_error ball; anything else (or no
-            // catcher) surfaces as RunStatus::Trapped, as before. A
-            // slice stop is host machinery, never a program event.
-            if (!sliceExpired_ && convertResourceTrap(trap))
+            // catcher) surfaces as RunStatus::Trapped, as before. (A
+            // slice stop is not thrown: takeCycleStop returns it.)
+            if (convertResourceTrap(trap))
                 continue;
             return recordTrap(trap);
         }
@@ -1055,7 +1055,7 @@ Machine::runLoop()
     while (true) {
         if (stopCycles_ && cycles_ >= stopCycles_) [[unlikely]] {
             if (stopKind_ != StopKind::Limit)
-                trapCycleBudget();
+                return takeCycleStop();
             return RunStatus::CycleLimit;
         }
         step();
@@ -1087,7 +1087,7 @@ Machine::nextSolution()
             }
             return runLoop();
         } catch (const MachineTrap &trap) {
-            if (!sliceExpired_ && convertResourceTrap(trap))
+            if (convertResourceTrap(trap))
                 continue;
             return recordTrap(trap);
         }
@@ -1127,11 +1127,7 @@ Machine::recordTrap(const MachineTrap &trap)
     lastTrap_.instructions = instructions_;
     lastTrap_.state = stateString();
     trapped_ = true;
-    // Slice stops are host machinery (watchdogs, deadlines, interrupt
-    // polls): not counting them keeps the counter identical between a
-    // sliced and an unsliced run of the same query.
-    if (!sliceExpired_)
-        ++trapsTaken;
+    ++trapsTaken;
     return RunStatus::Trapped;
 }
 
@@ -1313,21 +1309,32 @@ Machine::applyDueFaults()
     faultsPending_ = faultCursor_ < actions.size();
 }
 
-void
-Machine::trapCycleBudget()
+RunStatus
+Machine::takeCycleStop()
 {
     // Taken between instructions: nothing to roll back, and p_ is
     // the next instruction — resume() continues exactly here.
     stepStartCycles_ = cycles_;
-    if (stopKind_ == StopKind::Slice) {
-        sliceExpired_ = true;
+    if (stopKind_ == StopKind::Budget)
         throw MachineTrap(TrapKind::Abort,
-                          cat("run slice expired (", cycles_,
-                              " cycles >= slice stop ", stopCycles_, ")"));
-    }
-    throw MachineTrap(TrapKind::Abort,
-                      cat("cycle budget exhausted (", cycles_,
-                          " cycles >= budget ", stopCycles_, ")"));
+                          cat("cycle budget exhausted (", cycles_,
+                              " cycles >= budget ", stopCycles_, ")"));
+    // A slice stop is host machinery (watchdogs, deadlines, interrupt
+    // polls) whose callers read only trapped() and sliceExpired(): no
+    // message or register dump is formatted and nothing is thrown. Not
+    // counting it in trapsTaken keeps that counter identical between a
+    // sliced and an unsliced run of the same query.
+    penalty_ = 0;
+    sliceExpired_ = true;
+    trapped_ = true;
+    lastTrap_.kind = TrapKind::Abort;
+    lastTrap_.message.clear();
+    lastTrap_.faultAddr = 0;
+    lastTrap_.pc = p_;
+    lastTrap_.cycle = cycles_;
+    lastTrap_.instructions = instructions_;
+    lastTrap_.state.clear();
+    return RunStatus::Trapped;
 }
 
 std::vector<Solution>

@@ -442,8 +442,11 @@ class Machine
     bool growStackZone(Zone zone);
     /** Apply every FaultPlan action whose cycle has arrived. */
     void applyDueFaults();
-    /** Cycle budget exhausted: throw the Abort trap (cold). */
-    [[noreturn, gnu::cold, gnu::noinline]] void trapCycleBudget();
+    /** The governor's budget or a slice stop fired, between
+     *  instructions (cold): the budget throws its Abort trap to the
+     *  run-loop boundary in run(); a slice stop returns Trapped with
+     *  sliceExpired() set and throws nothing. */
+    [[gnu::cold, gnu::noinline]] RunStatus takeCycleStop();
     /** Fetch + decode the instruction at P: per-step prologue shared
      *  by the oracle and fast paths (GC check, prefetch accounting,
      *  code-cache fetch, trace, profiler). */

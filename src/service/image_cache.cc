@@ -60,6 +60,16 @@ imageCacheKey(const std::string &program, const std::string &goal,
     return h;
 }
 
+uint64_t
+RememberedOutcome::bytes() const
+{
+    uint64_t n = sizeof *this + output.size() + error.size() +
+                 failure.classification.size() + failure.detail.size();
+    for (const std::string &answer : answers)
+        n += sizeof answer + answer.size();
+    return n;
+}
+
 ImageCache::ImageCache(uint64_t budget_bytes)
     : budgetBytes_(budget_bytes)
 {
@@ -67,7 +77,7 @@ ImageCache::ImageCache(uint64_t budget_bytes)
 
 std::shared_ptr<const Snapshot>
 ImageCache::lookup(uint64_t key,
-                   std::shared_ptr<const RememberedFailure> *failure)
+                   std::shared_ptr<const RememberedOutcome> *outcome)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
@@ -77,8 +87,8 @@ ImageCache::lookup(uint64_t key,
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
-    if (failure)
-        *failure = it->second->failure;
+    if (outcome)
+        *outcome = it->second->outcome;
     return it->second->snap;
 }
 
@@ -103,20 +113,44 @@ ImageCache::insert(uint64_t key, Snapshot snapshot)
     auto stored = e.snap;
     lru_.push_front(std::move(e));
     index_[key] = lru_.begin();
-    while (stats_.bytes > budgetBytes_ && lru_.size() > 1)
-        evictLruLocked();
-    stats_.entries = index_.size();
+    fitBudgetLocked();
     return stored;
 }
 
 void
-ImageCache::remember(uint64_t key, RememberedFailure failure)
+ImageCache::remember(uint64_t key,
+                     std::shared_ptr<const RememberedOutcome> outcome)
 {
-    auto kept =
-        std::make_shared<const RememberedFailure>(std::move(failure));
+    const uint64_t bytes = outcome->bytes();
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = index_.find(key); it != index_.end())
-        it->second->failure = std::move(kept);
+    auto it = index_.find(key);
+    if (it == index_.end())
+        return;
+    Entry &entry = *it->second;
+    dropOutcomeLocked(entry);
+    entry.outcome = std::move(outcome);
+    entry.bytes += bytes;
+    stats_.bytes += bytes;
+    fitBudgetLocked();
+}
+
+void
+ImageCache::dropOutcomeLocked(Entry &entry)
+{
+    if (!entry.outcome)
+        return;
+    const uint64_t bytes = entry.outcome->bytes();
+    entry.bytes -= bytes;
+    stats_.bytes -= bytes;
+    entry.outcome.reset();
+}
+
+void
+ImageCache::fitBudgetLocked()
+{
+    while (stats_.bytes > budgetBytes_ && lru_.size() > 1)
+        evictLruLocked();
+    stats_.entries = index_.size();
 }
 
 void
@@ -162,6 +196,7 @@ ImageCache::corruptOneForTesting()
         corrupted->bytes[offset] ^= 0x40;
     }
     mru.snap = std::move(corrupted);
+    dropOutcomeLocked(mru);
     return 1;
 }
 

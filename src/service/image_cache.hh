@@ -26,11 +26,12 @@
  *  - corruptOneForTesting() is the chaos hook: it *replaces* an entry
  *    with a bit-flipped copy under the cache lock (in-place mutation
  *    of a shared buffer would race concurrent restores);
- *  - an entry may also hold one remembered failure (remember()): the
- *    machine is deterministic, so a template that ran into a trap or
- *    resource error under a given solution cap will do so again. It
- *    lives and dies with its entry: eviction drops it, insert()
- *    replaces it, and a zero budget remembers nothing.
+ *  - an entry may also hold one remembered outcome (remember()): the
+ *    machine is deterministic, so a template that completed, or ran
+ *    into a trap or resource error, under a given solution cap will
+ *    end the same way again. Its bytes count against the budget, and
+ *    it lives and dies with its entry: eviction drops it, insert() and
+ *    the corruption hook drop it, and a zero budget remembers nothing.
  */
 
 #ifndef KCM_SERVICE_IMAGE_CACHE_HH
@@ -42,6 +43,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/machine_config.hh"
 #include "core/snapshot.hh"
@@ -58,7 +60,7 @@ struct ImageCacheStats
     uint64_t evictions = 0;        ///< LRU budget evictions
     uint64_t corruptEvictions = 0; ///< evict() after a refused restore
     uint64_t insertions = 0;
-    uint64_t bytes = 0;            ///< current resident template bytes
+    uint64_t bytes = 0;            ///< resident template + outcome bytes
     uint64_t entries = 0;
 };
 
@@ -72,13 +74,32 @@ uint64_t imageCacheKey(const std::string &program,
                        const std::string &goal,
                        const MachineConfig &config);
 
-/** How a query run from a cached template failed, kept with the
- *  template so the same query is answered without running again. */
-struct RememberedFailure
+/** How a query run from a cached template ended: every field of its
+ *  reply but "id", "cache" and "wall_ms". Kept with the template, it
+ *  answers the same query under the same solution cap without running
+ *  again. */
+struct RememberedOutcome
 {
     size_t maxSolutions = 0; ///< the run's effective solution cap
-    FailureReport failure;
-    uint64_t cycles = 0;     ///< the failed reply's "cycles"
+    bool completed = false;  ///< else failed, as failure says
+
+    // A completed run (QueryOutcome's fields of the same names).
+    bool success = false;
+    std::vector<std::string> answers;
+    std::string output;
+    bool halted = false;
+    std::string error;
+    uint64_t dbOps = 0;      ///< durable runs only: never remembered
+    uint64_t dbCommitId = 0;
+
+    FailureReport failure;   ///< a failed run
+
+    uint64_t cycles = 0;
+    uint64_t instructions = 0;
+    uint64_t inferences = 0;
+
+    /** What it holds, as counted against the cache budget. */
+    uint64_t bytes() const;
 };
 
 class ImageCache
@@ -91,15 +112,15 @@ class ImageCache
     /**
      * Fetch the template for @p key, bumping its LRU position, without
      * verifying it (the restore does). Returns nullptr on miss. On a
-     * hit, @p failure (when non-null) receives the entry's remembered
-     * failure, null when it has none.
+     * hit, @p outcome (when non-null) receives the entry's remembered
+     * outcome, null when it has none.
      */
     std::shared_ptr<const Snapshot>
     lookup(uint64_t key,
-           std::shared_ptr<const RememberedFailure> *failure = nullptr);
+           std::shared_ptr<const RememberedOutcome> *outcome = nullptr);
 
     /**
-     * Insert (or replace, dropping any remembered failure) the
+     * Insert (or replace, dropping any remembered outcome) the
      * template for @p key, then evict LRU entries until the byte
      * budget holds. The snapshot is stored as an immutable shared
      * buffer, which is also returned so the inserting query can run
@@ -109,9 +130,11 @@ class ImageCache
     std::shared_ptr<const Snapshot> insert(uint64_t key,
                                            Snapshot snapshot);
 
-    /** Keep @p failure with @p key's entry, replacing any earlier
-     *  one; nothing is kept when the key has no entry. */
-    void remember(uint64_t key, RememberedFailure failure);
+    /** Keep @p outcome with @p key's entry, replacing any earlier
+     *  one, then evict LRU entries until the byte budget holds;
+     *  nothing is kept when the key has no entry. */
+    void remember(uint64_t key,
+                  std::shared_ptr<const RememberedOutcome> outcome);
 
     /** Drop @p key if present (after a worker reported
      *  "corrupt_image_template": its restore refused the template).
@@ -122,7 +145,9 @@ class ImageCache
      * Chaos hook: replace the most-recently-used entry with a copy
      * whose payload has one bit flipped (the container keeps its
      * declared lengths, so the corruption is only catchable by the
-     * checksums). Returns the number of entries corrupted (0 or 1).
+     * checksums), and drop its remembered outcome, so that the next
+     * query of its shape restores it. Returns the number of entries
+     * corrupted (0 or 1).
      */
     size_t corruptOneForTesting();
 
@@ -133,11 +158,13 @@ class ImageCache
     {
         uint64_t key = 0;
         std::shared_ptr<const Snapshot> snap;
-        uint64_t bytes = 0;
-        std::shared_ptr<const RememberedFailure> failure;
+        uint64_t bytes = 0; ///< the template's and the outcome's
+        std::shared_ptr<const RememberedOutcome> outcome;
     };
 
+    void dropOutcomeLocked(Entry &entry);
     void evictLruLocked();
+    void fitBudgetLocked();
 
     const uint64_t budgetBytes_;
 

@@ -17,11 +17,14 @@
  *     restore verifies the template's checksums before it mutates the
  *     machine; a corrupt entry is evicted and the query transparently
  *     recompiled (once), so the cache can only ever cost time, never
- *     correctness. A query that fails with a machine trap or a
- *     resource error leaves that failure with its template (not in
- *     --db-journal mode, where outcomes depend on the store): a later
- *     query of the same shape and solution cap gets the same reply
- *     without running, so a shape that always fails costs one run.
+ *     correctness. **Remembered outcomes:** a query that completes,
+ *     or fails with a machine trap or a resource error, leaves that
+ *     outcome with its template (not in --db-journal mode, where
+ *     outcomes depend on the store): a later query of the same shape
+ *     and solution cap gets the same reply, byte for byte but for its
+ *     "id", "cache" and "wall_ms" (0), on its connection thread,
+ *     without running, and counts in neither queries_accepted nor
+ *     queries_replied. An exact repeat costs one run.
  *
  *  2. **Hardened connection lifecycle**: per-connection read/write
  *     deadlines (with a separate slow-loris bound for partial
@@ -48,6 +51,10 @@
  *             {"op": "corrupt_cache"}            (chaos hook, gated)
  *   reply:    {"id": ..., "status": "completed" | "failed" |
  *              "overloaded" | "bad_request" | "pong" | "ok", ...}
+ *
+ *   A completed or failed reply answered from a remembered outcome
+ *   reads "cache": "hit" and, when completed, "wall_ms": 0; its other
+ *   fields are the run's (stats: "outcomes_replayed").
  *
  * See DESIGN.md ("The always-on query server") for the full schema.
  */
@@ -163,8 +170,8 @@ struct ServerCounters
                                      ///< evicted, recompiled, re-run
     uint64_t interrupted = 0;        ///< aborted past the drain grace
     uint64_t frameTooLarge = 0;      ///< request frames over the cap
-    uint64_t failuresReplayed = 0;   ///< answered from a remembered
-                                     ///< failure, never admitted
+    uint64_t outcomesReplayed = 0;   ///< answered from a remembered
+                                     ///< outcome, never admitted
 };
 
 /**

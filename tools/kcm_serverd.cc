@@ -15,8 +15,9 @@
  *
  * — and exits 0. accepted == replied is the drain invariant the chaos
  * harness asserts: a shutdown loses no accepted query. A query answered
- * from its template's remembered trap or resource error (counted in
- * "failures_replayed") never reaches the pool and is in neither count.
+ * from its template's remembered outcome (a completed run, a trap or a
+ * resource error; counted in "outcomes_replayed") never reaches the
+ * pool and is in neither count.
  *
  * Usage:
  *   kcm_serverd [options]
@@ -257,7 +258,7 @@ main(int argc, char **argv)
                "\"deadline_propagated_sheds\": %llu, "
                "\"mem_aborts\": %llu, "
                "\"mem_admission_refusals\": %llu, "
-               "\"failures_replayed\": %llu",
+               "\"outcomes_replayed\": %llu",
                (unsigned long long)c.queriesAccepted,
                (unsigned long long)c.queriesReplied,
                (unsigned long long)c.interrupted,
@@ -275,7 +276,7 @@ main(int argc, char **argv)
                (unsigned long long)pool.deadlinePropagatedSheds,
                (unsigned long long)pool.memAborts,
                (unsigned long long)pool.memAdmissionRefusals,
-               (unsigned long long)c.failuresReplayed);
+               (unsigned long long)c.outcomesReplayed);
         if (const kcm::db::JournaledStore *db = server.durableDb()) {
             printf(", \"db_commits\": %llu, \"db_ops\": %llu, "
                    "\"journal_commits\": %llu, "
