@@ -37,7 +37,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,21 +96,6 @@ chunk.
 longrep(0, S) :- sumto(400, S).
 longrep(K, S) :- K > 0, chunk, J is K - 1, longrep(J, S).
 )PROLOG";
-
-/** Normalize fresh-variable numbering (_NNN differs per process). */
-std::string
-stripVarNumbers(const std::string &s)
-{
-    std::string out;
-    for (size_t i = 0; i < s.size(); ++i) {
-        out += s[i];
-        if (s[i] == '_' && (i == 0 || !isalnum(s[i - 1]))) {
-            while (i + 1 < s.size() && isdigit(s[i + 1]))
-                ++i;
-        }
-    }
-    return out;
-}
 
 struct Family
 {
@@ -243,7 +227,7 @@ chaosSweep(int queries_per_family, unsigned workers,
         baseline::InterpResult res = oracle.query(goal, 1);
         std::string answers;
         for (const auto &s : res.solutions)
-            answers += stripVarNumbers(s.toString()) + ";";
+            answers += s.toString() + ";";
         auto entry = std::make_pair(answers, res.error);
         oracleCache[goal] = entry;
         return entry;
@@ -299,7 +283,7 @@ chaosSweep(int queries_per_family, unsigned workers,
             auto [want_answers, want_error] = oracleAnswer(job.goal);
             std::string got;
             for (const auto &s : out.solutions)
-                got += stripVarNumbers(s.toString()) + ";";
+                got += s.toString() + ";";
             if (got == want_answers && out.error == want_error) {
                 ++tally.matched;
             } else {

@@ -59,7 +59,6 @@
  */
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -109,20 +108,6 @@ prune(K) :- retract(f(K, _)).
 )PROLOG";
 
 bool verbose = false;
-
-std::string
-stripVarNumbers(const std::string &s)
-{
-    std::string out;
-    for (size_t i = 0; i < s.size(); ++i) {
-        out += s[i];
-        if (s[i] == '_' && (i == 0 || !isalnum(s[i - 1]))) {
-            while (i + 1 < s.size() && isdigit(s[i + 1]))
-                ++i;
-        }
-    }
-    return out;
-}
 
 // ------------------------------------------------------------------ //
 // Mutation schedule: a deterministic stream of assert/retract goals.
@@ -499,7 +484,7 @@ runProbes(Daemon &daemon, const std::vector<MutEntry> &sched,
         auto it = reply.fields.find("answers");
         if (it != reply.fields.end())
             for (const auto &a : it->second.items)
-                daemon_answers.push_back(stripVarNumbers(a.str));
+                daemon_answers.push_back(a.str);
 
         auto runEngine = [&](const MachineConfig &cfg, uint64_t &cycles) {
             std::vector<std::string> out;
@@ -510,7 +495,7 @@ runProbes(Daemon &daemon, const std::vector<MutEntry> &sched,
             machine.attachDynamicDb(oracle);
             machine.load(image);
             for (const Solution &solution : machine.solutions(64))
-                out.push_back(stripVarNumbers(solution.toString()));
+                out.push_back(solution.toString());
             if (machine.trapped())
                 fatal("probe trapped: ", goal);
             cycles = machine.cycles();
@@ -527,7 +512,7 @@ runProbes(Daemon &daemon, const std::vector<MutEntry> &sched,
             interp.consult(mutProgram);
             baseline::InterpResult r = interp.query(goal, 64);
             for (const auto &sol : r.solutions)
-                base.push_back(stripVarNumbers(sol.toString()));
+                base.push_back(sol.toString());
         }
 
         if (daemon_answers != fast || fast != orc || fast != base) {

@@ -49,7 +49,10 @@
  *                multi-solution query, but for "id", "cache" and
  *                "wall_ms"; six 1 ms deadline failures of one shape
  *                are not remembered, so the same goal without a
- *                deadline completes with its closed-form answer
+ *                deadline completes with its closed-form answer; and
+ *                app(X, Y, Z), sent after all that, gets the reply a
+ *                second, fresh daemon gives it (variables numbered
+ *                per answer: a reply is a function of the query)
  *
  * Every completed reply is checked bit-identical against the baseline
  * interpreter (the differential oracle); everything else must be a
@@ -79,7 +82,6 @@
  */
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -139,21 +141,6 @@ itc(N, A, S) :- N > 0, !, sumc(200, T), B is A + T, M is N - 1,
                 itc(M, B, S).
 )PROLOG";
 
-/** Normalize fresh-variable numbering (_NNN differs per process). */
-std::string
-stripVarNumbers(const std::string &s)
-{
-    std::string out;
-    for (size_t i = 0; i < s.size(); ++i) {
-        out += s[i];
-        if (s[i] == '_' && (i == 0 || !isalnum(s[i - 1]))) {
-            while (i + 1 < s.size() && isdigit(s[i + 1]))
-                ++i;
-        }
-    }
-    return out;
-}
-
 // ------------------------------------------------------------------ //
 // Oracle: the baseline interpreter plus an answer cache.
 // ------------------------------------------------------------------ //
@@ -174,7 +161,7 @@ class Oracle
         baseline::InterpResult res = interp_.query(goal, 1);
         std::string answers;
         for (const auto &s : res.solutions)
-            answers += stripVarNumbers(s.toString()) + ";";
+            answers += s.toString() + ";";
         auto entry = std::make_pair(answers, res.error);
         cache_[goal] = entry;
         return entry;
@@ -311,7 +298,7 @@ verifiedQuery(Client &client, SweepShared &shared,
         auto it = reply.fields.find("answers");
         if (it != reply.fields.end())
             for (const auto &a : it->second.items)
-                got += stripVarNumbers(a.str) + ";";
+                got += a.str + ";";
         std::string got_error = reply.str("error");
         std::lock_guard<std::mutex> lock(shared.tallyMutex);
         if (got == want_answers && got_error == want_error) {
@@ -424,7 +411,7 @@ clientMain(SweepShared &shared, int client_id, int queries)
                         auto itf = r.fields.find("answers");
                         if (itf != r.fields.end())
                             for (const auto &a : itf->second.items)
-                                got += stripVarNumbers(a.str) + ";";
+                                got += a.str + ";";
                         std::lock_guard<std::mutex> lock(
                             shared.tallyMutex);
                         if (got == want &&
@@ -839,6 +826,13 @@ replayPhase(const std::string &serverd, SweepShared &shared)
         ++shared.tallies[family].matched;
     }
 
+    // Fresh variables after all that traffic: the reply must equal a
+    // fresh daemon's (checked after the drain), numbered per answer.
+    auto history = [](Client &c) {
+        return c.query("rh", chaosProgram, "app(X, Y, Z)", 2, 0, 60'000);
+    };
+    ClientReply after_traffic = history(client);
+
     client.close();
     int status = daemon.stop(SIGTERM);
     std::string drain = readLineFd(daemon.outFd);
@@ -848,11 +842,33 @@ replayPhase(const std::string &serverd, SweepShared &shared)
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
         !service::parseJsonObject(drain, obj, err) ||
         obj["outcomes_replayed"].asInt() != 4 ||
-        obj["accepted"].asInt() != 9) {
+        obj["accepted"].asInt() != 10) {
         diverge(cat("replay daemon drain: ", drain));
         return;
     }
     bump(shared, family, "drain_clean");
+
+    Daemon fresh = spawnChaosDaemon(serverd);
+    Client fresh_client;
+    if (!fresh_client.connect("127.0.0.1", fresh.port, 2'000)) {
+        diverge("cannot connect to the fresh daemon");
+        return;
+    }
+    const ClientReply first = history(fresh_client);
+    fresh_client.close();
+    status = fresh.stop(SIGTERM);
+    fresh.closeFd();
+    const auto &got = after_traffic.fields["answers"].items;
+    if (after_traffic.status() != "completed" || got.size() != 2 ||
+        got[0].str != "X = [], Y = _0, Z = _0" ||
+        got[1].str != "X = [_0], Y = _1, Z = [_0|_1]" ||
+        runFields(first) != runFields(after_traffic) ||
+        !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        diverge(cat("reply depends on the daemon's history: ",
+                    after_traffic.raw, " / fresh: ", first.raw));
+        return;
+    }
+    bump(shared, family, "history_free");
 }
 
 int

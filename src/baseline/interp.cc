@@ -46,17 +46,7 @@ struct PrologHalt
 std::string
 InterpSolution::toString() const
 {
-    std::string out;
-    bool first = true;
-    for (const auto &[name, term] : bindings) {
-        if (!first)
-            out += ", ";
-        out += name + " = " + writeTerm(term);
-        first = false;
-    }
-    if (bindings.empty())
-        out = "true";
-    return out;
+    return writeAnswer(bindings);
 }
 
 struct Interpreter::Impl
@@ -182,8 +172,8 @@ struct Interpreter::Impl
             auto it = vars.find(c);
             if (it != vars.end())
                 return it->second;
-            // Distinct cells get distinct printed names: the clause
-            // store canonicalizes variables by name on insert, so an
+            // Distinct cells get distinct names: the clause store
+            // canonicalizes variables by name on insert, so an
             // asserted p(X, Y) must not export as p(_B, _B).
             TermRef v = Term::makeVar("_B" + std::to_string(vars.size()));
             vars.emplace(c, v);

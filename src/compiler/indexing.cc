@@ -194,6 +194,7 @@ emitPredicate(Assembler &assembler, ClauseCompiler &codegen,
             if (keys[i].klass == KeyClass::StructKey) {
                 if (!struct_buckets.count(keys[i].key.raw()))
                     struct_order.push_back(keys[i].key.raw());
+                struct_buckets[keys[i].key.raw()];
             }
         }
         for (uint64_t key : struct_order) {

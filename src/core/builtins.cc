@@ -545,15 +545,9 @@ Machine::execEscape(const DecodedInstr &instr)
         fail();
         break;
 
-      case BuiltinId::CollectSolution: {
-        solution_.bindings.clear();
-        for (const auto &[name, slot] : image_.querySolutionSlots) {
-            Word w = mem_->peekData(e_ + 2 + slot);
-            solution_.bindings.emplace_back(name, exportTerm(w));
-        }
-        solutionReady_ = true;
+      case BuiltinId::CollectSolution:
+        collectSolution();
         break;
-      }
 
       case BuiltinId::NameB: {
         Word w = deref(x_[0]);

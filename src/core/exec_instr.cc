@@ -141,11 +141,13 @@ Machine::execUnifyClass(const DecodedInstr &instr)
         if (writeMode_) {
             Word w = deref(x_[instr.r1]);
             if (w.isRef() && w.zone() == Zone::Local) {
-                // Keep the global stack free of local references.
+                // Keep the global stack free of local references: the
+                // new heap variable is this argument's own cell.
                 w = globalize(w);
+            } else {
+                pushHeapCell(w);
             }
             x_[instr.r1] = w;
-            pushHeapCell(w);
         } else {
             if (!unify(x_[instr.r1], nextSubterm()))
                 fail();
@@ -160,8 +162,9 @@ Machine::execUnifyClass(const DecodedInstr &instr)
         if (writeMode_) {
             Word w = deref(y);
             if (w.isRef() && w.zone() == Zone::Local)
-                w = globalize(w);
-            pushHeapCell(w);
+                globalize(w); // pushes the argument's cell
+            else
+                pushHeapCell(w);
         } else {
             if (!unify(y, nextSubterm()))
                 fail();

@@ -34,17 +34,7 @@ constexpr unsigned args = 9;
 std::string
 Solution::toString() const
 {
-    std::ostringstream os;
-    bool first = true;
-    for (const auto &[name, term] : bindings) {
-        if (!first)
-            os << ", ";
-        os << name << " = " << writeTerm(term);
-        first = false;
-    }
-    if (bindings.empty())
-        os << "true";
-    return os.str();
+    return writeAnswer(bindings);
 }
 
 Machine::Machine(const MachineConfig &config)
@@ -576,7 +566,7 @@ Machine::metaCallWithBarrier(Word goal_word, Addr barrier)
 Word
 Machine::importTerm(const TermRef &term)
 {
-    // Variables sharing a printed name (exportTerm names unbound cells
+    // Variables sharing a name (exportTerm names unbound cells
     // "_G<addr>") share one fresh heap cell, preserving what sharing
     // the exported ball recorded.
     std::map<std::string, Word> vars;
@@ -765,8 +755,8 @@ Machine::runDynamicClause(const db::StoredClause &clause, uint32_t arity,
     Word body_w;
     if (is_rule) {
         // Import head and body as one term so the variables they
-        // share (by printed name, per importTerm's contract) land in
-        // shared heap cells.
+        // share (by name, per importTerm's contract) land in shared
+        // heap cells.
         TermRef whole = Term::makeStruct(AtomTable::instance().neck,
                                          {clause.head, clause.body});
         Word w = importTerm(whole);
@@ -1439,8 +1429,27 @@ Machine::hostWrite(const std::string &text)
         fputs(text.c_str(), stdout);
 }
 
+void
+Machine::collectSolution()
+{
+    ExportVars vars;
+    solution_.bindings.clear();
+    for (const auto &[name, slot] : image_.querySolutionSlots) {
+        Word w = mem_->peekData(e_ + 2 + slot);
+        solution_.bindings.emplace_back(name, exportTerm(w, vars));
+    }
+    solutionReady_ = true;
+}
+
 TermRef
-Machine::exportTerm(Word w, int depth)
+Machine::exportTerm(Word w)
+{
+    ExportVars vars;
+    return exportTerm(w, vars);
+}
+
+TermRef
+Machine::exportTerm(Word w, ExportVars &vars, int depth)
 {
     if (depth > 4000)
         return Term::makeAtom("...");
@@ -1448,8 +1457,12 @@ Machine::exportTerm(Word w, int depth)
     // Untimed dereference through the debug interface.
     while (w.isRef()) {
         Word v = mem_->peekData(w.addr());
-        if (v.raw() == w.raw())
-            return Term::makeVar(cat("_G", w.addr()));
+        if (v.raw() == w.raw()) {
+            TermRef &var = vars[w.addr()];
+            if (!var)
+                var = Term::makeVar(cat("_G", w.addr()));
+            return var;
+        }
         w = v;
     }
 
@@ -1463,15 +1476,17 @@ Machine::exportTerm(Word w, int depth)
       case Tag::Float:
         return Term::makeFloat(w.floatValue());
       case Tag::List: {
-        TermRef head = exportTerm(mem_->peekData(w.addr()), depth + 1);
-        TermRef tail = exportTerm(mem_->peekData(w.addr() + 1), depth + 1);
+        TermRef head =
+            exportTerm(mem_->peekData(w.addr()), vars, depth + 1);
+        TermRef tail =
+            exportTerm(mem_->peekData(w.addr() + 1), vars, depth + 1);
         return Term::makeCons(head, tail);
       }
       case Tag::Struct: {
         Word f = mem_->peekData(w.addr());
         std::vector<TermRef> args;
         for (uint32_t i = 1; i <= f.functorArity(); ++i)
-            args.push_back(exportTerm(mem_->peekData(w.addr() + i),
+            args.push_back(exportTerm(mem_->peekData(w.addr() + i), vars,
                                       depth + 1));
         return Term::makeStruct(f.functorName(), std::move(args));
       }

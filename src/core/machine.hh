@@ -20,6 +20,7 @@
 #define KCM_CORE_MACHINE_HH
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -375,8 +376,8 @@ class Machine
      *  MachineTrap carrying the quoted ball text. */
     void raiseBall(const TermRef &ball);
     /** Copy a host term onto the global stack (timed writes); the
-     *  inverse of exportTerm. Variables sharing a printed name share
-     *  a fresh heap cell. */
+     *  inverse of exportTerm. Variables sharing a name share a fresh
+     *  heap cell. */
     Word importTerm(const TermRef &term);
     /**
      * Serve a resource trap (StackOverflow past the ceiling, Abort on
@@ -496,7 +497,16 @@ class Machine
     Word nextSubterm();
 
     // --- term exchange with the host ---
-    TermRef exportTerm(Word w, int depth = 0);
+    /** The variable each unbound cell exported so far became. */
+    using ExportVars = std::map<Addr, TermRef>;
+    /** Copy @p w out as a host term (untimed reads). An unbound cell
+     *  becomes one variable, named "_G<addr>", wherever it occurs in
+     *  one export: the term, or every term exported into @p vars. */
+    TermRef exportTerm(Word w);
+    TermRef exportTerm(Word w, ExportVars &vars, int depth = 0);
+    /** The collect-solution escape: export the query variables' slots,
+     *  as one export, into solution_. */
+    void collectSolution();
     void hostWrite(const std::string &text);
 
     // --- state ---

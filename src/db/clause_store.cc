@@ -38,11 +38,10 @@ towerHeight(int64_t seq)
 
 /**
  * Rebuild a term with canonical variable nodes shared by pointer and
- * by printed name. Producers differ: the reader and the baseline's
- * exportCell share repeated variables by pointer, the machine's
- * exportTerm only by printed name ("_G<addr>") — after this pass both
- * invariants hold, so importTerm (name-keyed) and the baseline's
- * instantiate (pointer-keyed) agree on head/body sharing.
+ * by name. Producers (the reader, the baseline's exportCell, the
+ * machine's exportTerm) share a repeated variable by pointer; after
+ * this pass it also has one name, so importTerm (name-keyed) and the
+ * baseline's instantiate (pointer-keyed) agree on head/body sharing.
  */
 struct VarCanon
 {

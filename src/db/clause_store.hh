@@ -139,7 +139,7 @@ struct ArgKeyHash
 };
 
 /** One stored clause. `body` is null for facts. Head and body share
- *  variables by TermRef pointer *and* by printed name (the store
+ *  variables by TermRef pointer *and* by name (the store
  *  canonicalizes on insert), so both the machine's importTerm and the
  *  baseline's instantiate see the same sharing. */
 struct StoredClause

@@ -1,6 +1,5 @@
 #include "prolog/term.hh"
 
-#include <atomic>
 #include <unordered_set>
 
 #include "base/logging.hh"
@@ -8,18 +7,12 @@
 namespace kcm
 {
 
-namespace
-{
-std::atomic<uint64_t> nextVarId{1};
-} // namespace
-
 TermRef
 Term::makeVar(const std::string &name)
 {
     auto t = TermRef(new Term());
     t->_kind = TermKind::Var;
     t->_varName = name;
-    t->_varId = nextVarId.fetch_add(1);
     return t;
 }
 
@@ -173,14 +166,6 @@ Term::varName() const
     if (_kind != TermKind::Var)
         panic("Term::varName on non-var");
     return _varName;
-}
-
-uint64_t
-Term::varId() const
-{
-    if (_kind != TermKind::Var)
-        panic("Term::varId on non-var");
-    return _varId;
 }
 
 bool

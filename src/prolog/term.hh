@@ -43,7 +43,9 @@ enum class TermKind
 class Term
 {
   public:
-    /** Build a fresh, unbound variable node. @p name is for printing. */
+    /** Build a fresh, unbound variable node. @p name keys it where
+     *  variables are matched by name (importTerm, the clause store);
+     *  the writer numbers variables by identity. */
     static TermRef makeVar(const std::string &name);
     static TermRef makeAtom(AtomId atom);
     static TermRef makeAtom(const std::string &text);
@@ -86,9 +88,8 @@ class Term
     /** Functor of an atom (arity 0) or structure. */
     Functor functor() const;
 
-    /** Variable accessors. */
+    /** Variable accessor. */
     const std::string &varName() const;
-    uint64_t varId() const;
 
     /** Structural equality; variables compare by identity. */
     static bool equal(const TermRef &a, const TermRef &b);
@@ -102,7 +103,6 @@ class Term
     double _float = 0.0;       // Float
     std::vector<TermRef> args_; // Struct
     std::string _varName;      // Var
-    uint64_t _varId = 0;       // Var: process-unique id
 };
 
 /** Collect the distinct variables of @p t in first-occurrence order. */

@@ -1,6 +1,7 @@
 #include "prolog/writer.hh"
 
 #include <sstream>
+#include <unordered_map>
 
 #include "base/logging.hh"
 #include "prolog/lexer.hh"
@@ -19,12 +20,23 @@ class Writer
     {
     }
 
-    std::string
-    render(const TermRef &t)
+    /** Append @p t; its variables keep the numbers earlier terms of
+     *  this writer gave them. */
+    Writer &
+    term(const TermRef &t)
     {
         write(t, 1200, 0);
-        return os_.str();
+        return *this;
     }
+
+    Writer &
+    text(const std::string &s)
+    {
+        os_ << s;
+        return *this;
+    }
+
+    std::string str() const { return os_.str(); }
 
   private:
     void
@@ -52,9 +64,12 @@ class Writer
             return;
         }
         switch (t->kind()) {
-          case TermKind::Var:
-            os_ << "_" << t->varId();
+          case TermKind::Var: {
+            // Its first-occurrence ordinal in what this writer wrote.
+            auto it = varNumbers_.emplace(t.get(), varNumbers_.size()).first;
+            os_ << "_" << it->second;
             return;
+          }
           case TermKind::Int:
             os_ << t->intValue();
             return;
@@ -165,9 +180,17 @@ class Writer
     }
 
     const OperatorTable &ops_;
-    const WriteOptions &options_;
+    const WriteOptions options_;
     std::ostringstream os_;
+    std::unordered_map<const Term *, size_t> varNumbers_;
 };
+
+const OperatorTable &
+defaultOps()
+{
+    static const OperatorTable ops;
+    return ops;
+}
 
 } // namespace
 
@@ -175,24 +198,34 @@ std::string
 writeTerm(const TermRef &t, const OperatorTable &ops,
           const WriteOptions &options)
 {
-    Writer writer(ops, options);
-    return writer.render(t);
+    return Writer(ops, options).term(t).str();
 }
 
 std::string
 writeTerm(const TermRef &t)
 {
-    static OperatorTable default_ops;
-    return writeTerm(t, default_ops, WriteOptions{});
+    return writeTerm(t, defaultOps(), WriteOptions{});
 }
 
 std::string
 writeTermQuoted(const TermRef &t)
 {
-    static OperatorTable default_ops;
     WriteOptions options;
     options.quoted = true;
-    return writeTerm(t, default_ops, options);
+    return writeTerm(t, defaultOps(), options);
+}
+
+std::string
+writeAnswer(const std::vector<std::pair<std::string, TermRef>> &bindings)
+{
+    if (bindings.empty())
+        return "true";
+    Writer writer(defaultOps(), WriteOptions{});
+    for (size_t i = 0; i < bindings.size(); ++i)
+        writer.text(i ? ", " : "")
+            .text(bindings[i].first + " = ")
+            .term(bindings[i].second);
+    return writer.str();
 }
 
 } // namespace kcm

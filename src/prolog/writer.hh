@@ -1,12 +1,18 @@
 /**
  * @file
  * Term output: canonical and operator-aware printing.
+ *
+ * A variable prints as `_N`, N its first-occurrence ordinal among the
+ * distinct variables (told apart by identity) of one written unit: one
+ * call below. Printed text is thus a function of the term alone.
  */
 
 #ifndef KCM_PROLOG_WRITER_HH
 #define KCM_PROLOG_WRITER_HH
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "prolog/operators.hh"
 #include "prolog/term.hh"
@@ -30,6 +36,11 @@ std::string writeTerm(const TermRef &t);
 
 /** Render in writeq style (quoted) with a default operator table. */
 std::string writeTermQuoted(const TermRef &t);
+
+/** Render one answer, "Name = Term, ..." or "true", as one unit: a
+ *  variable shared by two bindings prints as one `_N`. */
+std::string
+writeAnswer(const std::vector<std::pair<std::string, TermRef>> &bindings);
 
 } // namespace kcm
 

@@ -109,7 +109,6 @@ ImageCache::insert(uint64_t key, Snapshot snapshot)
     e.bytes = snapshot.bytes.size();
     e.snap = std::make_shared<const Snapshot>(std::move(snapshot));
     stats_.bytes += e.bytes;
-    ++stats_.insertions;
     auto stored = e.snap;
     lru_.push_front(std::move(e));
     index_[key] = lru_.begin();

@@ -59,7 +59,6 @@ struct ImageCacheStats
     uint64_t misses = 0;
     uint64_t evictions = 0;        ///< LRU budget evictions
     uint64_t corruptEvictions = 0; ///< evict() after a refused restore
-    uint64_t insertions = 0;
     uint64_t bytes = 0;            ///< resident template + outcome bytes
     uint64_t entries = 0;
 };

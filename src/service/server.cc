@@ -282,6 +282,12 @@ Server::acceptLoop()
                 ++liveConnections_;
         }
         if (refuse) {
+            {
+                // Counted before the reply, so a client that reads it
+                // sees the refusal in stats.
+                std::lock_guard<std::mutex> lock(statsMutex_);
+                ++counters_.connectionsRefused;
+            }
             std::string line =
                 JsonWriter()
                     .field("status", "overloaded")
@@ -292,8 +298,6 @@ Server::acceptLoop()
             writeAllDeadline(fd, line.data(), line.size(),
                              options_.writeDeadlineMs);
             ::close(fd);
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++counters_.connectionsRefused;
             continue;
         }
 
@@ -501,6 +505,7 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
             w.field("id", id);
         w.field("status", "ok")
             .field("connections", c.connectionsAccepted)
+            .field("connections_refused", c.connectionsRefused)
             .field("requests", c.requests)
             .field("bad_requests", c.badRequests)
             .field("overloaded", c.overloaded)

@@ -128,7 +128,6 @@ Session::run()
         // Classified so the owner evicts the entry and recompiles.
         out.status = QueryStatus::Failed;
         out.failure.classification = "corrupt_image_template";
-        out.failure.trapKind = TrapKind::Abort;
         out.failure.detail = e.what();
         out.failure.attempts = 1;
         out.wallSeconds = elapsedSeconds(started);
@@ -166,7 +165,6 @@ Session::run()
                     status = QueryStatus::Failed;
                     out.solutions.clear();
                     out.failure.classification = "journal_io_error";
-                    out.failure.trapKind = TrapKind::Abort;
                     out.failure.detail = e.what();
                     out.failure.attempts = 1;
                 }
@@ -186,10 +184,8 @@ Session::run()
         out.wallSeconds = elapsedSeconds(started);
         return out;
     };
-    auto fail = [&](std::string classification, TrapKind kind,
-                    std::string detail) {
+    auto fail = [&](std::string classification, std::string detail) {
         out.failure.classification = std::move(classification);
-        out.failure.trapKind = kind;
         out.failure.detail = std::move(detail);
         out.failure.attempts = 1;
         return finish(QueryStatus::Failed);
@@ -225,7 +221,7 @@ Session::run()
         // Already past the deadline: spend no cycles at all (the
         // supervisor sheds these before a worker is burned; this is
         // the last line of defense).
-        return fail("deadline_exceeded", TrapKind::Abort,
+        return fail("deadline_exceeded",
                     cat(deadlineName(), " expired before execution "
                                         "started (0 simulated cycles)"));
     }
@@ -258,11 +254,11 @@ Session::run()
     }
     if (machine_->sliceExpired()) {
         if (interrupted) {
-            return fail("interrupted", TrapKind::Abort,
+            return fail("interrupted",
                         "aborted by shutdown request at an "
                         "instruction boundary");
         }
-        return fail("deadline_exceeded", TrapKind::Abort,
+        return fail("deadline_exceeded",
                     cat(deadlineName(), " exceeded after ",
                         machine_->cycles(), " simulated cycles"));
     }
@@ -276,7 +272,7 @@ Session::run()
     }
     // The back end is deterministic: a re-run would trap again at the
     // same cycle, so the first trap is the answer.
-    return fail(trapDiagnosis(trap), trap.kind, trap.message);
+    return fail(trapDiagnosis(trap), trap.message);
 }
 
 } // namespace kcm::service

@@ -104,7 +104,6 @@ struct FailureReport
      *  and recompiles). */
     std::string classification;
 
-    TrapKind trapKind = TrapKind::Abort;
     std::string detail;       ///< trap or failure message
 
     unsigned attempts = 0;    ///< 1 = a session took it, 0 = shed

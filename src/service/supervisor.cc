@@ -92,7 +92,6 @@ Supervisor::deadlineShedOutcome(const QueryJob &job,
     QueryOutcome out;
     out.status = QueryStatus::Failed;
     out.failure.classification = "deadline_exceeded";
-    out.failure.trapKind = TrapKind::Abort;
     out.failure.detail =
         cat("propagated deadline unmeetable: shed at ", where,
             " with 0 simulated cycles spent (query ", job.id, ")");

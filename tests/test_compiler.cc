@@ -366,6 +366,7 @@ TEST(Compiler, DynamicDeclarationCompilesToStubAndInit)
     compiler.addProgram(":- dynamic(fact/2).\n"
                         "fact(a, 1).\n"
                         "fact(b, 2).\n"
+                        "fact(X, f(X, _)).\n"
                         "use(X, Y) :- fact(X, Y).\n");
     CodeImage image = compiler.compile();
     Functor f{internAtom("fact"), 2};
@@ -377,10 +378,12 @@ TEST(Compiler, DynamicDeclarationCompilesToStubAndInit)
     EXPECT_EQ(first.value(),
               static_cast<uint32_t>(BuiltinId::DynamicCall));
     // The clauses skipped static compilation and ride along as
-    // canonical init text in source order.
-    ASSERT_EQ(image.dynamicInit.size(), 2u);
+    // canonical init text in source order, each numbering its own
+    // variables: the text is a function of the program.
+    ASSERT_EQ(image.dynamicInit.size(), 3u);
     EXPECT_EQ(image.dynamicInit[0], "fact(a,1)");
     EXPECT_EQ(image.dynamicInit[1], "fact(b,2)");
+    EXPECT_EQ(image.dynamicInit[2], "fact(_0,f(_0,_1))");
     EXPECT_NE(image.dynRetryEntry, 0u);
 }
 

@@ -9,7 +9,6 @@
  * solutions.
  */
 
-#include <cctype>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,62 +26,48 @@ using namespace kcm;
 namespace
 {
 
-/** Normalize variable numbering (_123 -> _V) for comparisons. */
-std::string
-stripVarNumbers(const std::string &s)
+/** A query's answers, then its write/1 output and its uncaught-ball
+ *  error where not empty. */
+template <typename Result>
+std::vector<std::string>
+replyOf(const Result &result)
 {
-    std::string out;
-    for (size_t i = 0; i < s.size();) {
-        bool at_var = s[i] == '_' && i + 1 < s.size() &&
-                      std::isdigit(static_cast<unsigned char>(s[i + 1])) &&
-                      (i == 0 || !std::isalnum(
-                                     static_cast<unsigned char>(s[i - 1])));
-        if (at_var) {
-            out += "_V";
-            ++i;
-            while (i < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[i]))) {
-                ++i;
-            }
-        } else {
-            out += s[i++];
-        }
-    }
-    return out;
+    std::vector<std::string> reply;
+    for (const auto &solution : result.solutions)
+        reply.push_back(solution.toString());
+    if (!result.output.empty())
+        reply.push_back("output: " + result.output);
+    if (!result.error.empty())
+        reply.push_back("error: " + result.error);
+    return reply;
 }
 
-/** Run on both engines; compare success and solution strings. */
-void
+/** Run on the fast core, the oracle core and the baseline: their
+ *  replies must be equal byte for byte. Returns the fast core's. */
+std::vector<std::string>
 compareEngines(const std::string &program, const std::string &goal,
                size_t max_solutions = 5)
 {
     expectSharedLibraryParseExact(program, goal);
 
-    KcmOptions options;
-    options.maxSolutions = max_solutions;
-    KcmSystem machine_system(options);
-    if (!program.empty())
-        machine_system.consult(program);
-    QueryResult machine_result = machine_system.query(goal);
-
+    std::vector<std::string> replies[2];
+    for (bool fast : {false, true}) {
+        KcmOptions options;
+        options.maxSolutions = max_solutions;
+        options.machine.fastDispatch = fast;
+        KcmSystem system(options);
+        if (!program.empty())
+            system.consult(program);
+        replies[fast] = replyOf(system.query(goal));
+    }
+    EXPECT_EQ(replies[true], replies[false])
+        << "fast and oracle cores differ for: " << goal;
     baseline::Interpreter interp;
     if (!program.empty())
         interp.consult(program);
-    baseline::InterpResult interp_result =
-        interp.query(goal, max_solutions);
-
-    ASSERT_EQ(machine_result.success, interp_result.success)
-        << "engines disagree on success of: " << goal;
-    ASSERT_EQ(machine_result.solutions.size(),
-              interp_result.solutions.size())
-        << "solution counts differ for: " << goal;
-    for (size_t i = 0; i < machine_result.solutions.size(); ++i) {
-        EXPECT_EQ(stripVarNumbers(machine_result.solutions[i].toString()),
-                  stripVarNumbers(interp_result.solutions[i].toString()))
-            << "solution " << i << " differs for: " << goal;
-    }
-    EXPECT_EQ(machine_result.output, interp_result.output)
-        << "output differs for: " << goal;
+    EXPECT_EQ(replies[true], replyOf(interp.query(goal, max_solutions)))
+        << "machine and baseline differ for: " << goal;
+    return replies[true];
 }
 
 } // namespace
@@ -188,6 +173,51 @@ TEST(Differential, BacktrackingIntoStructures)
     compareEngines(program, "path2(a, Z)", 10);
 }
 
+TEST(Differential, FreshVariablesPrintTheSameOnEveryEngine)
+{
+    // A variable prints as _N, N its first occurrence within one
+    // answer, one write/1 call or one uncaught ball: what two bindings
+    // share prints as one variable, and nothing a process ran before
+    // shows. The last three rows build g(X, Y) or [X|T] in write mode
+    // from a head variable first met in an argument register
+    // (unify_local_value): each argument must land in its own cell.
+    const struct
+    {
+        const char *program;
+        const char *goal;
+        std::vector<std::string> reply;
+        size_t maxSolutions = 5;
+    } cases[] = {
+        {"q(X, X).", "q(A, B)", {"A = _0, B = _0"}},
+        {"p(f(X, X)).", "p(Y)", {"Y = f(_0,_0)"}},
+        {"r(X, g(X, _)).", "r(A, B)", {"A = _0, B = g(_0,_1)"}},
+        {"w :- write(f(X, Y, X)), write(Y).", "w",
+         {"true", "output: f(_0,_1,_0)_0"}},
+        {"e :- throw(ball(X, X)).", "e",
+         {"error: unhandled_exception(ball(_0,_0))"}},
+        {"app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).",
+         "app(X, Y, Z)",
+         {"X = [], Y = _0, Z = _0", "X = [_0], Y = _1, Z = [_0|_1]"},
+         2},
+        {"r(X, g(X, Y)).", "r(A, B), B = g(P, Q), P = 1",
+         {"A = 1, B = g(1,_0), P = 1, Q = _0"}},
+        {"r(X, g(X, Y)).", "r(A, B), B = g(P, Q), P == Q", {}},
+        {"r(X, [X|T]).", "r(A, B), B = [_|T], T == A", {}},
+    };
+    for (const auto &c : cases)
+        EXPECT_EQ(compareEngines(c.program, c.goal, c.maxSolutions), c.reply);
+}
+
+TEST(Differential, StructureSwitchTriesEachClauseOnce)
+{
+    // switch_on_structure keeps one bucket per first-argument functor,
+    // however many clauses share it.
+    EXPECT_EQ(compareEngines("p(g(1)). p(g(2)).", "p(g(X))", 8),
+              (std::vector<std::string>{"X = 1", "X = 2"}));
+    EXPECT_EQ(compareEngines("p(g(1)). p(h(2)). p(Y). p(g(3)).", "p(g(X))", 8),
+              (std::vector<std::string>{"X = 1", "X = _0", "X = 3"}));
+}
+
 // Every PLM benchmark must produce identical output and first
 // solution on both engines (pure forms, which are deterministic).
 class PlmDifferential : public ::testing::TestWithParam<std::string>
@@ -210,8 +240,8 @@ TEST_P(PlmDifferential, EnginesAgree)
     ASSERT_TRUE(machine_result.success);
     ASSERT_TRUE(interp_result.success);
     ASSERT_EQ(machine_result.solutions.size(), 1u);
-    EXPECT_EQ(stripVarNumbers(machine_result.solutions[0].toString()),
-              stripVarNumbers(interp_result.solutions[0].toString()));
+    EXPECT_EQ(machine_result.solutions[0].toString(),
+              interp_result.solutions[0].toString());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -277,11 +307,9 @@ TEST_P(PlmFastOracle, SolutionsIdentical)
 
     ASSERT_EQ(fast_result.success, oracle_result.success);
     ASSERT_EQ(fast_result.solutions.size(), oracle_result.solutions.size());
-    // Variable numbers come from a process-global counter, so they
-    // shift between runs even on the same core — normalize them.
     for (size_t i = 0; i < fast_result.solutions.size(); ++i) {
-        EXPECT_EQ(stripVarNumbers(fast_result.solutions[i].toString()),
-                  stripVarNumbers(oracle_result.solutions[i].toString()));
+        EXPECT_EQ(fast_result.solutions[i].toString(),
+                  oracle_result.solutions[i].toString());
     }
     EXPECT_EQ(fast_result.output, oracle_result.output);
     EXPECT_EQ(fast_result.cycles, oracle_result.cycles);

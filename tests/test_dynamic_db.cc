@@ -7,7 +7,6 @@
  * of mid-iteration dynamic-database state.
  */
 
-#include <cctype>
 #include <string>
 #include <vector>
 
@@ -66,30 +65,6 @@ walkScanned(const db::ClauseStore &s, const Functor &f,
     return scanned;
 }
 
-/** Normalize variable numbering (_123 -> _V) for comparisons. */
-std::string
-stripVarNumbers(const std::string &s)
-{
-    std::string out;
-    for (size_t i = 0; i < s.size();) {
-        bool at_var = s[i] == '_' && i + 1 < s.size() &&
-                      std::isdigit(static_cast<unsigned char>(s[i + 1])) &&
-                      (i == 0 || !std::isalnum(
-                                     static_cast<unsigned char>(s[i - 1])));
-        if (at_var) {
-            out += "_V";
-            ++i;
-            while (i < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[i]))) {
-                ++i;
-            }
-        } else {
-            out += s[i++];
-        }
-    }
-    return out;
-}
-
 /**
  * Differential harness: run on the fast core, the decode-per-step
  * oracle and the baseline interpreter. Solutions (and trap/error
@@ -118,8 +93,8 @@ compareEngines(const std::string &program, const std::string &goal,
     ASSERT_EQ(fast.success, oracle.success) << goal;
     ASSERT_EQ(fast.solutions.size(), oracle.solutions.size()) << goal;
     for (size_t i = 0; i < fast.solutions.size(); ++i) {
-        ASSERT_EQ(stripVarNumbers(fast.solutions[i].toString()),
-                  stripVarNumbers(oracle.solutions[i].toString()))
+        ASSERT_EQ(fast.solutions[i].toString(),
+                  oracle.solutions[i].toString())
             << "fast/oracle solution " << i << " differs for: " << goal;
     }
     ASSERT_EQ(fast.cycles, oracle.cycles)
@@ -134,8 +109,7 @@ compareEngines(const std::string &program, const std::string &goal,
 
     if (fast.trapped) {
         // An uncaught error ball: the baseline reports the same term.
-        ASSERT_EQ(stripVarNumbers(fast.error),
-                  stripVarNumbers(base.error))
+        ASSERT_EQ(fast.error, base.error)
             << "machine/baseline error terms differ for: " << goal;
         return;
     }
@@ -143,8 +117,8 @@ compareEngines(const std::string &program, const std::string &goal,
         << "machine/baseline disagree on: " << goal;
     ASSERT_EQ(fast.solutions.size(), base.solutions.size()) << goal;
     for (size_t i = 0; i < fast.solutions.size(); ++i) {
-        ASSERT_EQ(stripVarNumbers(fast.solutions[i].toString()),
-                  stripVarNumbers(base.solutions[i].toString()))
+        ASSERT_EQ(fast.solutions[i].toString(),
+                  base.solutions[i].toString())
             << "machine/baseline solution " << i << " differs for: "
             << goal;
     }
@@ -431,8 +405,8 @@ TEST(DynamicDbSnapshot, MidIterationStateRestoresBitIdentically)
     restored.setCycleBudget(0);
     ASSERT_EQ(source.resume(), RunStatus::SolutionFound);
     ASSERT_EQ(restored.resume(), RunStatus::SolutionFound);
-    EXPECT_EQ(stripVarNumbers(restored.lastSolution().toString()),
-              stripVarNumbers(source.lastSolution().toString()));
+    EXPECT_EQ(restored.lastSolution().toString(),
+              source.lastSolution().toString());
     EXPECT_EQ(restored.cycles(), source.cycles());
     EXPECT_EQ(restored.instructions(), source.instructions());
     EXPECT_EQ(restored.inferences(), source.inferences());

@@ -12,7 +12,6 @@
  * error term of an uncaught ball.
  */
 
-#include <cctype>
 
 #include <gtest/gtest.h>
 
@@ -25,30 +24,6 @@ using namespace kcm;
 
 namespace
 {
-
-/** Normalize variable numbering (_123 -> _V) for comparisons. */
-std::string
-stripVarNumbers(const std::string &s)
-{
-    std::string out;
-    for (size_t i = 0; i < s.size();) {
-        bool at_var = s[i] == '_' && i + 1 < s.size() &&
-                      std::isdigit(static_cast<unsigned char>(s[i + 1])) &&
-                      (i == 0 || !std::isalnum(
-                                     static_cast<unsigned char>(s[i - 1])));
-        if (at_var) {
-            out += "_V";
-            ++i;
-            while (i < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[i]))) {
-                ++i;
-            }
-        } else {
-            out += s[i++];
-        }
-    }
-    return out;
-}
 
 /** What any of the three executors reports for a query. */
 struct Outcome
@@ -81,8 +56,8 @@ runMachine(const std::string &program, const std::string &goal, bool fast,
     out.halted = result.halted;
     out.trapped = result.trapped;
     for (const Solution &s : result.solutions)
-        out.solutions.push_back(stripVarNumbers(s.toString()));
-    out.error = stripVarNumbers(result.error);
+        out.solutions.push_back(s.toString());
+    out.error = result.error;
     out.output = result.output;
     out.cycles = result.cycles;
     out.instructions = result.instructions;
@@ -103,8 +78,8 @@ runBaseline(const std::string &program, const std::string &goal,
     out.success = result.success;
     out.halted = result.halted;
     for (const auto &s : result.solutions)
-        out.solutions.push_back(stripVarNumbers(s.toString()));
-    out.error = stripVarNumbers(result.error);
+        out.solutions.push_back(s.toString());
+    out.error = result.error;
     out.output = result.output;
     return out;
 }

@@ -400,6 +400,31 @@ TEST(Server, PerConnectionInflightCapShedsWithRetryAfter)
     EXPECT_GE(h.server->counters().overloaded, 1u);
 }
 
+TEST(Server, ConnectionLimitRefusesWithRetryAfter)
+{
+    // Past maxConnections a new connection gets one "overloaded" line
+    // with a retry hint and is closed; stats count the refusal, and
+    // the admitted connection keeps its service.
+    service::ServerOptions options;
+    options.maxConnections = 1;
+    Harness h(options);
+    ASSERT_EQ(h.client.ping().status(), "pong"); // holds the one slot
+
+    Client extra;
+    ASSERT_TRUE(extra.connect("127.0.0.1", h.server->port(), 5'000));
+    ClientReply refused = extra.readReply(10'000);
+    ASSERT_EQ(refused.io, IoStatus::Ok);
+    EXPECT_EQ(refused.status(), "overloaded") << refused.raw;
+    EXPECT_EQ(refused.str("error"), "connection limit reached");
+    EXPECT_GT(refused.num("retry_after_ms"), 0);
+
+    ClientReply s = h.client.stats();
+    ASSERT_EQ(s.status(), "ok") << s.raw;
+    EXPECT_EQ(s.num("connections"), 1);
+    EXPECT_EQ(s.num("connections_refused"), 1);
+    EXPECT_EQ(h.server->counters().connectionsRefused, 1u);
+}
+
 TEST(Server, ChaosCorruptionHookForcesRecompileNeverAWrongAnswer)
 {
     service::ServerOptions options;
@@ -838,6 +863,7 @@ TEST(Server, RememberedOutcomeReplaysTheRunByteForByte)
     // "wall_ms", without reaching the pool.
     const char *program = "s(a). s(b). s(c).\n"
                           "r(X, f(X, _)).\n"
+                          "q(X, X).\n"
                           "t :- throw(oops).\n";
     struct Shape
     {
@@ -848,17 +874,16 @@ TEST(Server, RememberedOutcomeReplaysTheRunByteForByte)
         const char *output;
         const char *error;
         bool halted;
-        bool ground; ///< no fresh variable in the answers
     };
     const Shape shapes[] = {
-        {"s(X), write(X)", 0, "completed", 3, "abc", "", false, true},
+        {"s(X), write(X)", 0, "completed", 3, "abc", "", false},
         // The same goal under another cap is another question: it runs.
-        {"s(X), write(X)", 2, "completed", 2, "ab", "", false, true},
-        {"r(a, Y)", 1, "completed", 1, "", "", false, false},
-        {"t", 1, "completed", 0, "", "unhandled_exception(oops)", false,
-         true},
-        {"s(d)", 1, "completed", 0, "", "", false, true},
-        {"write(bye), halt", 1, "completed", 0, "bye", "", true, true},
+        {"s(X), write(X)", 2, "completed", 2, "ab", "", false},
+        {"r(a, Y)", 1, "completed", 1, "", "", false},
+        {"q(A, f(B)), write(B)", 1, "completed", 1, "_0", "", false},
+        {"t", 1, "completed", 0, "", "unhandled_exception(oops)", false},
+        {"s(d)", 1, "completed", 0, "", "", false},
+        {"write(bye), halt", 1, "completed", 0, "bye", "", true},
     };
 
     std::vector<ClientReply> runs;
@@ -896,11 +921,16 @@ TEST(Server, RememberedOutcomeReplaysTheRunByteForByte)
     }
 
     // With no cache, every query runs, and gives the remembered run's
-    // reply wherever its answers hold no fresh variable (whose number
-    // comes from a process-wide counter).
+    // reply byte for byte, whatever the process ran before it.
     service::ServerOptions uncached;
     uncached.cacheBudgetBytes = 0;
     Harness h(uncached);
+    const char *unrelated[] = {"r(b, Y), r(Y, Z)", "q(f(A, B), C)",
+                               "r(X, Y), write(Y)"};
+    for (const char *goal : unrelated) {
+        ClientReply r = h.client.query("u", program, goal, 2);
+        ASSERT_EQ(r.status(), "completed") << r.raw;
+    }
     for (size_t k = 0; k < std::size(shapes); ++k) {
         SCOPED_TRACE(shapes[k].goal);
         for (int i = 0; i < 3; ++i) {
@@ -908,13 +938,11 @@ TEST(Server, RememberedOutcomeReplaysTheRunByteForByte)
                                            shapes[k].goal,
                                            shapes[k].maxSolutions);
             ASSERT_EQ(r.status(), shapes[k].status) << r.raw;
-            if (shapes[k].ground) {
-                EXPECT_EQ(runFields(r), runFields(runs[k]));
-            }
+            EXPECT_EQ(runFields(r), runFields(runs[k]));
         }
     }
     EXPECT_EQ(h.server->counters().queriesAccepted,
-              3 * std::size(shapes));
+              std::size(unrelated) + 3 * std::size(shapes));
     EXPECT_EQ(h.server->counters().outcomesReplayed, 0u);
 }
 

@@ -168,7 +168,6 @@ steadyNowNs()
 struct BareTrap
 {
     std::string classification; ///< trapDiagnosis()
-    TrapKind kind = TrapKind::Abort;
     uint64_t cycles = 0;
 };
 
@@ -179,8 +178,7 @@ bareTrap(const std::string &goal, const MachineConfig &machine)
     bare.load(compileQuery(goal, machine));
     EXPECT_EQ(bare.run(), RunStatus::Trapped)
         << "test premise: " << goal << " must trap on a bare machine";
-    return {trapDiagnosis(bare.lastTrap()), bare.lastTrap().kind,
-            bare.cycles()};
+    return {trapDiagnosis(bare.lastTrap()), bare.cycles()};
 }
 
 } // namespace
@@ -257,7 +255,6 @@ TEST(Session, TrapFailsOnTheFirstAttemptLikeABareMachine)
             EXPECT_FALSE(out->success);
             EXPECT_EQ(out->failure.attempts, 1u);
             EXPECT_EQ(out->failure.classification, want.classification);
-            EXPECT_EQ(out->failure.trapKind, want.kind);
             EXPECT_EQ(out->cycles, want.cycles);
             EXPECT_FALSE(out->failure.detail.empty());
         }
@@ -312,7 +309,6 @@ TEST(Session, BlownDeadlineFailsCleanly)
     EXPECT_EQ(out.status, service::QueryStatus::Failed);
     EXPECT_EQ(out.failure.classification, "deadline_exceeded");
     EXPECT_EQ(out.failure.attempts, 1u);
-    EXPECT_EQ(out.failure.trapKind, TrapKind::Abort);
     EXPECT_GT(out.cycles, 0u);
 }
 
@@ -603,7 +599,6 @@ TEST(Supervisor, PooledMachineRunsAlternatingTemplatesLikeAFreshOne)
         ASSERT_EQ(out[i].status, want.status);
         EXPECT_EQ(out[i].failure.classification,
                   want.failure.classification);
-        EXPECT_EQ(out[i].failure.trapKind, want.failure.trapKind);
         ASSERT_EQ(out[i].solutions.size(), want.solutions.size());
         if (!want.solutions.empty()) {
             EXPECT_EQ(out[i].solutions[0].toString(),

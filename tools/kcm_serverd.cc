@@ -258,7 +258,8 @@ main(int argc, char **argv)
                "\"deadline_propagated_sheds\": %llu, "
                "\"mem_aborts\": %llu, "
                "\"mem_admission_refusals\": %llu, "
-               "\"outcomes_replayed\": %llu",
+               "\"outcomes_replayed\": %llu, "
+               "\"connections_refused\": %llu",
                (unsigned long long)c.queriesAccepted,
                (unsigned long long)c.queriesReplied,
                (unsigned long long)c.interrupted,
@@ -276,7 +277,8 @@ main(int argc, char **argv)
                (unsigned long long)pool.deadlinePropagatedSheds,
                (unsigned long long)pool.memAborts,
                (unsigned long long)pool.memAdmissionRefusals,
-               (unsigned long long)c.outcomesReplayed);
+               (unsigned long long)c.outcomesReplayed,
+               (unsigned long long)c.connectionsRefused);
         if (const kcm::db::JournaledStore *db = server.durableDb()) {
             printf(", \"db_commits\": %llu, \"db_ops\": %llu, "
                    "\"journal_commits\": %llu, "
