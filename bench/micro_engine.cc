@@ -10,6 +10,8 @@
 
 #include "bench_support/plm_suite.hh"
 #include "kcm/kcm.hh"
+#include "perfbench/workload.hh"
+#include "prolog/parser.hh"
 
 using namespace kcm;
 
@@ -85,6 +87,44 @@ BM_CompileNrev(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CompileNrev);
+
+/** The text of one serve_cold miss: the serve program plus the pad/3
+ *  fact that makes it unique. */
+perfbench::Request
+serveColdRequest()
+{
+    const perfbench::ServeWorkload workload("serve_cold");
+    perfbench::Rng rng(perfbench::streamSeed(7, 0));
+    return workload.next(rng, 7, 0, 0);
+}
+
+void
+BM_ReadServeProgram(benchmark::State &state)
+{
+    // The reader alone: what every cold miss spends on the program text.
+    const std::string program = serveColdRequest().program;
+    for (auto _ : state) {
+        OperatorTable ops;
+        std::vector<ReadClause> clauses = Parser(program, ops).readAll();
+        benchmark::DoNotOptimize(clauses.data());
+    }
+}
+BENCHMARK(BM_ReadServeProgram);
+
+void
+BM_CompileServeMiss(benchmark::State &state)
+{
+    // Consult and compile as Server::compileTemplate does on a miss.
+    const perfbench::Request request = serveColdRequest();
+    for (auto _ : state) {
+        KcmSystem system;
+        system.consultStandardLibrary();
+        system.consult(request.program);
+        CodeImage image = system.compileOnly(request.goal);
+        benchmark::DoNotOptimize(image.words.size());
+    }
+}
+BENCHMARK(BM_CompileServeMiss);
 
 void
 BM_SimulatorThroughput(benchmark::State &state)

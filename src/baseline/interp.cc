@@ -1017,7 +1017,7 @@ Interpreter::consult(const std::string &source)
     ReadClause read;
     std::vector<TermRef> terms;
     while (parser.readClause(read))
-        terms.push_back(read.term);
+        terms.push_back(std::move(read.term));
 
     // First pass: dynamic/1 declarations, so clauses of a dynamic
     // predicate route to the store regardless of their position

@@ -285,7 +285,7 @@ ClauseCompiler::compileHeadArg(const TermRef &t, Reg areg)
 }
 
 void
-ClauseCompiler::compileUnifyArgs(const std::vector<TermRef> &args,
+ClauseCompiler::compileUnifyArgs(std::span<const TermRef> args,
                                  bool is_cons)
 {
     // Breadth-first: unify this level, queueing nested structures into
@@ -314,7 +314,7 @@ ClauseCompiler::compileUnifyArgs(const std::vector<TermRef> &args,
         emitUnifyChild(child);
     };
 
-    auto unify_cons_level = [&](const std::vector<TermRef> &level) {
+    auto unify_cons_level = [&](std::span<const TermRef> level) {
         // level = {head, tail} of a cons cell; chain through tails.
         TermRef head = level[0];
         TermRef tail = level[1];
@@ -335,7 +335,7 @@ ClauseCompiler::compileUnifyArgs(const std::vector<TermRef> &args,
         }
     };
 
-    auto unify_level = [&](const std::vector<TermRef> &level,
+    auto unify_level = [&](std::span<const TermRef> level,
                            bool level_is_cons) {
         if (level_is_cons) {
             unify_cons_level(level);

@@ -119,7 +119,7 @@ class ClauseCompiler
     void compileHeadArg(const TermRef &t, Reg areg);
     /** Emit unify_* instructions for subterms, breadth-first;
      *  cons levels chain through unify_list. */
-    void compileUnifyArgs(const std::vector<TermRef> &args, bool is_cons);
+    void compileUnifyArgs(std::span<const TermRef> args, bool is_cons);
 
     // --- body ---
 

@@ -98,7 +98,7 @@ Compiler::addSource(const std::string &source,
     Parser parser(source, ops_);
     ReadClause clause;
     while (parser.readClause(clause))
-        clauses.push_back(clause);
+        clauses.push_back(std::move(clause));
 }
 
 void

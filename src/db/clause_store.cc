@@ -37,16 +37,17 @@ towerHeight(int64_t seq)
 }
 
 /**
- * Rebuild a term with canonical variable nodes shared by pointer and
- * by name. Producers (the reader, the baseline's exportCell, the
- * machine's exportTerm) share a repeated variable by pointer; after
- * this pass it also has one name, so importTerm (name-keyed) and the
- * baseline's instantiate (pointer-keyed) agree on head/body sharing.
+ * Rebuild a term with canonical variable nodes, one distinct name per
+ * distinct node. Producers (the reader, the baseline's exportCell, the
+ * machine's exportTerm) share a repeated variable by pointer, and only
+ * by pointer: the reader names every anonymous variable `_`. After
+ * this pass importTerm (name-keyed) and the baseline's instantiate
+ * (pointer-keyed) agree on head/body sharing. The names are those a
+ * journal replay gives (`_D<n>`, n in first-occurrence order).
  */
 struct VarCanon
 {
     std::unordered_map<const Term *, TermRef> byPtr;
-    std::unordered_map<std::string, TermRef> byName;
 
     TermRef
     rename(const TermRef &t)
@@ -55,18 +56,10 @@ struct VarCanon
             return nullptr;
         switch (t->kind()) {
           case TermKind::Var: {
-            auto pit = byPtr.find(t.get());
-            if (pit != byPtr.end())
-                return pit->second;
-            auto nit = byName.find(t->varName());
-            if (nit != byName.end()) {
-                byPtr.emplace(t.get(), nit->second);
-                return nit->second;
-            }
-            TermRef fresh = Term::makeVar(t->varName());
-            byPtr.emplace(t.get(), fresh);
-            byName.emplace(t->varName(), fresh);
-            return fresh;
+            auto [it, fresh] = byPtr.emplace(t.get(), nullptr);
+            if (fresh)
+                it->second = Term::makeVar(cat("_D", byPtr.size() - 1));
+            return it->second;
           }
           case TermKind::Struct: {
             std::vector<TermRef> args;

@@ -32,7 +32,7 @@ AtomTable::instance()
 }
 
 AtomId
-AtomTable::intern(const std::string &text)
+AtomTable::intern(std::string_view text)
 {
     {
         std::shared_lock lock(mutex_);
@@ -45,8 +45,7 @@ AtomTable::intern(const std::string &text)
     if (it != ids_.end())
         return it->second;
     AtomId id = static_cast<AtomId>(texts_.size());
-    texts_.push_back(text);
-    ids_.emplace(text, id);
+    ids_.emplace(texts_.emplace_back(text), id);
     return id;
 }
 
@@ -67,7 +66,7 @@ AtomTable::size() const
 }
 
 AtomId
-internAtom(const std::string &text)
+internAtom(std::string_view text)
 {
     return AtomTable::instance().intern(text);
 }

@@ -17,6 +17,7 @@
 #include <deque>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace kcm
@@ -72,7 +73,7 @@ class AtomTable
     static AtomTable &instance();
 
     /** Intern @p text, returning its stable id. */
-    AtomId intern(const std::string &text);
+    AtomId intern(std::string_view text);
 
     /** Reverse lookup. The reference stays valid forever (atoms are
      *  never removed and the deque never relocates elements). */
@@ -100,14 +101,15 @@ class AtomTable
 
   private:
     mutable std::shared_mutex mutex_;
-    std::unordered_map<std::string, AtomId> ids_;
+    /** Keys view texts_. */
+    std::unordered_map<std::string_view, AtomId> ids_;
     /** Deque, not vector: growth must not move existing strings,
      *  since text() hands out long-lived references. */
     std::deque<std::string> texts_;
 };
 
 /** Shorthand: intern @p text in the global table. */
-AtomId internAtom(const std::string &text);
+AtomId internAtom(std::string_view text);
 
 /** Shorthand: text of @p id from the global table. */
 const std::string &atomText(AtomId id);

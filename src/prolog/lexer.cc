@@ -1,6 +1,7 @@
 #include "prolog/lexer.hh"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 
 #include "base/logging.hh"
@@ -11,38 +12,51 @@ namespace kcm
 namespace
 {
 
-bool
-isSymbolChar(char c)
+// Character classes of the "C" locale, one table lookup a character.
+enum : uint8_t
 {
-    return std::string("+-*/\\^<>=~:.?@#&$").find(c) != std::string::npos;
-}
+    kLower = 1,
+    kUpper = 2,
+    kDigit = 4,
+    kSymbol = 8, ///< +-*/\^<>=~:.?@#&$
+    kSpace = 16,
+    kUnderscore = 32,
+    kAlnum = kLower | kUpper | kDigit | kUnderscore, ///< name characters
+};
+
+constexpr std::array<uint8_t, 256> kClasses = [] {
+    std::array<uint8_t, 256> classes{};
+    for (int c = 'a'; c <= 'z'; ++c)
+        classes[c] = kLower;
+    for (int c = 'A'; c <= 'Z'; ++c)
+        classes[c] = kUpper;
+    for (int c = '0'; c <= '9'; ++c)
+        classes[c] = kDigit;
+    for (unsigned char c : std::string_view("+-*/\\^<>=~:.?@#&$"))
+        classes[c] = kSymbol;
+    for (unsigned char c : std::string_view(" \t\n\v\f\r"))
+        classes[c] = kSpace;
+    classes['_'] = kUnderscore;
+    return classes;
+}();
+
+/** The name number of ",", which the constructor gives first. */
+constexpr uint32_t kCommaName = 0;
 
 bool
-isAlnumChar(char c)
+is(char c, uint8_t classes)
 {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    return kClasses[static_cast<unsigned char>(c)] & classes;
 }
 
 } // namespace
 
-Lexer::Lexer(std::string source) : src_(std::move(source)) {}
-
-char
-Lexer::peek(size_t ahead) const
+Lexer::Lexer(std::string source)
+    : src_(std::move(source)), p_(src_.data()),
+      end_(src_.data() + src_.size())
 {
-    if (pos_ + ahead >= src_.size())
-        return '\0';
-    return src_[pos_ + ahead];
-}
-
-char
-Lexer::get()
-{
-    char c = peek();
-    ++pos_;
-    if (c == '\n')
-        ++line_;
-    return c;
+    // Every argument separator reads as ',': number it once, first.
+    nameOf(",");
 }
 
 void
@@ -51,215 +65,215 @@ Lexer::error(const std::string &msg) const
     fatal("lexer: line ", line_, ": ", msg);
 }
 
+uint32_t
+Lexer::nameOf(std::string_view text)
+{
+    auto slotOf = [this](std::string_view name) {
+        // FNV-1a, then linear probing.
+        uint32_t h = 2166136261u;
+        for (char c : name)
+            h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+        size_t mask = slots_.size() - 1;
+        size_t i = h & mask;
+        while (slots_[i] && names_[slots_[i] - 1] != name)
+            i = (i + 1) & mask;
+        return i;
+    };
+    if (2 * names_.size() + 2 > slots_.size()) {
+        slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
+        for (uint32_t n = 0; n < names_.size(); ++n)
+            slots_[slotOf(names_[n])] = n + 1;
+    }
+    uint32_t &slot = slots_[slotOf(text)];
+    if (!slot) {
+        names_.push_back(text);
+        slot = uint32_t(names_.size());
+    }
+    return slot - 1;
+}
+
 bool
 Lexer::skipLayout()
 {
-    bool any = false;
-    while (!eof()) {
-        char c = peek();
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            get();
-            any = true;
+    const char *start = p_;
+    while (p_ < end_) {
+        char c = *p_;
+        if (is(c, kSpace)) {
+            line_ += c == '\n';
+            ++p_;
         } else if (c == '%') {
-            while (!eof() && peek() != '\n')
-                get();
-            any = true;
+            while (p_ < end_ && *p_ != '\n')
+                ++p_;
         } else if (c == '/' && peek(1) == '*') {
-            get();
-            get();
-            while (!eof() && !(peek() == '*' && peek(1) == '/'))
-                get();
-            if (eof())
+            p_ += 2;
+            while (p_ < end_ && !(*p_ == '*' && peek(1) == '/'))
+                line_ += *p_++ == '\n';
+            if (p_ == end_)
                 error("unterminated block comment");
-            get();
-            get();
-            any = true;
+            p_ += 2;
         } else {
             break;
         }
     }
-    return any;
+    return p_ != start;
 }
 
 std::vector<Token>
 Lexer::tokenize()
 {
+    // Grown, not reserved from the text's size: freeing such a
+    // reservation left the heap trimmed, and the machines sim_plm's
+    // set-up builds after its compiles took 6x the page faults.
     std::vector<Token> out;
-    while (true) {
-        Token t = next();
-        out.push_back(t);
-        if (t.kind == TokenKind::Eof)
-            return out;
-    }
+    do {
+        out.push_back(next());
+    } while (out.back().kind != TokenKind::Eof);
+    return out;
 }
 
 Token
 Lexer::next()
 {
-    bool layout = skipLayout();
     Token t;
-    t.layoutBefore = layout || pos_ == 0;
+    t.layoutBefore = skipLayout() || p_ == src_.data();
     t.line = line_;
-    if (eof()) {
-        t.kind = TokenKind::Eof;
-        return t;
-    }
+    if (p_ == end_)
+        return t; // Eof
 
-    char c = peek();
+    const char *start = p_;
+    char c = *p_;
+    auto scan = [&](TokenKind kind, uint8_t classes) {
+        while (is(*p_, classes)) // stops at the terminating NUL
+            ++p_;
+        t.kind = kind;
+        t.text = std::string_view(start, size_t(p_ - start));
+    };
 
     // Full stop: '.' followed by layout or EOF.
     if (c == '.') {
         char after = peek(1);
-        if (after == '\0' || std::isspace(static_cast<unsigned char>(after))
-            || after == '%') {
-            get();
+        if (after == '\0' || is(after, kSpace) || after == '%') {
+            ++p_;
             t.kind = TokenKind::End;
-            t.text = ".";
+            t.text = std::string_view(start, 1);
             return t;
         }
     }
 
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-        Token num = lexNumber();
-        num.layoutBefore = t.layoutBefore;
-        num.line = t.line;
-        return num;
-    }
-
-    if (std::islower(static_cast<unsigned char>(c))) {
-        Token name = lexName();
-        name.layoutBefore = t.layoutBefore;
-        name.line = t.line;
-        return name;
-    }
-
-    if (std::isupper(static_cast<unsigned char>(c)) || c == '_') {
-        std::string text;
-        while (!eof() && isAlnumChar(peek()))
-            text += get();
-        t.kind = TokenKind::Variable;
-        t.text = text;
-        return t;
-    }
-
-    if (c == '\'') {
-        Token q = lexQuoted('\'');
-        q.layoutBefore = t.layoutBefore;
-        q.line = t.line;
-        q.kind = TokenKind::Atom;
-        return q;
-    }
-
-    if (c == '"') {
-        Token q = lexQuoted('"');
-        q.layoutBefore = t.layoutBefore;
-        q.line = t.line;
-        q.kind = TokenKind::String;
-        return q;
-    }
-
-    if (c == '(' || c == ')' || c == '[' || c == ']' || c == '{' ||
-        c == '}' || c == ',' || c == '|') {
-        get();
+    if (is(c, kDigit)) {
+        lexNumber(t);
+    } else if (is(c, kLower)) {
+        scan(TokenKind::Atom, kAlnum);
+        t.name = nameOf(t.text);
+    } else if (is(c, kUpper) || c == '_') {
+        scan(TokenKind::Variable, kAlnum);
+        t.name = nameOf(t.text);
+    } else if (c == '\'' || c == '"') {
+        lexQuoted(t);
+        if (c == '"') {
+            t.kind = TokenKind::String;
+        } else {
+            t.kind = TokenKind::Atom;
+            t.name = nameOf(t.text);
+        }
+    } else if (c == '(' || c == ')' || c == '[' || c == ']' || c == '{' ||
+               c == '}' || c == ',' || c == '|') {
+        ++p_;
         t.kind = TokenKind::Punct;
-        t.text = std::string(1, c);
-        // ',' and '|' double as atoms in operator position; the reader
-        // handles that from the Punct form.
-        return t;
-    }
-
-    if (c == '!' || c == ';') {
-        get();
+        t.text = std::string_view(start, 1);
+        // ',' and '|' double as the operators ',' and ';'.
+        if (c == ',')
+            t.name = kCommaName;
+        else if (c == '|')
+            t.name = nameOf(";");
+    } else if (c == '!' || c == ';') {
+        ++p_;
         t.kind = TokenKind::Atom;
-        t.text = std::string(1, c);
-        return t;
+        t.text = std::string_view(start, 1);
+        t.name = nameOf(t.text);
+    } else if (is(c, kSymbol)) {
+        scan(TokenKind::Atom, kSymbol);
+        t.name = nameOf(t.text);
+    } else {
+        error(cat("unexpected character '", std::string(1, c), "'"));
     }
-
-    if (isSymbolChar(c)) {
-        Token s = lexSymbolic();
-        s.layoutBefore = t.layoutBefore;
-        s.line = t.line;
-        return s;
-    }
-
-    error(cat("unexpected character '", std::string(1, c), "'"));
-}
-
-Token
-Lexer::lexName()
-{
-    Token t;
-    t.kind = TokenKind::Atom;
-    while (!eof() && isAlnumChar(peek()))
-        t.text += get();
     return t;
 }
 
-Token
-Lexer::lexSymbolic()
+void
+Lexer::lexQuoted(Token &t)
 {
-    Token t;
-    t.kind = TokenKind::Atom;
-    while (!eof() && isSymbolChar(peek()))
-        t.text += get();
-    return t;
-}
-
-Token
-Lexer::lexQuoted(char quote)
-{
-    Token t;
-    get(); // opening quote
+    const char quote = *p_++;
+    const char *start = p_;
+    // Most quoted tokens are a plain slice of the source.
+    while (p_ < end_ && *p_ != quote && *p_ != '\\')
+        line_ += *p_++ == '\n';
+    if (p_ < end_ && *p_ == quote && peek(1) != quote) {
+        t.text = std::string_view(start, size_t(p_ - start));
+        ++p_;
+        return;
+    }
+    std::string &text = decoded_.emplace_front(start, p_);
     while (true) {
-        if (eof())
+        if (p_ == end_)
             error("unterminated quoted token");
-        char c = get();
+        char c = *p_++;
+        line_ += c == '\n';
         if (c == quote) {
-            if (peek() == quote) {
-                get();
-                t.text += quote;
+            if (p_ < end_ && *p_ == quote) {
+                ++p_;
+                text += quote;
                 continue;
             }
-            return t;
+            t.text = text;
+            return;
         }
         if (c == '\\') {
-            if (eof())
+            if (p_ == end_)
                 error("unterminated escape");
-            char e = get();
+            char e = *p_++;
+            line_ += e == '\n';
             switch (e) {
-              case 'n': t.text += '\n'; break;
-              case 't': t.text += '\t'; break;
-              case 'r': t.text += '\r'; break;
-              case 'a': t.text += '\a'; break;
-              case 'b': t.text += '\b'; break;
-              case 'f': t.text += '\f'; break;
-              case 'v': t.text += '\v'; break;
-              case '\\': t.text += '\\'; break;
-              case '\'': t.text += '\''; break;
-              case '"': t.text += '"'; break;
+              case 'n': text += '\n'; break;
+              case 't': text += '\t'; break;
+              case 'r': text += '\r'; break;
+              case 'a': text += '\a'; break;
+              case 'b': text += '\b'; break;
+              case 'f': text += '\f'; break;
+              case 'v': text += '\v'; break;
+              case '\\': text += '\\'; break;
+              case '\'': text += '\''; break;
+              case '"': text += '"'; break;
               case '\n': break; // line continuation
               default:
                 error(cat("unknown escape \\", std::string(1, e)));
             }
             continue;
         }
-        t.text += c;
+        text += c;
     }
 }
 
-Token
-Lexer::lexNumber()
+void
+Lexer::lexNumber(Token &t)
 {
-    Token t;
+    const char *start = p_;
     t.kind = TokenKind::Int;
+    // Consume the current character ('\0', unconsumed, past the end).
+    auto get = [this] { return p_ < end_ ? *p_++ : '\0'; };
+    auto digits = [this] {
+        while (is(*p_, kDigit))
+            ++p_;
+    };
 
     // 0'c (character code), 0x / 0o / 0b radix forms.
-    if (peek() == '0' && peek(1) == '\'') {
-        get();
-        get();
+    if (*p_ == '0' && peek(1) == '\'') {
+        p_ += 2;
         char c = get();
+        line_ += c == '\n';
         if (c == '\\') {
             char e = get();
+            line_ += e == '\n';
             switch (e) {
               case 'n': c = '\n'; break;
               case 't': c = '\t'; break;
@@ -270,67 +284,51 @@ Lexer::lexNumber()
             }
         }
         t.intValue = static_cast<unsigned char>(c);
-        return t;
-    }
-    if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'o' ||
-                          peek(1) == 'b')) {
-        get();
-        char radix_char = get();
-        int radix = radix_char == 'x' ? 16 : radix_char == 'o' ? 8 : 2;
-        std::string digits;
-        while (!eof() &&
-               std::isalnum(static_cast<unsigned char>(peek()))) {
-            digits += get();
-        }
-        if (digits.empty())
+    } else if (*p_ == '0' &&
+               (peek(1) == 'x' || peek(1) == 'o' || peek(1) == 'b')) {
+        int radix = peek(1) == 'x' ? 16 : peek(1) == 'o' ? 8 : 2;
+        p_ += 2;
+        const char *first = p_;
+        while (is(*p_, kLower | kUpper | kDigit))
+            ++p_;
+        if (p_ == first)
             error("missing digits after radix prefix");
-        t.intValue = std::strtoll(digits.c_str(), nullptr, radix);
-        return t;
-    }
-
-    std::string digits;
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
-        digits += get();
-
-    // Float: digits '.' digits with optional exponent.
-    if (peek() == '.' &&
-        std::isdigit(static_cast<unsigned char>(peek(1)))) {
-        digits += get();
-        while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
-            digits += get();
-        if (peek() == 'e' || peek() == 'E') {
-            digits += get();
-            if (peek() == '+' || peek() == '-')
-                digits += get();
-            while (!eof() &&
-                   std::isdigit(static_cast<unsigned char>(peek()))) {
-                digits += get();
-            }
+        // strtoll stops where the digits of the radix do, inside the
+        // alphanumeric run.
+        t.intValue = std::strtoll(first, nullptr, radix);
+    } else {
+        digits();
+        // Float: digits '.' digits with optional exponent, or digits
+        // with an exponent.
+        bool fraction = *p_ == '.' && is(peek(1), kDigit);
+        bool exponent =
+            !fraction && (*p_ == 'e' || *p_ == 'E') &&
+            (is(peek(1), kDigit) ||
+             ((peek(1) == '+' || peek(1) == '-') && is(peek(2), kDigit)));
+        if (fraction) {
+            ++p_;
+            digits();
+            exponent = *p_ == 'e' || *p_ == 'E';
         }
-        t.kind = TokenKind::Float;
-        t.floatValue = std::strtod(digits.c_str(), nullptr);
-        return t;
+        if (exponent) {
+            ++p_;
+            if (*p_ == '+' || *p_ == '-')
+                ++p_;
+            digits();
+        }
+        // The source is NUL-terminated, and strtoll/strtod read no
+        // further than the run just scanned.
+        if (fraction || exponent) {
+            t.kind = TokenKind::Float;
+            t.floatValue = std::strtod(start, nullptr);
+        } else {
+            t.intValue = std::strtoll(start, nullptr, 10);
+        }
     }
-    if ((peek() == 'e' || peek() == 'E') &&
-        (std::isdigit(static_cast<unsigned char>(peek(1))) ||
-         ((peek(1) == '+' || peek(1) == '-') &&
-          std::isdigit(static_cast<unsigned char>(peek(2)))))) {
-        digits += get();
-        if (peek() == '+' || peek() == '-')
-            digits += get();
-        while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
-            digits += get();
-        t.kind = TokenKind::Float;
-        t.floatValue = std::strtod(digits.c_str(), nullptr);
-        return t;
-    }
-
-    t.intValue = std::strtoll(digits.c_str(), nullptr, 10);
-    return t;
 }
 
 bool
-atomNeedsQuotes(const std::string &text)
+atomNeedsQuotes(std::string_view text)
 {
     if (text.empty())
         return true;
@@ -339,22 +337,16 @@ atomNeedsQuotes(const std::string &text)
     // ',' and '.' conflict with argument separators / the full stop.
     if (text == "," || text == ".")
         return true;
-    char first = text[0];
-    if (std::islower(static_cast<unsigned char>(first))) {
-        for (char c : text) {
-            if (!isAlnumChar(c))
-                return true;
-        }
-        return false;
+    uint8_t in = is(text[0], kLower) ? kAlnum
+               : is(text[0], kSymbol) ? kSymbol
+                                      : 0;
+    if (!in)
+        return true;
+    for (char c : text) {
+        if (!is(c, in))
+            return true;
     }
-    if (isSymbolChar(first)) {
-        for (char c : text) {
-            if (!isSymbolChar(c))
-                return true;
-        }
-        return false;
-    }
-    return true;
+    return false;
 }
 
 } // namespace kcm

@@ -13,7 +13,9 @@
 #define KCM_PROLOG_LEXER_HH
 
 #include <cstdint>
+#include <forward_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kcm
@@ -31,22 +33,30 @@ enum class TokenKind
     Eof,
 };
 
+/**
+ * One token. It owns no string: its text views the Lexer's copy of the
+ * source (or, for a quoted token with escapes, the Lexer's decoded
+ * copy), so a token lives no longer than the Lexer that made it.
+ */
 struct Token
 {
+    static constexpr uint32_t noName = UINT32_MAX;
+
     TokenKind kind = TokenKind::Eof;
-    std::string text;      ///< name / variable / punct / string body
-    int64_t intValue = 0;  ///< Int
-    double floatValue = 0; ///< Float
     bool layoutBefore = true; ///< whitespace or comment preceded this token
     int line = 0;
+    /** Atom, Variable, and the ',' and '|' that read as the infix
+     *  operators ',' and ';': the number of that name within this
+     *  read, equal for equal texts (see Lexer::names). */
+    uint32_t name = noName;
+    std::string_view text; ///< name / variable / punct / string body
+    int64_t intValue = 0;  ///< Int
+    double floatValue = 0; ///< Float
 
-    bool isPunct(const char *p) const
+    bool
+    isPunct(char c) const
     {
-        return kind == TokenKind::Punct && text == p;
-    }
-    bool isAtom(const char *a) const
-    {
-        return kind == TokenKind::Atom && text == a;
+        return kind == TokenKind::Punct && text[0] == c;
     }
 };
 
@@ -60,32 +70,50 @@ class Lexer
 {
   public:
     explicit Lexer(std::string source);
+    // Tokens view the source and the decoded texts this object holds.
+    Lexer(const Lexer &) = delete;
+    Lexer &operator=(const Lexer &) = delete;
 
     /** Tokenize the whole input (trailing Eof token included). */
     std::vector<Token> tokenize();
+
+    /** The distinct names read so far, indexed by Token::name. */
+    const std::vector<std::string_view> &names() const { return names_; }
 
   private:
     Token next();
     /** Consume whitespace and comments; returns true if any was seen. */
     bool skipLayout();
-    Token lexName();
-    Token lexQuoted(char quote);
-    Token lexNumber();
-    Token lexSymbolic();
+    void lexQuoted(Token &t);
+    void lexNumber(Token &t);
+    /** Number @p text within this read. */
+    uint32_t nameOf(std::string_view text);
 
-    char peek(size_t ahead = 0) const;
-    char get();
-    bool eof() const { return pos_ >= src_.size(); }
+    /** The character @p ahead past the current one, '\0' past the end. */
+    char peek(size_t ahead) const
+    {
+        return size_t(end_ - p_) > ahead ? p_[ahead] : '\0';
+    }
 
     [[noreturn]] void error(const std::string &msg) const;
 
-    std::string src_;
-    size_t pos_ = 0;
+    /** NUL-terminated, so the scanning loops stop at *end_ and
+     *  strtoll/strtod can read a number in place. */
+    const std::string src_;
+    const char *p_;
+    const char *end_;
     int line_ = 1;
+    /** Texts of quoted tokens with escapes or doubled quotes. A list:
+     *  growth does not move the strings tokens view. */
+    std::forward_list<std::string> decoded_;
+    std::vector<std::string_view> names_;
+    /** Open-addressed index of names_: a name's number + 1, 0 for an
+     *  empty slot; a power of two at least twice names_.size(). */
+    std::vector<uint32_t> slots_;
 };
 
 /** True if @p text would need quotes to read back as an atom. */
-bool atomNeedsQuotes(const std::string &text);
+bool atomNeedsQuotes(std::string_view text);
 
 } // namespace kcm
 

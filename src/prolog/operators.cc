@@ -1,7 +1,6 @@
 #include "prolog/operators.hh"
 
-#include <array>
-#include <iterator>
+#include <algorithm>
 
 #include "base/logging.hh"
 
@@ -62,60 +61,80 @@ OperatorTable::OperatorTable()
         {1, OpType::FX, "$"},
     };
     // The first table interns the names, in this order; later tables
-    // reuse the ids.
-    static const auto names = [] {
-        std::array<AtomId, std::size(standard)> ids{};
-        for (size_t i = 0; i < ids.size(); ++i)
-            ids[i] = internAtom(standard[i].name);
-        return ids;
+    // copy its entries.
+    static const std::vector<Entry> entries = [] {
+        std::vector<Entry> out;
+        for (const Std &op : standard)
+            define(out, op.priority, op.type, internAtom(op.name));
+        return out;
     }();
-    for (size_t i = 0; i < names.size(); ++i)
-        define(standard[i].priority, standard[i].type, names[i]);
+    entries_ = entries;
+}
+
+namespace
+{
+
+int
+fixityOf(OpType type)
+{
+    return isPrefixOp(type) ? 0 : isInfixOp(type) ? 1 : 2;
+}
+
+} // namespace
+
+void
+OperatorTable::define(std::vector<Entry> &entries, int priority,
+                      OpType type, AtomId name)
+{
+    auto it = std::lower_bound(
+        entries.begin(), entries.end(), name,
+        [](const Entry &e, AtomId n) { return e.name < n; });
+    if (it == entries.end() || it->name != name)
+        it = entries.insert(it, Entry{name, {}});
+    it->defs[fixityOf(type)] = priority ? OpDef{priority, type} : OpDef{};
 }
 
 void
 OperatorTable::define(int priority, OpType type, AtomId name)
 {
-    auto *table = isPrefixOp(type) ? &prefix_
-                : isInfixOp(type) ? &infix_
-                : &postfix_;
-    if (priority == 0)
-        table->erase(name);
-    else
-        (*table)[name] = OpDef{priority, type};
+    define(entries_, priority, type, name);
+}
+
+std::optional<OpDef>
+OperatorTable::lookup(AtomId name, int fixity) const
+{
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), name,
+        [](const Entry &e, AtomId n) { return e.name < n; });
+    if (it == entries_.end() || it->name != name ||
+        !it->defs[fixity].priority) {
+        return std::nullopt;
+    }
+    return it->defs[fixity];
 }
 
 std::optional<OpDef>
 OperatorTable::prefix(AtomId name) const
 {
-    auto it = prefix_.find(name);
-    if (it == prefix_.end())
-        return std::nullopt;
-    return it->second;
+    return lookup(name, 0);
 }
 
 std::optional<OpDef>
 OperatorTable::infix(AtomId name) const
 {
-    auto it = infix_.find(name);
-    if (it == infix_.end())
-        return std::nullopt;
-    return it->second;
+    return lookup(name, 1);
 }
 
 std::optional<OpDef>
 OperatorTable::postfix(AtomId name) const
 {
-    auto it = postfix_.find(name);
-    if (it == postfix_.end())
-        return std::nullopt;
-    return it->second;
+    return lookup(name, 2);
 }
 
 bool
 OperatorTable::isOperator(AtomId name) const
 {
-    return prefix_.count(name) || infix_.count(name) || postfix_.count(name);
+    return prefix(name) || infix(name) || postfix(name);
 }
 
 std::optional<OpType>

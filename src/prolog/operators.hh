@@ -11,7 +11,7 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "prolog/atom_table.hh"
 
@@ -82,9 +82,22 @@ class OperatorTable
     static std::optional<OpType> parseType(const std::string &text);
 
   private:
-    std::unordered_map<AtomId, OpDef> prefix_;
-    std::unordered_map<AtomId, OpDef> infix_;
-    std::unordered_map<AtomId, OpDef> postfix_;
+    /** One name's definitions by fixity class (prefix, infix,
+     *  postfix); priority 0 where it has none. */
+    struct Entry
+    {
+        AtomId name = 0;
+        OpDef defs[3];
+    };
+
+    static void define(std::vector<Entry> &entries, int priority,
+                       OpType type, AtomId name);
+    std::optional<OpDef> lookup(AtomId name, int fixity) const;
+
+    /** Sorted by name. A flat vector: every compile copies the
+     *  standard table in one allocation, and a read looks each name up
+     *  once. */
+    std::vector<Entry> entries_;
 };
 
 } // namespace kcm

@@ -5,10 +5,35 @@
 namespace kcm
 {
 
-Parser::Parser(std::string source, OperatorTable &ops) : ops_(ops)
+Parser::Parser(std::string source, OperatorTable &ops)
+    : ops_(ops), lexer_(std::move(source)), tokens_(lexer_.tokenize()),
+      names_(lexer_.names().size())
 {
-    Lexer lexer(std::move(source));
-    tokens_ = lexer.tokenize();
+}
+
+AtomId
+Parser::atomOf(const Token &t)
+{
+    Name &n = names_[t.name];
+    if (!n.interned) {
+        n.atom = internAtom(lexer_.names()[t.name]);
+        n.interned = true;
+    }
+    return n.atom;
+}
+
+const Parser::Name &
+Parser::operatorOf(const Token &t)
+{
+    AtomId atom = atomOf(t);
+    Name &n = names_[t.name];
+    if (!n.opsKnown) {
+        n.prefix = ops_.prefix(atom);
+        n.infix = ops_.infix(atom);
+        n.postfix = ops_.postfix(atom);
+        n.opsKnown = true;
+    }
+    return n;
 }
 
 const Token &
@@ -30,10 +55,10 @@ Parser::advance()
 }
 
 void
-Parser::expectPunct(const char *p)
+Parser::expectPunct(char p)
 {
     if (!peek().isPunct(p))
-        error(cat("expected '", p, "'"));
+        error(cat("expected '", std::string(1, p), "'"));
     advance();
 }
 
@@ -45,36 +70,67 @@ Parser::error(const std::string &msg) const
 }
 
 TermRef
-Parser::variableNode(const std::string &name)
+Parser::popStruct(AtomId name, size_t base)
 {
-    if (name == "_") {
-        auto v = Term::makeVar("_");
-        return v;
+    TermRef t;
+    switch (terms_.size() - base) {
+      case 1:
+        t = Term::makeStruct(name, std::move(terms_[base]));
+        break;
+      case 2:
+        t = Term::makeStruct(name, std::move(terms_[base]),
+                             std::move(terms_[base + 1]));
+        break;
+      default:
+        t = Term::makeStruct(
+            name, std::vector<TermRef>(
+                      std::make_move_iterator(terms_.begin() + ptrdiff_t(base)),
+                      std::make_move_iterator(terms_.end())));
     }
-    auto it = clauseVars_.find(name);
-    if (it != clauseVars_.end())
-        return it->second;
-    auto v = Term::makeVar(name);
-    clauseVars_.emplace(name, v);
-    varOrder_.emplace_back(name, v);
-    return v;
+    terms_.resize(base);
+    return t;
+}
+
+TermRef
+Parser::popList(size_t base, TermRef tail)
+{
+    while (terms_.size() > base) {
+        tail = Term::makeCons(std::move(terms_.back()), std::move(tail));
+        terms_.pop_back();
+    }
+    return tail;
+}
+
+TermRef
+Parser::variableNode(const Token &t)
+{
+    if (t.text == "_")
+        return Term::makeVar("_");
+    Name &n = names_[t.name];
+    if (n.varClause != clause_) {
+        n.var = Term::makeVar(t.text);
+        n.varClause = clause_;
+        varNames_.emplace_back(n.var->varName(), n.var);
+    }
+    return n.var;
 }
 
 bool
 Parser::readClause(ReadClause &out)
 {
-    clauseVars_.clear();
-    varOrder_.clear();
     if (peek().kind == TokenKind::Eof)
         return false;
+    ++clause_;
+    varNames_.clear();
+    terms_.clear(); // what a read that threw left behind
     int prec = 0;
-    TermRef term = parseTerm(1200, prec);
+    out.term = parseTerm(1200, prec);
     if (peek().kind != TokenKind::End)
         error("expected '.' at end of clause");
     advance();
-    maybeApplyOpDirective(term);
-    out.term = term;
-    out.varNames = varOrder_;
+    maybeApplyOpDirective(out.term);
+    out.varNames.assign(std::make_move_iterator(varNames_.begin()),
+                        std::make_move_iterator(varNames_.end()));
     return true;
 }
 
@@ -84,7 +140,7 @@ Parser::readAll()
     std::vector<ReadClause> out;
     ReadClause clause;
     while (readClause(clause))
-        out.push_back(clause);
+        out.push_back(std::move(clause));
     return out;
 }
 
@@ -125,6 +181,8 @@ Parser::maybeApplyOpDirective(const TermRef &clause)
             node = node->arg(1);
         }
     }
+    for (Name &n : names_)
+        n.opsKnown = false;
 }
 
 bool
@@ -139,7 +197,7 @@ Parser::tokenStartsTerm() const
       case TokenKind::String:
         return true;
       case TokenKind::Punct:
-        return t.text == "(" || t.text == "[" || t.text == "{";
+        return t.isPunct('(') || t.isPunct('[') || t.isPunct('{');
       default:
         return false;
     }
@@ -152,20 +210,17 @@ Parser::parseTerm(int max_prec, int &prec_out)
     TermRef left = parsePrimary(max_prec, left_prec);
 
     while (true) {
+        // An operator: an atom, or the ',' and '|' punctuation that
+        // read as ',' and ';'.
         const Token &t = peek();
-        std::string op_text;
-        if (t.kind == TokenKind::Atom) {
-            op_text = t.text;
-        } else if (t.kind == TokenKind::Punct &&
-                   (t.text == "," || t.text == "|")) {
-            op_text = t.text == "|" ? ";" : t.text;
-        } else {
+        if (t.kind != TokenKind::Atom &&
+            !(t.kind == TokenKind::Punct && t.name != Token::noName)) {
             break;
         }
-        AtomId op_atom = internAtom(op_text);
-
-        auto infix = ops_.infix(op_atom);
-        auto postfix = ops_.postfix(op_atom);
+        const Name &op = operatorOf(t);
+        AtomId op_atom = op.atom;
+        std::optional<OpDef> infix = op.infix;
+        std::optional<OpDef> postfix = op.postfix;
         if (infix) {
             int p = infix->priority;
             int left_max = infix->type == OpType::YFX ? p : p - 1;
@@ -174,7 +229,8 @@ Parser::parseTerm(int max_prec, int &prec_out)
                 advance();
                 int rp = 0;
                 TermRef right = parseTerm(right_max, rp);
-                left = Term::makeStruct(op_atom, {left, right});
+                left = Term::makeStruct(op_atom, std::move(left),
+                                        std::move(right));
                 left_prec = p;
                 continue;
             }
@@ -184,7 +240,7 @@ Parser::parseTerm(int max_prec, int &prec_out)
             int left_max = postfix->type == OpType::YF ? p : p - 1;
             if (p <= max_prec && left_prec <= left_max) {
                 advance();
-                left = Term::makeStruct(op_atom, {left});
+                left = Term::makeStruct(op_atom, std::move(left));
                 left_prec = p;
                 continue;
             }
@@ -202,63 +258,59 @@ Parser::parsePrimary(int max_prec, int &prec_out)
     prec_out = 0;
 
     switch (t.kind) {
-      case TokenKind::Int: {
+      case TokenKind::Int:
         advance();
         return Term::makeInt(t.intValue);
-      }
-      case TokenKind::Float: {
+      case TokenKind::Float:
         advance();
         return Term::makeFloat(t.floatValue);
-      }
-      case TokenKind::Variable: {
+      case TokenKind::Variable:
         advance();
-        return variableNode(t.text);
-      }
+        return variableNode(t);
       case TokenKind::String: {
         advance();
-        std::vector<TermRef> codes;
+        size_t base = terms_.size();
         for (unsigned char c : t.text)
-            codes.push_back(Term::makeInt(c));
-        return Term::makeList(codes);
+            terms_.push_back(Term::makeInt(c));
+        return popList(base, Term::makeAtom(AtomTable::instance().nil));
       }
-      case TokenKind::Punct: {
-        if (t.text == "(") {
+      case TokenKind::Punct:
+        if (t.isPunct('(')) {
             advance();
             int p = 0;
             TermRef inner = parseTerm(1200, p);
-            expectPunct(")");
+            expectPunct(')');
             return inner;
         }
-        if (t.text == "[") {
+        if (t.isPunct('[')) {
             advance();
             return parseList();
         }
-        if (t.text == "{") {
+        if (t.isPunct('{')) {
             advance();
             return parseCurly();
         }
         error("unexpected punctuation");
-      }
       case TokenKind::Atom:
+        advance();
         break;
       default:
         error("unexpected token");
     }
 
     // Atom cases: functor application, prefix operator, plain atom.
-    std::string name = t.text;
-    advance();
 
     // Functor application: '(' with no layout in between.
-    if (peek().isPunct("(") && !peek().layoutBefore)
-        return parseArgList(name);
+    if (peek().isPunct('(') && !peek().layoutBefore)
+        return parseArgList(t);
 
-    AtomId name_atom = internAtom(name);
-    auto prefix = ops_.prefix(name_atom);
+    const Name &name = operatorOf(t);
+    AtomId name_atom = name.atom;
+    std::optional<OpDef> prefix = name.prefix;
 
     // Negative numeric literal: '-' immediately followed by a number
     // with no intervening layout (ISO reading; "- 1" is -(1)).
-    if (name == "-" && !peek().layoutBefore &&
+    if (t.text == "-" && !peek().layoutBefore &&
         (peek().kind == TokenKind::Int ||
          peek().kind == TokenKind::Float)) {
         const Token &num = advance();
@@ -273,11 +325,9 @@ Parser::parsePrimary(int max_prec, int &prec_out)
         // input anyway); the common case is fine.
         bool operand_is_bare_infix = false;
         if (peek().kind == TokenKind::Atom) {
-            AtomId next_atom = internAtom(peek().text);
-            if (ops_.infix(next_atom) && !ops_.prefix(next_atom) &&
-                !peek(1).isPunct("(")) {
+            const Name &next = operatorOf(peek());
+            if (next.infix && !next.prefix && !peek(1).isPunct('('))
                 operand_is_bare_infix = true;
-            }
         }
         if (!operand_is_bare_infix) {
             int arg_max = prefix->type == OpType::FY ? prefix->priority
@@ -285,72 +335,71 @@ Parser::parsePrimary(int max_prec, int &prec_out)
             int p = 0;
             TermRef operand = parseTerm(arg_max, p);
             prec_out = prefix->priority;
-            return Term::makeStruct(name_atom, {operand});
+            return Term::makeStruct(name_atom, std::move(operand));
         }
     }
 
     // Plain atom (possibly an operator used as an operand).
-    if (ops_.isOperator(name_atom))
-        prec_out = 1201 <= max_prec ? 0 : 0;
     return Term::makeAtom(name_atom);
 }
 
 TermRef
-Parser::parseArgList(const std::string &functor_name)
+Parser::parseArgList(const Token &functor)
 {
-    expectPunct("(");
-    std::vector<TermRef> args;
+    expectPunct('(');
+    size_t base = terms_.size();
     while (true) {
         int p = 0;
-        args.push_back(parseTerm(999, p));
-        if (peek().isPunct(",")) {
+        terms_.push_back(parseTerm(999, p));
+        if (peek().isPunct(',')) {
             advance();
             continue;
         }
         break;
     }
-    expectPunct(")");
-    return Term::makeStruct(internAtom(functor_name), std::move(args));
+    expectPunct(')');
+    return popStruct(atomOf(functor), base);
 }
 
 TermRef
 Parser::parseList()
 {
-    if (peek().isPunct("]")) {
+    if (peek().isPunct(']')) {
         advance();
         return Term::makeAtom(AtomTable::instance().nil);
     }
-    std::vector<TermRef> items;
+    size_t base = terms_.size();
     TermRef tail;
     while (true) {
         int p = 0;
-        items.push_back(parseTerm(999, p));
-        if (peek().isPunct(",")) {
+        terms_.push_back(parseTerm(999, p));
+        if (peek().isPunct(',')) {
             advance();
             continue;
         }
-        if (peek().isPunct("|")) {
+        if (peek().isPunct('|')) {
             advance();
             int tp = 0;
             tail = parseTerm(999, tp);
         }
         break;
     }
-    expectPunct("]");
-    return Term::makeList(items, tail);
+    expectPunct(']');
+    return popList(base, tail ? std::move(tail)
+                              : Term::makeAtom(AtomTable::instance().nil));
 }
 
 TermRef
 Parser::parseCurly()
 {
-    if (peek().isPunct("}")) {
+    if (peek().isPunct('}')) {
         advance();
         return Term::makeAtom(AtomTable::instance().curly);
     }
     int p = 0;
     TermRef inner = parseTerm(1200, p);
-    expectPunct("}");
-    return Term::makeStruct(AtomTable::instance().curly, {inner});
+    expectPunct('}');
+    return Term::makeStruct(AtomTable::instance().curly, std::move(inner));
 }
 
 TermRef

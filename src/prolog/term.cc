@@ -7,19 +7,31 @@
 namespace kcm
 {
 
-TermRef
-Term::makeVar(const std::string &name)
+Term::~Term()
 {
-    auto t = TermRef(new Term());
+    if (_kind == TermKind::Var) {
+        std::destroy_at(&_varName);
+    } else if (_kind == TermKind::Struct) {
+        if (_arity <= 2)
+            std::destroy(std::begin(_pair), std::end(_pair));
+        else
+            std::destroy_at(&_args);
+    }
+}
+
+TermRef
+Term::makeVar(std::string_view name)
+{
+    auto t = std::make_shared<Term>(Private{});
+    std::construct_at(&t->_varName, name);
     t->_kind = TermKind::Var;
-    t->_varName = name;
     return t;
 }
 
 TermRef
 Term::makeAtom(AtomId atom)
 {
-    auto t = TermRef(new Term());
+    auto t = std::make_shared<Term>(Private{});
     t->_kind = TermKind::Atom;
     t->_atom = atom;
     return t;
@@ -34,7 +46,7 @@ Term::makeAtom(const std::string &text)
 TermRef
 Term::makeInt(int64_t value)
 {
-    auto t = TermRef(new Term());
+    auto t = std::make_shared<Term>(Private{});
     t->_kind = TermKind::Int;
     t->_int = value;
     return t;
@@ -43,7 +55,7 @@ Term::makeInt(int64_t value)
 TermRef
 Term::makeFloat(double value)
 {
-    auto t = TermRef(new Term());
+    auto t = std::make_shared<Term>(Private{});
     t->_kind = TermKind::Float;
     t->_float = value;
     return t;
@@ -54,10 +66,39 @@ Term::makeStruct(AtomId name, std::vector<TermRef> args)
 {
     if (args.empty())
         return makeAtom(name);
-    auto t = TermRef(new Term());
+    if (args.size() <= 2) {
+        return makePair(name, uint32_t(args.size()), std::move(args[0]),
+                        args.size() == 2 ? std::move(args[1]) : nullptr);
+    }
+    auto t = std::make_shared<Term>(Private{});
+    t->_arity = static_cast<uint32_t>(args.size());
+    std::construct_at(&t->_args, std::move(args));
     t->_kind = TermKind::Struct;
     t->_atom = name;
-    t->args_ = std::move(args);
+    return t;
+}
+
+TermRef
+Term::makeStruct(AtomId name, TermRef arg)
+{
+    return makePair(name, 1, std::move(arg), nullptr);
+}
+
+TermRef
+Term::makeStruct(AtomId name, TermRef first, TermRef second)
+{
+    return makePair(name, 2, std::move(first), std::move(second));
+}
+
+TermRef
+Term::makePair(AtomId name, uint32_t arity, TermRef first, TermRef second)
+{
+    auto t = std::make_shared<Term>(Private{});
+    t->_arity = arity;
+    std::construct_at(&t->_pair[0], std::move(first));
+    std::construct_at(&t->_pair[1], std::move(second));
+    t->_kind = TermKind::Struct;
+    t->_atom = name;
     return t;
 }
 
@@ -70,8 +111,8 @@ Term::makeStruct(const std::string &name, std::vector<TermRef> args)
 TermRef
 Term::makeCons(TermRef head, TermRef tail)
 {
-    return makeStruct(AtomTable::instance().dot,
-                      {std::move(head), std::move(tail)});
+    return makeStruct(AtomTable::instance().dot, std::move(head),
+                      std::move(tail));
 }
 
 TermRef
@@ -87,7 +128,7 @@ bool
 Term::isCons() const
 {
     return _kind == TermKind::Struct && _atom == AtomTable::instance().dot &&
-           args_.size() == 2;
+           _arity == 2;
 }
 
 bool
@@ -137,21 +178,25 @@ Term::functorName() const
 uint32_t
 Term::arity() const
 {
-    return static_cast<uint32_t>(args_.size());
+    return _arity;
 }
 
-const std::vector<TermRef> &
+std::span<const TermRef>
 Term::args() const
 {
-    return args_;
+    if (_kind != TermKind::Struct)
+        return {};
+    if (_arity <= 2)
+        return {_pair, _arity};
+    return _args;
 }
 
 const TermRef &
 Term::arg(uint32_t i) const
 {
-    if (i >= args_.size())
+    if (i >= _arity)
         panic("Term::arg index ", i, " out of range");
-    return args_[i];
+    return args()[i];
 }
 
 Functor

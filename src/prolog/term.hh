@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "prolog/atom_table.hh"
@@ -46,7 +48,7 @@ class Term
     /** Build a fresh, unbound variable node. @p name keys it where
      *  variables are matched by name (importTerm, the clause store);
      *  the writer numbers variables by identity. */
-    static TermRef makeVar(const std::string &name);
+    static TermRef makeVar(std::string_view name);
     static TermRef makeAtom(AtomId atom);
     static TermRef makeAtom(const std::string &text);
     static TermRef makeInt(int64_t value);
@@ -54,6 +56,10 @@ class Term
     static TermRef makeStruct(AtomId name, std::vector<TermRef> args);
     static TermRef makeStruct(const std::string &name,
                               std::vector<TermRef> args);
+    /** Build name(arg) and name(first, second), with no argument
+     *  vector. */
+    static TermRef makeStruct(AtomId name, TermRef arg);
+    static TermRef makeStruct(AtomId name, TermRef first, TermRef second);
     /** Build './'(head, tail). */
     static TermRef makeCons(TermRef head, TermRef tail);
     /** Build a proper list of @p items (optionally ending in @p tail). */
@@ -82,7 +88,7 @@ class Term
     double floatValue() const;
     AtomId functorName() const;
     uint32_t arity() const;
-    const std::vector<TermRef> &args() const;
+    std::span<const TermRef> args() const;
     const TermRef &arg(uint32_t i) const;
 
     /** Functor of an atom (arity 0) or structure. */
@@ -95,14 +101,37 @@ class Term
     static bool equal(const TermRef &a, const TermRef &b);
 
   private:
-    Term() = default;
+    struct Private
+    {
+        explicit Private() = default;
+    };
 
+    static TermRef makePair(AtomId name, uint32_t arity, TermRef first,
+                            TermRef second);
+
+  public:
+    /** For std::make_shared only (one allocation for the node and its
+     *  count): build terms with the make functions above. */
+    explicit Term(Private) : _int(0) {}
+    ~Term();
+    Term(const Term &) = delete;
+    Term &operator=(const Term &) = delete;
+
+  private:
     TermKind _kind = TermKind::Atom;
-    AtomId _atom = 0;          // Atom / Struct functor name
-    int64_t _int = 0;          // Int
-    double _float = 0.0;       // Float
-    std::vector<TermRef> args_; // Struct
-    std::string _varName;      // Var
+    AtomId _atom = 0;   // Atom / Struct functor name
+    uint32_t _arity = 0; // Struct
+    /** What the kind holds: one member is live. A structure of arity 1
+     *  or 2 holds its arguments in place (the second null at arity 1),
+     *  so it is one allocation. */
+    union
+    {
+        int64_t _int;
+        double _float;
+        TermRef _pair[2];
+        std::vector<TermRef> _args; // arity 3 or more
+        std::string _varName;
+    };
 };
 
 /** Collect the distinct variables of @p t in first-occurrence order. */

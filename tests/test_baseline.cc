@@ -35,6 +35,18 @@ TEST(Baseline, FactsAndRules)
     EXPECT_EQ(result.solutions[0].toString(), "X = a");
 }
 
+TEST(Baseline, AnonymousVariablesStayDistinctInTheDynamicStore)
+{
+    // The reader names every `_` alike; the consulted clause must still
+    // hold two variables once it is in the store, as it does on the
+    // machine.
+    const char *program = ":- dynamic(p/2).\np(_, _).\n";
+    auto open = run(program, "p(X, Y)");
+    ASSERT_EQ(open.solutions.size(), 1u);
+    EXPECT_EQ(open.solutions[0].toString(), "X = _0, Y = _1");
+    EXPECT_TRUE(run(program, "p(a, b)").success);
+}
+
 TEST(Baseline, UnificationBindsBothWays)
 {
     auto result = run("", "f(X, b) = f(a, Y)");

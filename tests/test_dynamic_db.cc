@@ -18,6 +18,7 @@
 #include "core/snapshot.hh"
 #include "db/clause_store.hh"
 #include "kcm/kcm.hh"
+#include "prolog/parser.hh"
 
 using namespace kcm;
 
@@ -358,6 +359,36 @@ TEST(DynamicDbDifferential, DynamicInitFromConsultedClauses)
     compareEngines(program, "bridge(2, Y)");
     compareEngines(program, "retract(p(1, a)), bridge(X, Y)");
     compareEngines(program, "assertz(p(3, c)), bridge(3, Y)");
+}
+
+TEST(DynamicDbDifferential, AnonymousVariablesStayDistinctInASharedStore)
+{
+    // A reader term with two `_` asserted straight into a store that a
+    // machine and the baseline share: both see two variables.
+    auto store = std::make_shared<db::ClauseStore>();
+    store->assertClause(fn("p", 2), parseTermText("p(_, _)"), nullptr,
+                        false);
+    KcmSystem host;
+    host.consult(":- dynamic(p/2).\n");
+    for (const char *goal : {"p(a, b)", "p(X, Y)"}) {
+        SCOPED_TRACE(goal);
+        Machine machine;
+        machine.attachDynamicDb(store);
+        machine.load(host.compileOnly(goal));
+        ASSERT_EQ(machine.run(), RunStatus::SolutionFound);
+
+        baseline::Interpreter interp;
+        interp.attachDynamicDb(store);
+        baseline::InterpResult base = interp.query(goal, 1);
+        ASSERT_TRUE(base.success);
+        ASSERT_EQ(base.solutions.size(), 1u);
+        EXPECT_EQ(machine.lastSolution().toString(),
+                  base.solutions[0].toString());
+    }
+    baseline::Interpreter interp;
+    interp.attachDynamicDb(store);
+    EXPECT_EQ(interp.query("p(X, Y)", 1).solutions.at(0).toString(),
+              "X = _0, Y = _1");
 }
 
 // --- KCMSNAP5 snapshot/restore of dynamic state -------------------

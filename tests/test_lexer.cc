@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "base/logging.hh"
 #include "prolog/lexer.hh"
 
@@ -16,8 +18,9 @@ namespace
 std::vector<Token>
 lex(const std::string &src)
 {
-    Lexer lexer(src);
-    return lexer.tokenize();
+    // Tokens view their lexer's text: keep every lexer to the end.
+    static std::deque<Lexer> lexers;
+    return lexers.emplace_back(src).tokenize();
 }
 
 } // namespace

@@ -4,9 +4,15 @@
  * application, directives.
  */
 
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
+#include "bench_support/plm_suite.hh"
+#include "kcm/stdlib.hh"
+#include "perfbench/workload.hh"
 #include "prolog/parser.hh"
 #include "prolog/writer.hh"
 
@@ -85,6 +91,16 @@ TEST(Parser, PrefixMinusVsNegativeLiteral)
     EXPECT_EQ(canon("1 - 2"), "-(1,2)");
     EXPECT_EQ(canon("-X"), "-(_0)");
     EXPECT_EQ(canon("3 - -2"), "-(3,-2)");
+}
+
+TEST(Parser, PrefixOperatorBeforeAnInfixOperatorIsAnAtom)
+{
+    // "- = a": '=' is infix only, so '-' is the left operand, not a
+    // prefix operator applied to '='.
+    EXPECT_EQ(canon("- = a"), "=(-,a)");
+    EXPECT_EQ(canon("\\+ = a"), "=(\\+,a)");
+    // A functor application is an operand, even if its name is infix.
+    EXPECT_EQ(canon("- =(a, b)"), "-(=(a,b))");
 }
 
 TEST(Parser, Lists)
@@ -246,4 +262,97 @@ TEST(Writer, RoundTripThroughParser)
         TermRef twice = parseTermText(printed);
         EXPECT_EQ(writeTermQuoted(twice), printed) << text;
     }
+}
+
+// ------------------------------------------------------------------ //
+// What the reader must keep
+// ------------------------------------------------------------------ //
+
+TEST(Parser, InternsEachNameWhereItIsFirstNeeded)
+{
+    // Atom ids follow interning order, and escape stubs are laid out in
+    // atom-id order, so where the reader interns a name is part of what
+    // a program compiles to: an operand or operator when it is read, a
+    // functor after its arguments, and an atom right after a prefix
+    // operator when that operator is read.
+    const char *order[] = {"zz_pin_a", "zz_pin_b", "zz_pin_g",
+                           "zz_pin_f", "zz_pin_c", "zz_pin_d",
+                           "zz_pin_e", "zz_pin_h", "zz_pin_i"};
+    OperatorTable ops;
+    const size_t before = AtomTable::instance().size();
+    Parser("zz_pin_f(zz_pin_a, zz_pin_g(zz_pin_b)) :- zz_pin_c, "
+           "zz_pin_d - zz_pin_e, \\+ zz_pin_h(zz_pin_i).",
+           ops)
+        .readAll();
+    for (size_t i = 0; i < std::size(order); ++i)
+        EXPECT_EQ(internAtom(order[i]), before + i) << order[i];
+}
+
+namespace
+{
+
+/** Every clause of @p source, canonical and quoted, one a line. */
+void
+appendCanonical(std::string &out, const std::string &title,
+                const std::string &source)
+{
+    out += "% " + title + "\n";
+    OperatorTable ops;
+    WriteOptions options;
+    options.quoted = true;
+    options.ignoreOps = true;
+    for (const ReadClause &clause : Parser(source, ops).readAll())
+        out += writeTerm(clause.term, ops, options) + "\n";
+}
+
+} // namespace
+
+TEST(Parser, ReadsTheRepositoryProgramsAsPinned)
+{
+    // The terms read from the standard library, the PLM suite and the
+    // benchmark's serve and durable programs, against the text the
+    // reader gave for them when it was pinned.
+    std::string actual;
+    appendCanonical(actual, "standard library", standardLibrarySource());
+    for (const PlmBenchmark &bench : plmSuite()) {
+        appendCanonical(actual, bench.name, bench.program);
+        if (!bench.programPure.empty())
+            appendCanonical(actual, bench.name + " pure", bench.programPure);
+        appendCanonical(actual, bench.name + " queries",
+                        bench.queryIo + " .\n" + bench.queryPure + " .\n");
+    }
+    for (const char *name : {"serve_cold", "serve_durable"}) {
+        // The text of a request: serve_cold's carries its pad/3 fact.
+        const perfbench::ServeWorkload w(name);
+        perfbench::Rng rng(perfbench::streamSeed(7, 0));
+        std::string goals;
+        for (const std::string &goal : w.goals)
+            goals += goal + " .\n";
+        appendCanonical(actual, name, w.next(rng, 7, 0, 0).program);
+        appendCanonical(actual, std::string(name) + " facts", w.facts);
+        appendCanonical(actual, std::string(name) + " queries", goals);
+    }
+
+    std::ifstream in(KCM_READER_PINNED);
+    std::stringstream expected;
+    expected << in.rdbuf();
+    if (actual == expected.str())
+        return;
+    std::ofstream("reader_pinned.actual.txt") << actual;
+    auto lines = [](const std::string &text) {
+        std::vector<std::string> out;
+        std::istringstream in(text);
+        for (std::string line; std::getline(in, line);)
+            out.push_back(line);
+        return out;
+    };
+    const std::vector<std::string> a = lines(actual);
+    const std::vector<std::string> e = lines(expected.str());
+    size_t i = 0;
+    while (i < a.size() && i < e.size() && a[i] == e[i])
+        ++i;
+    ADD_FAILURE() << KCM_READER_PINNED << ":" << i + 1 << ": expected\n  "
+                  << (i < e.size() ? e[i] : "<end>") << "\nread\n  "
+                  << (i < a.size() ? a[i] : "<end>")
+                  << "\n(all read text in reader_pinned.actual.txt)";
 }

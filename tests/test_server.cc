@@ -1000,6 +1000,30 @@ TEST(Server, DbFactsTemplateEqualsAPreloadFactsCompile)
     std::filesystem::remove_all(scratch);
 }
 
+TEST(Server, DurableDbFactsKeepAnonymousVariablesDistinct)
+{
+    // A durable daemon seeds its store from --db-facts: the two `_` of
+    // the fact stay two variables there.
+    std::string dir = "/tmp/kcm_anon_facts_test_XXXXXX";
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    service::ServerOptions options;
+    options.dbFactsSource = "p(_, _).\n";
+    options.dbFactsOrigin = "facts.pl";
+    options.dbJournalDir = dir + "/journal";
+    {
+        Harness h(options);
+        ClientReply ground = h.client.query("q0", testProgram, "p(a, b)", 1);
+        ASSERT_EQ(ground.status(), "completed") << ground.raw;
+        ASSERT_EQ(ground.fields["answers"].items.size(), 1u) << ground.raw;
+        EXPECT_EQ(ground.fields["answers"].items[0].str, "true");
+        ClientReply open = h.client.query("q1", testProgram, "p(X, Y)", 1);
+        ASSERT_EQ(open.status(), "completed") << open.raw;
+        ASSERT_EQ(open.fields["answers"].items.size(), 1u) << open.raw;
+        EXPECT_EQ(open.fields["answers"].items[0].str, "X = _0, Y = _1");
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Server, ConcurrentColdMissesShareLibraryAndPool)
 {
     // Four connections miss the cache at once, each with 25 programs of
