@@ -3,12 +3,15 @@
  * Microbenchmarks (google-benchmark) of the specialized units the
  * paper proposes to evaluate individually in §5: dereferencing, trail
  * checks, unification dispatch, and choice point save/restore — plus
- * the host-side speed of the simulator and compiler themselves.
+ * the host-side speed of the simulator, the compiler and the snapshot
+ * code themselves.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_support/plm_suite.hh"
+#include "core/snapshot.hh"
+#include "db/clause_store.hh"
 #include "kcm/kcm.hh"
 #include "perfbench/workload.hh"
 #include "prolog/parser.hh"
@@ -125,6 +128,76 @@ BM_CompileServeMiss(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CompileServeMiss);
+
+void
+BM_TakeServeMissTemplate(benchmark::State &state)
+{
+    // What a cold miss does after its compile, on one pooled machine:
+    // the pristine reset of the borrowed machine, the download and the
+    // template take. Two misses alternate, as unique program texts do.
+    std::vector<CodeImage> images;
+    const perfbench::ServeWorkload workload("serve_cold");
+    for (uint64_t sequence : {0, 1}) {
+        perfbench::Rng rng(perfbench::streamSeed(7, 0));
+        perfbench::Request request = workload.next(rng, 7, 0, sequence);
+        KcmSystem system;
+        system.consultStandardLibrary();
+        system.consult(request.program);
+        images.push_back(system.compileOnly(request.goal));
+    }
+    Machine machine;
+    const Snapshot pristine = takeSnapshot(machine);
+    size_t bytes = 0, i = 0;
+    for (auto _ : state) {
+        restoreSnapshot(machine, pristine);
+        machine.load(images[i++ % 2]);
+        Snapshot snap = takeSnapshot(machine);
+        bytes = snap.bytes.size();
+        benchmark::DoNotOptimize(snap.bytes.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["template_bytes"] = double(bytes);
+}
+BENCHMARK(BM_TakeServeMissTemplate);
+
+void
+BM_RestoreDurableTemplates(benchmark::State &state)
+{
+    // The serve_durable templates (one program, 32 goals) restored in
+    // turn into one machine, the shared store attached after each
+    // restore and detached before the next, as Session does.
+    const perfbench::ServeWorkload workload("serve_durable");
+    const std::vector<TermRef> facts =
+        KcmSystem::parseFactFile(workload.facts, "serve_durable");
+    auto store = std::make_shared<db::ClauseStore>();
+    for (const TermRef &fact : facts)
+        store->assertClause(fact->functor(), fact, nullptr,
+                            /*at_front=*/false);
+    std::vector<Snapshot> templates;
+    for (const std::string &goal : workload.goals) {
+        KcmSystem system;
+        system.consultStandardLibrary();
+        system.consult(workload.program);
+        system.consult(KcmSystem::factDeclarations(facts));
+        Machine loaded;
+        loaded.load(system.compileOnly(goal));
+        templates.push_back(takeSnapshot(loaded));
+    }
+    Machine machine;
+    for (auto _ : state) {
+        for (const Snapshot &tmpl : templates) {
+            restoreSnapshot(machine, tmpl);
+            machine.attachDynamicDb(store);
+            machine.detachDynamicDb();
+        }
+        benchmark::DoNotOptimize(machine.image().words.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["s_per_restore"] = benchmark::Counter(
+        double(state.iterations()) * double(templates.size()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RestoreDurableTemplates);
 
 void
 BM_SimulatorThroughput(benchmark::State &state)

@@ -85,7 +85,7 @@ struct CodeImage
      * Source clauses of dynamic predicates, in canonical quoted
      * ignore-ops text, in source order. The loader asserts these into
      * the machine's clause store after download (assertz order), so a
-     * KCMSNAP5 template taken post-download already contains them.
+     * snapshot template taken post-download already contains them.
      * `--db-facts` preloads append here after compilation.
      */
     std::vector<std::string> dynamicInit;

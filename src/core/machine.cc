@@ -1356,21 +1356,36 @@ Machine::solutions(size_t max, const HostPoll &poll)
 }
 
 void
-Machine::attachImage()
+Machine::attachImage(size_t first, size_t end)
 {
     // Predecode the image for the fast core. decodeInstr is a pure
     // function of the word, so an entry whose word the new image keeps
     // is kept too: a pooled machine restoring the templates of one
-    // program re-decodes only the words that differ. The grown tail is
-    // decoded word by word, never default-filled and compared, since a
-    // zero code word does not decode to DecodedInstr{}. The oracle
-    // keeps decoded_ empty so every fetch takes the decode-per-step
-    // path.
+    // program re-decodes only the words that differ. An empty image
+    // (the pristine reset between a pooled machine's queries) sets the
+    // predecode aside rather than dropping it, and the next image takes
+    // it back, so a compile miss re-decodes only what differs from the
+    // machine's last image; while it is aside, decoded_ is empty like
+    // the image. The grown tail is decoded word by word, never
+    // default-filled and compared, since a zero code word does not
+    // decode to DecodedInstr{}. The oracle keeps decoded_ empty so
+    // every fetch takes the decode-per-step path.
     if (config_.fastDispatch) {
         const std::vector<uint64_t> &words = image_.words;
+        if (words.empty()) {
+            if (!decoded_.empty())
+                setAsideDecoded_.swap(decoded_);
+        } else if (decoded_.empty()) {
+            // Decoded from the image before the empty one, which the
+            // caller's range does not describe.
+            decoded_.swap(setAsideDecoded_);
+            first = 0;
+            end = SIZE_MAX;
+        }
         if (decoded_.size() > words.size())
             decoded_.resize(words.size());
-        for (size_t i = 0; i < decoded_.size(); ++i)
+        for (size_t i = first, kept = std::min(end, decoded_.size());
+             i < kept; ++i)
             if (decoded_[i].raw != words[i])
                 decoded_[i] = decodeInstr(words[i]);
         decoded_.reserve(words.size());

@@ -417,8 +417,11 @@ class Machine
     // --- instruction execution ---
     /** Rebuild the host-side views of image_ — the predecoded image
      *  (fast core only) and the profiler's predicate tables — after
-     *  load() or a snapshot restore replaced it. */
-    void attachImage();
+     *  load() or a snapshot restore replaced it. A caller that changed
+     *  image_.words only in [@p first, @p end) of the words the
+     *  predecode last followed, besides growing or shrinking them,
+     *  passes that range, and only it is compared. */
+    void attachImage(size_t first = 0, size_t end = SIZE_MAX);
     void step();
     /** Dispatch-core selection inside the run-loop trap boundary. */
     RunStatus runLoop();
@@ -605,6 +608,9 @@ class Machine
     /** The predecoded image (index i = address image_.base + i);
      *  empty unless config_.fastDispatch. */
     std::vector<DecodedInstr> decoded_;
+    /** decoded_ as it was before an empty image arrived (the pristine
+     *  reset of a pooled machine), taken back by the next image. */
+    std::vector<DecodedInstr> setAsideDecoded_;
     /** Decode-per-step scratch slot for the oracle path and for
      *  fetches outside the predecoded image. */
     DecodedInstr scratchDecoded_;

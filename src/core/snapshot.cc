@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <string_view>
 
 #include "base/checksum.hh"
 #include "base/logging.hh"
@@ -16,9 +17,9 @@ namespace
 {
 
 /**
- * Container format (version 5):
+ * Container format (version 6):
  *
- *   magic "KCMSNAP5"
+ *   magic "KCMSNAP6"
  *   u32   section count (== 4)
  *   per section: u32 id, u64 payload length, u64 checksum
  *                (sectionChecksum below), payload bytes
@@ -33,21 +34,24 @@ namespace
  * up front.
  *
  * The image payload is the CodeImage field for field: base and the
- * five entry addresses (u32 each); the code words (count, one u64
- * each); the predicates (count; name, arity, entry, words,
- * instructions, fromLibrary each); the dynamic stubs (count; address,
- * name, arity each); the dynamic declarations (count; name, arity
- * each); the dynamic-init clauses (count; one string each); the query
- * solution slots (count; name string, u32 slot each). Atom ids are
- * recorded raw, with no atom table: a snapshot is process-local (its
- * memory words embed raw atom ids too), so the ids mean the same
- * atoms in any restore it can serve. Image files that cross processes
- * use the text format of compiler/image_io.hh, which re-interns.
+ * five entry addresses (u32 each); the code words (count, then the
+ * words as one block of u64s); the predicates (count; name, arity,
+ * entry, words, instructions, fromLibrary each); the dynamic stubs
+ * (count; address, name, arity each); the dynamic declarations (count;
+ * name, arity each); the dynamic-init clauses (count; one string
+ * each); the query solution slots (count; name string, u32 slot each).
+ * Atom ids are recorded raw, with no atom table: a snapshot is
+ * process-local (its memory words embed raw atom ids too), so the ids
+ * mean the same atoms in any restore it can serve. Image files that
+ * cross processes use the text format of compiler/image_io.hh, which
+ * re-interns.
  *
  * The memory payload is sparse throughout, so its size tracks live
  * state rather than the board:
- *  - Main memory is recorded as (address, value) pairs for its
- *    nonzero words, in ascending address order.
+ *  - Main memory is recorded as extents: a count, then per maximal run
+ *    of consecutive nonzero words a u32 start address, a u32 length
+ *    and the words, in ascending address order. Consecutive extents
+ *    are separated by at least one zero word.
  *  - The page table is recorded as (index, raw) pairs for its nonzero
  *    entries, and each cache array as one (index, fields) entry per
  *    valid cell, in ascending index order.
@@ -65,11 +69,12 @@ namespace
  * re-snapshots stay exact.
  *
  * restoreSnapshot() validates the whole container — structure,
- * lengths, every checksum, geometry — before mutating one word of the
- * target machine: a truncated or bit-flipped blob is reported with a
+ * lengths, every checksum, geometry, the image record's layout and
+ * every memory extent — before mutating one word of the target
+ * machine: a truncated or bit-flipped blob is reported with a
  * diagnostic and the target stays untouched.
  */
-constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '5'};
+constexpr char snapshotMagic[8] = {'K', 'C', 'M', 'S', 'N', 'A', 'P', '6'};
 
 enum : uint32_t
 {
@@ -146,22 +151,52 @@ sectionChecksum(const uint8_t *data, size_t size)
     return step(h, tail);
 }
 
-/** Little-endian byte-stream writer: one append per value. */
+/**
+ * Little-endian byte-stream writer in two modes. A counting writer
+ * (default-constructed) stores nothing and only advances tell(); a
+ * writing writer stores each value at its offset in a buffer of
+ * exactly the size the counting run of the same save code reached.
+ * takeSnapshot() runs the save code once in each mode, so a snapshot
+ * is written in place, with no intermediate buffer and no reallocation.
+ */
 class ByteWriter
 {
   public:
-    explicit ByteWriter(std::vector<uint8_t> &bytes) : bytes_(bytes) {}
+    ByteWriter() = default;
+    ByteWriter(uint8_t *out, size_t size) : out_(out), size_(size) {}
 
-    void u8(uint8_t v) { bytes_.push_back(v); }
-    void u16(uint16_t v) { append(v); }
-    void u32(uint32_t v) { append(v); }
-    void u64(uint64_t v) { append(v); }
+    void u8(uint8_t v) { put(v); }
+    void u16(uint16_t v) { put(v); }
+    void u32(uint32_t v) { put(v); }
+    void u64(uint64_t v) { put(v); }
 
     void
-    str(const std::string &s)
+    bytes(const void *data, size_t n)
+    {
+        if (out_ && n) {
+            room(n);
+            std::memcpy(out_ + pos_, data, n);
+        }
+        pos_ += n;
+    }
+
+    /** @p n code or memory words as one block. */
+    void
+    words(const uint64_t *data, size_t n)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            bytes(data, 8 * n);
+        } else {
+            for (size_t i = 0; i < n; ++i)
+                u64(data[i]);
+        }
+    }
+
+    void
+    str(std::string_view s)
     {
         u64(s.size());
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
+        bytes(s.data(), s.size());
     }
 
     void boolean(bool v) { u8(v ? 1 : 0); }
@@ -177,26 +212,49 @@ class ByteWriter
 
     /** Offset of the next value: write a placeholder there, then
      *  patch() it once the real value is known. */
-    size_t tell() const { return bytes_.size(); }
+    size_t tell() const { return pos_; }
 
     template <typename T>
     void
     patch(size_t offset, T v)
     {
-        storeLe(bytes_.data() + offset, v);
+        if (out_)
+            storeLe(out_ + offset, v);
+    }
+
+    /** Patch the u64 length and u64 checksum placeholders at
+     *  @p header with those of the payload written since. */
+    void
+    sealSection(size_t header)
+    {
+        const size_t payload = header + 16;
+        patch(header, uint64_t(pos_ - payload));
+        if (out_)
+            patch(header + 8, sectionChecksum(out_ + payload, pos_ - payload));
     }
 
   private:
     template <typename T>
     void
-    append(T v)
+    put(T v)
     {
-        const size_t at = bytes_.size();
-        bytes_.resize(at + sizeof(T));
-        storeLe(bytes_.data() + at, v);
+        if (out_) {
+            room(sizeof(T));
+            storeLe(out_ + pos_, v);
+        }
+        pos_ += sizeof(T);
     }
 
-    std::vector<uint8_t> &bytes_;
+    void
+    room(size_t n) const
+    {
+        if (n > size_ - pos_)
+            panic("snapshot: writing past the counted size");
+    }
+
+    uint8_t *out_ = nullptr;
+    size_t size_ = 0;
+    size_t pos_ = 0;
 };
 
 /** Reader over one section's payload: one bounds check per value. */
@@ -212,15 +270,45 @@ class ByteReader
     uint32_t u32() { return fixed<uint32_t>(); }
     uint64_t u64() { return fixed<uint64_t>(); }
 
-    std::string
+    /** The next @p n bytes, in place. */
+    const uint8_t *
+    bytes(uint64_t n)
+    {
+        if (n > size_ - pos_)
+            fatal("snapshot: truncated section payload");
+        const uint8_t *at = data_ + pos_;
+        pos_ += size_t(n);
+        return at;
+    }
+
+    void skip(uint64_t n) { bytes(n); }
+
+    /** A reader over the next @p n bytes. A local one keeps its
+     *  position in a register across calls that the caller's reader,
+     *  passed by reference, would have to be reloaded around. */
+    ByteReader sub(uint64_t n) { return ByteReader(bytes(n), size_t(n)); }
+
+    /** A string, viewed in the payload. */
+    std::string_view
     str()
     {
         uint64_t n = u64();
-        if (n > size_ - pos_)
-            fatal("snapshot: truncated string");
-        std::string s(data_ + pos_, data_ + pos_ + n);
-        pos_ += size_t(n);
-        return s;
+        return {reinterpret_cast<const char *>(bytes(n)), size_t(n)};
+    }
+
+    /** @p n words into @p out, as ByteWriter::words() wrote them. */
+    void
+    words(uint64_t *out, size_t n)
+    {
+        if (n > (size_ - pos_) / 8)
+            fatal("snapshot: truncated section payload");
+        if constexpr (std::endian::native == std::endian::little) {
+            if (n)
+                std::memcpy(out, bytes(8 * n), 8 * n);
+        } else {
+            for (size_t i = 0; i < n; ++i)
+                out[i] = u64();
+        }
     }
 
     bool boolean() { return u8() != 0; }
@@ -340,17 +428,21 @@ firstUntracked(const std::vector<T> &cells, const TouchedSet &touched,
     return "";
 }
 
+/** The four sections of a container, in sectionOrder. */
+using Sections = std::array<SectionView, numSections>;
+
 /**
- * Phase one of restoreSnapshot(): parse the container, bounds-check
- * every length, verify every checksum. Throws FatalError with a
- * diagnostic on the first problem; nothing has been mutated yet.
+ * The first step of phase one of restoreSnapshot(): parse the
+ * container, bounds-check every length, verify every checksum. Throws
+ * FatalError with a diagnostic on the first problem; nothing has been
+ * mutated yet.
  */
-std::vector<SectionView>
+Sections
 parseAndVerify(const std::vector<uint8_t> &bytes)
 {
     if (bytes.size() < 8 ||
         std::memcmp(bytes.data(), snapshotMagic, 8) != 0) {
-        fatal("snapshot: bad magic (not a KCMSNAP5 image)");
+        fatal("snapshot: bad magic (not a KCMSNAP6 image)");
     }
 
     size_t pos = 8;
@@ -359,15 +451,13 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
             fatal("snapshot: truncated image (", what, ")");
     };
     auto read_u32 = [&]() {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t(bytes[pos++]) << (8 * i);
+        uint32_t v = loadLe<uint32_t>(bytes.data() + pos);
+        pos += 4;
         return v;
     };
     auto read_u64 = [&]() {
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= uint64_t(bytes[pos++]) << (8 * i);
+        uint64_t v = loadLe<uint64_t>(bytes.data() + pos);
+        pos += 8;
         return v;
     };
 
@@ -376,8 +466,8 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
     if (count != numSections)
         fatal("snapshot: unexpected section count ", count);
 
-    std::vector<SectionView> sections(count);
-    for (size_t s = 0; s < count; ++s) {
+    Sections sections;
+    for (size_t s = 0; s < numSections; ++s) {
         need(4 + 8 + 8, "section header");
         uint32_t id = read_u32();
         uint64_t length = read_u64();
@@ -401,6 +491,51 @@ parseAndVerify(const std::vector<uint8_t> &bytes)
     return sections;
 }
 
+/**
+ * Merge a sorted record list into a std::map or std::set in place:
+ * node(key) returns the entry for each recorded key in ascending
+ * order, erasing the entries between, and keeps the entry of a key
+ * the tree already holds (a map's value is then the caller's to
+ * assign); the destructor erases the entries past the last key. A key
+ * out of order still lands in its place, so the tree stays valid on
+ * any input.
+ */
+template <typename Tree>
+class SortedMerge
+{
+  public:
+    explicit SortedMerge(Tree &tree) : tree_(tree), next_(tree.begin()) {}
+    ~SortedMerge() { tree_.erase(next_, tree_.end()); }
+
+    typename Tree::iterator
+    node(const typename Tree::key_type &key)
+    {
+        while (next_ != tree_.end() && keyOf(*next_) < key)
+            next_ = tree_.erase(next_);
+        if (next_ != tree_.end() && !(key < keyOf(*next_)))
+            return next_++;
+        if constexpr (isMap)
+            return tree_.try_emplace(next_, key);
+        else
+            return tree_.emplace_hint(next_, key);
+    }
+
+  private:
+    static constexpr bool isMap = requires { typename Tree::mapped_type; };
+
+    static const typename Tree::key_type &
+    keyOf(const typename Tree::value_type &entry)
+    {
+        if constexpr (isMap)
+            return entry.first;
+        else
+            return entry;
+    }
+
+    Tree &tree_;
+    typename Tree::iterator next_;
+};
+
 } // namespace
 
 /**
@@ -423,7 +558,8 @@ struct SnapshotAccess
     }
 
     /** Validate the geometry header against @p mem (phase one; throws
-     *  without mutating). */
+     *  without mutating). checkMemExtents() has checked the extents
+     *  against the recorded board size this confirms. */
     static void
     checkMemGeometry(MemSystem &mem, ByteReader &r)
     {
@@ -454,30 +590,102 @@ struct SnapshotAccess
         return {first, std::min(first + words, mm.sizeWords())};
     }
 
-    static void
-    saveMem(MemSystem &mem, ByteWriter &w)
+    /** A maximal run of consecutive nonzero main-memory words. */
+    struct Extent
     {
-        saveMemGeometry(mem, w);
+        uint32_t start = 0;
+        uint32_t length = 0;
+    };
 
-        // Main memory, sparse: only nonzero words are recorded, and
-        // only a touched block can hold one. One pass: the count is a
-        // placeholder, patched after.
-        MainMemory &mm = mem.memory();
+    /** The extents of @p mm in ascending order. Only a touched block
+     *  can hold a nonzero word, so only those are scanned; a run that
+     *  reaches the end of a block continues into the next one only if
+     *  that block is touched too. */
+    static std::vector<Extent>
+    memExtents(const MainMemory &mm)
+    {
+        std::vector<Extent> extents;
         const uint64_t *words = mm.data_.get();
-        const size_t count_at = w.tell();
-        w.u64(0);
-        uint64_t nonzero = 0;
         mm.touched_.forEach([&](size_t block) {
             const auto [first, end] = blockWords(mm, block);
             for (size_t a = first; a < end; ++a) {
-                if (words[a]) {
-                    w.u64(a);
-                    w.u64(words[a]);
-                    ++nonzero;
-                }
+                if (!words[a])
+                    continue;
+                if (!extents.empty() &&
+                    extents.back().start + extents.back().length == a)
+                    ++extents.back().length;
+                else
+                    extents.push_back(Extent{uint32_t(a), 1});
             }
         });
-        w.patch(count_at, nonzero);
+        return extents;
+    }
+
+    /** What a take reads that is not a field in place, gathered once
+     *  for both of its runs of the save code: the main-memory extents
+     *  and the clause store's own payload. */
+    struct TakeInputs
+    {
+        std::vector<Extent> extents;
+        bool hasDb = false;
+        std::vector<uint8_t> db;
+    };
+
+    static TakeInputs
+    takeInputs(Machine &m)
+    {
+        TakeInputs in;
+        in.extents = memExtents(m.mem_->memory());
+        in.hasDb = m.db_ != nullptr;
+        if (in.hasDb)
+            m.db_->saveTo(in.db);
+        return in;
+    }
+
+    /**
+     * Phase one for the memory payload, with no machine: every extent
+     * is nonempty, lies on the board the geometry header records, and
+     * starts past the end of the one before and the zero word after
+     * it. restoreMem() copies the extents without a check of its own.
+     */
+    static void
+    checkMemExtents(ByteReader r)
+    {
+        const uint64_t board = r.u64();
+        r.skip(3 * 8);
+        uint64_t floor = 0;
+        for (size_t n = r.count(); n > 0; --n) {
+            const uint64_t start = r.u32();
+            const uint64_t length = r.u32();
+            if (length == 0)
+                fatal("snapshot: empty memory extent at word ", start);
+            if (start < floor)
+                fatal("snapshot: memory extent at word ", start,
+                      " overlaps or does not follow the one before");
+            if (start + length > board)
+                fatal("snapshot: memory extent at word ", start,
+                      " runs past the ", board, "-word board");
+            r.skip(8 * length);
+            floor = start + length + 1;
+        }
+    }
+
+    static void
+    saveMem(MemSystem &mem, const std::vector<Extent> &extents,
+            ByteWriter &w)
+    {
+        saveMemGeometry(mem, w);
+
+        // Main memory, sparse: the extents of nonzero words, each
+        // written as one block.
+        MainMemory &mm = mem.memory();
+        const uint64_t *words = mm.data_.get();
+        w.u64(extents.size());
+        for (const Extent &e : extents) {
+            w.u32(e.start);
+            w.u32(e.length);
+            w.words(words + e.start, e.length);
+        }
         w.counter(mm.readWords);
         w.counter(mm.writtenWords);
         w.counter(mm.transactions);
@@ -547,20 +755,22 @@ struct SnapshotAccess
             r.u64();
 
         MainMemory &mm = mem.memory();
+        uint64_t *words = mm.data_.get();
         // Zero the target's touched blocks (every other word is
-        // already zero), then apply the recorded nonzero words; poke()
-        // marks their blocks.
+        // already zero), then copy in the recorded extents, which phase
+        // one checked, and mark their blocks.
         mm.touched_.drain([&](size_t block) {
             const auto [first, end] = blockWords(mm, block);
-            std::fill(mm.data_.get() + first, mm.data_.get() + end,
-                      uint64_t(0));
+            std::fill(words + first, words + end, uint64_t(0));
         });
-        uint64_t nonzero = r.u64();
-        for (uint64_t i = 0; i < nonzero; ++i) {
-            uint64_t a = r.u64();
-            if (a >= mm.sizeWords())
-                fatal("snapshot: memory word address out of range");
-            mm.poke(PhysAddr(a), r.u64());
+        constexpr unsigned shift = MainMemory::touchedBlockShift;
+        for (size_t n = r.count(); n > 0; --n) {
+            const size_t start = r.u32();
+            const size_t length = r.u32();
+            r.words(words + start, length);
+            for (size_t b = start >> shift; b <= (start + length - 1) >> shift;
+                 ++b)
+                mm.touched_.mark(b);
         }
         r.counter(mm.readWords);
         r.counter(mm.writtenWords);
@@ -629,8 +839,7 @@ struct SnapshotAccess
         w.u32(image.dynRetryEntry);
 
         w.u64(image.words.size());
-        for (uint64_t word : image.words)
-            w.u64(word);
+        w.words(image.words.data(), image.words.size());
 
         w.u64(image.predicates.size());
         for (const auto &[functor, info] : image.predicates) {
@@ -660,6 +869,34 @@ struct SnapshotAccess
             w.str(name);
             w.u32(uint32_t(slot));
         }
+    }
+
+    /** Bytes of one predicate record (name, arity, entry, words,
+     *  instructions, fromLibrary), of one dynamic stub (address, name,
+     *  arity) and of one functor (name, arity) in the image record. */
+    static constexpr uint64_t predicateRecordBytes = 4 + 4 + 4 + 8 + 8 + 1;
+    static constexpr uint64_t stubRecordBytes = 4 + 4 + 4;
+    static constexpr uint64_t functorBytes = 4 + 4;
+
+    /** Phase one for the image payload: its counts and string lengths
+     *  fit the payload and nothing trails it, so the in-place decode
+     *  of restoreImageSection() cannot stop half way. */
+    static void
+    checkImageSection(ByteReader r)
+    {
+        r.skip(6 * 4);
+        r.skip(8 * uint64_t(r.count()));
+        r.skip(predicateRecordBytes * r.count());
+        r.skip(stubRecordBytes * r.count());
+        r.skip(functorBytes * r.count());
+        for (size_t n = r.count(); n > 0; --n)
+            r.str();
+        for (size_t n = r.count(); n > 0; --n) {
+            r.str();
+            r.u32();
+        }
+        if (!r.atEnd())
+            fatal("snapshot: trailing bytes in image section");
     }
 
     static void
@@ -766,11 +1003,12 @@ struct SnapshotAccess
     static void
     restoreImageSection(Machine &m, ByteReader &r)
     {
-        // Decode into a local image and move it in only once it is
-        // whole: a throw leaves the target's image as it was. The
-        // record was written in the containers' own order, so every
-        // insert below lands at the end.
-        CodeImage image;
+        // Decode into the machine's own image, keeping every entry,
+        // string and buffer the record repeats: a pooled machine that
+        // restores the templates of one program changes only what
+        // differs. checkImageSection() has checked the layout, so
+        // nothing below stops half way.
+        CodeImage &image = m.image_;
         image.base = r.u32();
         image.queryEntry = r.u32();
         image.failEntry = r.u32();
@@ -778,30 +1016,59 @@ struct SnapshotAccess
         image.catchFailEntry = r.u32();
         image.dynRetryEntry = r.u32();
 
-        image.words.resize(r.count());
-        for (uint64_t &word : image.words)
-            word = r.u64();
-
-        for (size_t n = r.count(); n > 0; --n) {
-            PredicateInfo info;
-            info.functor = r.functor();
-            info.entry = r.u32();
-            info.words = size_t(r.u64());
-            info.instructions = size_t(r.u64());
-            info.fromLibrary = r.boolean();
-            image.predicates.emplace_hint(image.predicates.end(),
-                                          info.functor, info);
+        // The record's words over the image's, 64 at a time: a block
+        // whose bytes match is skipped, and in one that does not, a
+        // word is stored, and the span the predecode re-checks
+        // widened, only where the two differ.
+        std::vector<uint64_t> &words = image.words;
+        const size_t count = r.count();
+        const uint8_t *in = r.bytes(8 * uint64_t(count));
+        const size_t kept = std::min(count, words.size());
+        size_t first = kept, end = kept;
+        for (size_t block = 0; block < kept; block += 64) {
+            const size_t block_end = std::min(block + 64, kept);
+            if (std::memcmp(words.data() + block, in + 8 * block,
+                            8 * (block_end - block)) == 0)
+                continue;
+            for (size_t i = block; i < block_end; ++i) {
+                const uint64_t word = loadLe<uint64_t>(in + 8 * i);
+                if (words[i] != word) {
+                    first = std::min(first, i);
+                    end = i + 1;
+                    words[i] = word;
+                }
+            }
         }
+        words.resize(count);
+        for (size_t i = kept; i < count; ++i)
+            words[i] = loadLe<uint64_t>(in + 8 * i);
 
-        for (size_t n = r.count(); n > 0; --n) {
-            Addr addr = r.u32();
-            image.dynStubs.emplace_hint(image.dynStubs.end(), addr,
-                                        r.functor());
+        {
+            SortedMerge merge(image.predicates);
+            const size_t n = r.count();
+            ByteReader records = r.sub(predicateRecordBytes * n);
+            for (size_t k = 0; k < n; ++k) {
+                PredicateInfo info;
+                info.functor = records.functor();
+                info.entry = records.u32();
+                info.words = size_t(records.u64());
+                info.instructions = size_t(records.u64());
+                info.fromLibrary = records.boolean();
+                merge.node(info.functor)->second = info;
+            }
         }
-
-        for (size_t n = r.count(); n > 0; --n)
-            image.dynamicDecls.emplace_hint(image.dynamicDecls.end(),
-                                            r.functor());
+        {
+            SortedMerge merge(image.dynStubs);
+            for (size_t n = r.count(); n > 0; --n) {
+                Addr addr = r.u32();
+                merge.node(addr)->second = r.functor();
+            }
+        }
+        {
+            SortedMerge merge(image.dynamicDecls);
+            for (size_t n = r.count(); n > 0; --n)
+                merge.node(r.functor());
+        }
 
         image.dynamicInit.resize(r.count());
         for (std::string &clause : image.dynamicInit)
@@ -813,11 +1080,10 @@ struct SnapshotAccess
             slot = int(r.u32());
         }
 
-        m.image_ = std::move(image);
         // Rebuild the predecoded image per the *target's* dispatch
         // core: a snapshot is portable between the oracle and the
         // threaded core (cycle-identical by construction).
-        m.attachImage();
+        m.attachImage(first, end);
     }
 
     static void
@@ -922,14 +1188,13 @@ struct SnapshotAccess
      *  a restored store index-identical to the original, so scanned
      *  counts — and simulated cycles — replay exactly. */
     static void
-    saveDb(Machine &m, ByteWriter &w)
+    saveDb(const TakeInputs &in, ByteWriter &w)
     {
-        w.boolean(m.db_ != nullptr);
-        if (!m.db_)
+        w.boolean(in.hasDb);
+        if (!in.hasDb)
             return;
-        std::vector<uint8_t> blob;
-        m.db_->saveTo(blob);
-        w.str(std::string(blob.begin(), blob.end()));
+        w.u64(in.db.size());
+        w.bytes(in.db.data(), in.db.size());
     }
 
     static void
@@ -946,7 +1211,7 @@ struct SnapshotAccess
                 m.db_ = nullptr;
             return;
         }
-        std::string blob = r.str();
+        std::string_view blob = r.str();
         if (!m.db_)
             m.db_ = std::make_shared<db::ClauseStore>(m.config_.dyndb);
         m.db_->loadFrom(reinterpret_cast<const uint8_t *>(blob.data()),
@@ -985,50 +1250,55 @@ struct SnapshotAccess
         return found;
     }
 
+    /** The whole container: magic, section count, then each section
+     *  header and payload, the header's length and checksum patched
+     *  once the payload is written. */
+    static void
+    save(Machine &m, const TakeInputs &in, ByteWriter &w)
+    {
+        w.bytes(snapshotMagic, sizeof snapshotMagic);
+        w.u32(numSections);
+        auto section = [&](uint32_t id, auto save_payload) {
+            w.u32(id);
+            const size_t header = w.tell();
+            w.u64(0);
+            w.u64(0);
+            save_payload();
+            w.sealSection(header);
+        };
+        section(secImage, [&] { saveImageSection(m, w); });
+        section(secCpu, [&] { saveCpu(m, w); });
+        section(secMem, [&] { saveMem(*m.mem_, in.extents, w); });
+        section(secDb, [&] { saveDb(in, w); });
+    }
+
+    /** The checks of phase one that need no machine, past the
+     *  container's: the image record's layout and the extents. */
+    static void
+    checkSections(const Sections &sections)
+    {
+        checkImageSection(sections[0].reader());
+        checkMemExtents(sections[2].reader());
+    }
+
     static MemSystem &mem(Machine &m) { return *m.mem_; }
 };
 
 Snapshot
 takeSnapshot(Machine &machine)
 {
-    // Serialize each section into its own payload, then assemble the
-    // checksummed container.
-    std::array<std::vector<uint8_t>, numSections> payloads;
-    {
-        ByteWriter w(payloads[0]);
-        SnapshotAccess::saveImageSection(machine, w);
-    }
-    {
-        ByteWriter w(payloads[1]);
-        SnapshotAccess::saveCpu(machine, w);
-    }
-    {
-        payloads[2].reserve(64 * 1024);
-        ByteWriter w(payloads[2]);
-        SnapshotAccess::saveMem(SnapshotAccess::mem(machine), w);
-    }
-    {
-        ByteWriter w(payloads[3]);
-        SnapshotAccess::saveDb(machine, w);
-    }
-
+    // Run the save code once to count the bytes, size the buffer once,
+    // then run it again to write them in place.
+    const SnapshotAccess::TakeInputs in = SnapshotAccess::takeInputs(machine);
+    ByteWriter counter;
+    SnapshotAccess::save(machine, in, counter);
     Snapshot snap;
-    size_t total = 8 + 4;
-    for (const auto &p : payloads)
-        total += 4 + 8 + 8 + p.size();
-    snap.bytes.reserve(total);
-    for (char c : snapshotMagic)
-        snap.bytes.push_back(uint8_t(c));
-    ByteWriter container(snap.bytes);
-    container.u32(numSections);
-    for (size_t s = 0; s < numSections; ++s) {
-        container.u32(sectionOrder[s]);
-        container.u64(payloads[s].size());
-        container.u64(
-            sectionChecksum(payloads[s].data(), payloads[s].size()));
-        snap.bytes.insert(snap.bytes.end(), payloads[s].begin(),
-                          payloads[s].end());
-    }
+    snap.bytes.resize(counter.tell());
+    ByteWriter w(snap.bytes.data(), snap.bytes.size());
+    SnapshotAccess::save(machine, in, w);
+    if (w.tell() != snap.bytes.size())
+        panic("snapshot: wrote ", w.tell(), " of ", snap.bytes.size(),
+              " counted bytes");
     return snap;
 }
 
@@ -1036,12 +1306,32 @@ bool
 validateSnapshot(const Snapshot &snapshot, std::string *why)
 {
     try {
-        parseAndVerify(snapshot.bytes);
+        SnapshotAccess::checkSections(parseAndVerify(snapshot.bytes));
         return true;
     } catch (const FatalError &e) {
         if (why)
             *why = e.what();
         return false;
+    }
+}
+
+void
+resealSnapshot(Snapshot &snapshot)
+{
+    std::vector<uint8_t> &bytes = snapshot.bytes;
+    size_t pos = 8 + 4;
+    if (bytes.size() < pos)
+        fatal("snapshot: truncated image (section count)");
+    for (size_t s = 0; s < numSections; ++s) {
+        if (bytes.size() - pos < 4 + 8 + 8)
+            fatal("snapshot: truncated image (section header)");
+        const uint64_t length = loadLe<uint64_t>(bytes.data() + pos + 4);
+        pos += 4 + 8 + 8;
+        if (length > bytes.size() - pos)
+            fatal("snapshot: truncated image (section payload)");
+        storeLe(bytes.data() + pos - 8,
+                sectionChecksum(bytes.data() + pos, size_t(length)));
+        pos += size_t(length);
     }
 }
 
@@ -1055,9 +1345,11 @@ void
 restoreSnapshot(Machine &machine, const Snapshot &snapshot)
 {
     // Phase one: validate everything — container structure, section
-    // lengths, checksums, memory geometry — before touching the
-    // target. A rejected image leaves the machine exactly as it was.
-    auto sections = parseAndVerify(snapshot.bytes);
+    // lengths, checksums, the image record's layout, every memory
+    // extent and the memory geometry — before touching the target. A
+    // rejected image leaves the machine exactly as it was.
+    const Sections sections = parseAndVerify(snapshot.bytes);
+    SnapshotAccess::checkSections(sections);
     {
         ByteReader geom = sections[2].reader();
         SnapshotAccess::checkMemGeometry(SnapshotAccess::mem(machine),
@@ -1070,8 +1362,6 @@ restoreSnapshot(Machine &machine, const Snapshot &snapshot)
     {
         ByteReader r = sections[0].reader();
         SnapshotAccess::restoreImageSection(machine, r);
-        if (!r.atEnd())
-            fatal("snapshot: trailing bytes in image section");
     }
     {
         ByteReader r = sections[1].reader();

@@ -14,16 +14,22 @@
  * metrics (cycles, instructions, inferences, cache hits, ...) to an
  * uninterrupted run.
  *
- * The byte image is a sectioned container ("KCMSNAP5"): code image,
+ * The byte image is a sectioned container ("KCMSNAP6"): code image,
  * processor state, memory system and dynamic clause store are separate
  * sections, each length-prefixed and checksummed (a 64-bit checksum
  * that reads eight bytes per step; see snapshot.cc). The code
  * image is a binary record of the CodeImage's fields with raw atom
- * ids, so a restore neither parses text nor re-interns atoms.
- * restoreSnapshot() validates the whole container — structure,
- * checksums, memory geometry — before mutating the target, so a
+ * ids, so a restore neither parses text nor re-interns atoms, and main
+ * memory is recorded as extents of consecutive nonzero words, each
+ * copied as one block. restoreSnapshot() validates the whole container
+ * — structure, checksums, the image record's layout, every memory
+ * extent, memory geometry — before mutating the target, so a
  * truncated or bit-flipped blob is rejected with a diagnostic and the
- * target machine is left exactly as it was (no partial restore).
+ * target machine is left exactly as it was (no partial restore). It
+ * then decodes the image in place, into the target's own CodeImage:
+ * every predicate, stub, declaration and string that the target's
+ * image already holds is kept, so restoring the templates of one
+ * program into one machine changes only what differs.
  *
  * Cost is proportional to touched state, not to the board or the
  * arrays: main memory (per 64-word block), the page table and both
@@ -85,13 +91,22 @@ Snapshot takeSnapshot(Machine &machine);
 void restoreSnapshot(Machine &machine, const Snapshot &snapshot);
 
 /**
- * Structural validation only: parse the KCMSNAP5 container and verify
- * every section length and checksum without touching any machine —
- * the first phase of restoreSnapshot(), which runs it on every
- * restore. Returns false (and fills @p why when non-null) on a
- * truncated or bit-flipped image.
+ * Structural validation only: parse the KCMSNAP6 container, verify
+ * every section length and checksum, the image record's layout and
+ * every memory extent, without touching any machine — the first phase
+ * of restoreSnapshot() but for the geometry check against a target,
+ * which runs it on every restore. Returns false (and fills @p why when
+ * non-null) on a truncated or bit-flipped image.
  */
 bool validateSnapshot(const Snapshot &snapshot, std::string *why = nullptr);
+
+/**
+ * For tests: recompute the checksum of every section of @p snapshot
+ * after a payload was edited in place (its length unchanged), so that
+ * a malformed payload gets past the checksums to the checks behind
+ * them. Fatal if the container itself is malformed.
+ */
+void resealSnapshot(Snapshot &snapshot);
 
 /**
  * For tests: the first main-memory word, page-table entry or cache

@@ -35,7 +35,7 @@
  * cycles per touched node, so indexing shows up in simulated KLIPS.
  * Skiplist node height is a pure function of the node's sequence
  * number (not of insertion order or any PRNG state), so a store
- * rebuilt from a KCMSNAP5 snapshot reproduces the exact node heights
+ * rebuilt from a snapshot template reproduces the exact node heights
  * — and therefore the exact scanned counts and cycles — of the
  * original. Instances are not thread-safe; each session owns its own.
  */
@@ -256,7 +256,7 @@ class ClauseStore
     /** Total asserts + retracts performed (for stats/tests). */
     uint64_t updateCount() const { return updates_; }
 
-    // -- serialization (KCMSNAP5 section payload) -------------------
+    // -- serialization (snapshot template section payload) ----------
     //
     // Binary, byte-stable: predicates in first-intern order, clauses
     // in sequence order, terms encoded structurally (floats by bit

@@ -1,5 +1,6 @@
 #include "kcm/kcm.hh"
 
+#include <memory>
 #include <set>
 
 #include "base/logging.hh"
@@ -37,16 +38,13 @@ KcmSystem::parseFactFile(const std::string &source,
     // Validate the whole file before anything is used, so a malformed
     // clause can never leave a partial preload behind.
     OperatorTable ops;
-    Parser parser(source, ops);
-    ReadClause read;
-    std::vector<TermRef> facts;
-    size_t clause_no = 0;
-    auto readNext = [&]() {
-        // A raw tokenizer/parser error names only its line; re-throw
-        // with the file so "--db-facts foo.pl" failures always read
-        // "foo.pl: <parser diagnostic>".
+    // A raw lexer/parser error names only its line; re-throw with the
+    // file so "--db-facts foo.pl" failures always read "foo.pl: <lexer
+    // or parser diagnostic>". The Parser tokenizes the whole text when
+    // it is built, so its construction raises every lexer error.
+    auto named = [&](auto read) {
         try {
-            return parser.readClause(read);
+            return read();
         } catch (const FatalError &err) {
             std::string why = err.what();
             if (why.rfind("fatal: ", 0) == 0)
@@ -54,7 +52,11 @@ KcmSystem::parseFactFile(const std::string &source,
             fatal(origin, ": ", why);
         }
     };
-    while (readNext()) {
+    auto parser = named([&] { return std::make_unique<Parser>(source, ops); });
+    ReadClause read;
+    std::vector<TermRef> facts;
+    size_t clause_no = 0;
+    while (named([&] { return parser->readClause(read); })) {
         ++clause_no;
         const TermRef &term = read.term;
         auto reject = [&](const char *why) {

@@ -29,22 +29,38 @@
 namespace kcm
 {
 
-/** A bitmap with one bit per element of a fixed array. */
+/**
+ * A bitmap with one bit per element of a fixed array, and a summary
+ * bit per 64-bit word of it that is set whenever the word may be
+ * nonzero: a scan visits only the summary and the words it marks, so
+ * it costs what is marked, not the size of the array.
+ */
 class TouchedSet
 {
   public:
-    explicit TouchedSet(size_t size) : bits_((size + 63) / 64) {}
+    explicit TouchedSet(size_t size)
+        : bits_((size + 63) / 64), summary_((bits_.size() + 63) / 64)
+    {
+    }
 
-    void mark(size_t i) { bits_[i >> 6] |= uint64_t(1) << (i & 63); }
+    void
+    mark(size_t i)
+    {
+        bits_[i >> 6] |= uint64_t(1) << (i & 63);
+        summary_[i >> 12] |= uint64_t(1) << ((i >> 6) & 63);
+    }
 
     /** Call @p visit(i) for every marked index, in ascending order. */
     template <typename Visit>
     void
     forEach(Visit visit) const
     {
-        for (size_t w = 0; w < bits_.size(); ++w)
-            for (uint64_t b = bits_[w]; b; b &= b - 1)
-                visit(w * 64 + size_t(std::countr_zero(b)));
+        for (size_t s = 0; s < summary_.size(); ++s)
+            for (uint64_t m = summary_[s]; m; m &= m - 1) {
+                const size_t w = s * 64 + size_t(std::countr_zero(m));
+                for (uint64_t b = bits_[w]; b; b &= b - 1)
+                    visit(w * 64 + size_t(std::countr_zero(b)));
+            }
     }
 
     /**
@@ -56,17 +72,20 @@ class TouchedSet
     void
     drain(Visit visit)
     {
-        for (size_t w = 0; w < bits_.size(); ++w) {
-            if (!bits_[w])
-                continue;
-            for (uint64_t b = bits_[w]; b; b &= b - 1)
-                visit(w * 64 + size_t(std::countr_zero(b)));
-            bits_[w] = 0;
+        for (size_t s = 0; s < summary_.size(); ++s) {
+            for (uint64_t m = summary_[s]; m; m &= m - 1) {
+                const size_t w = s * 64 + size_t(std::countr_zero(m));
+                for (uint64_t b = bits_[w]; b; b &= b - 1)
+                    visit(w * 64 + size_t(std::countr_zero(b)));
+                bits_[w] = 0;
+            }
+            summary_[s] = 0;
         }
     }
 
   private:
     std::vector<uint64_t> bits_;
+    std::vector<uint64_t> summary_; ///< bit w: bits_[w] may be nonzero
 };
 
 } // namespace kcm

@@ -60,9 +60,9 @@ Lexer::Lexer(std::string source)
 }
 
 void
-Lexer::error(const std::string &msg) const
+Lexer::error(const std::string &msg, int line) const
 {
-    fatal("lexer: line ", line_, ": ", msg);
+    fatal("lexer: line ", line, ": ", msg);
 }
 
 uint32_t
@@ -105,11 +105,12 @@ Lexer::skipLayout()
             while (p_ < end_ && *p_ != '\n')
                 ++p_;
         } else if (c == '/' && peek(1) == '*') {
+            const int opened = line_;
             p_ += 2;
             while (p_ < end_ && !(*p_ == '*' && peek(1) == '/'))
                 line_ += *p_++ == '\n';
             if (p_ == end_)
-                error("unterminated block comment");
+                error("unterminated block comment", opened);
             p_ += 2;
         } else {
             break;
@@ -216,7 +217,7 @@ Lexer::lexQuoted(Token &t)
     std::string &text = decoded_.emplace_front(start, p_);
     while (true) {
         if (p_ == end_)
-            error("unterminated quoted token");
+            error("unterminated quoted token", t.line);
         char c = *p_++;
         line_ += c == '\n';
         if (c == quote) {
@@ -230,7 +231,7 @@ Lexer::lexQuoted(Token &t)
         }
         if (c == '\\') {
             if (p_ == end_)
-                error("unterminated escape");
+                error("unterminated escape", t.line);
             char e = *p_++;
             line_ += e == '\n';
             switch (e) {

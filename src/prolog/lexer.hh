@@ -95,7 +95,9 @@ class Lexer
         return size_t(end_ - p_) > ahead ? p_[ahead] : '\0';
     }
 
-    [[noreturn]] void error(const std::string &msg) const;
+    [[noreturn]] void error(const std::string &msg) const { error(msg, line_); }
+    /** A token or comment left open names the line it opened on. */
+    [[noreturn]] void error(const std::string &msg, int line) const;
 
     /** NUL-terminated, so the scanning loops stop at *end_ and
      *  strtoll/strtod can read a number in place. */

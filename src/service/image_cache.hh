@@ -6,7 +6,7 @@
  * for every query (§3: the compiler links the whole consulted program
  * with the goal into one image). A serving deployment sees the same
  * (program, goal) pair over and over; this cache memoises the
- * *post-download machine state* as a KCMSNAP5 snapshot template keyed
+ * *post-download machine state* as a snapshot template keyed
  * by a content hash of (program text, goal text, machine-config
  * fingerprint). A hit restores the template into a pooled machine —
  * zero recompilation, zero re-linking — and, because restoreSnapshot

@@ -12,7 +12,7 @@
  *  1. **Warm snapshot-template cache** (ImageCache): the first query
  *     for a (program, goal, config) triple pays the full compile +
  *     static link + download and snapshots the post-download machine
- *     as a KCMSNAP5 template; every later identical query restores the
+ *     as a snapshot template; every later identical query restores the
  *     template into a pooled worker — zero recompilation. Every
  *     restore verifies the template's checksums before it mutates the
  *     machine; a corrupt entry is evicted and the query transparently

@@ -118,7 +118,7 @@ Session::run()
     if (!machine_)
         machine_ = std::make_unique<Machine>(options_.machine);
     // Bring the machine to its ready-to-run state by restoring the
-    // shared post-download KCMSNAP5 template. restoreSnapshot verifies
+    // shared post-download snapshot template. restoreSnapshot verifies
     // every section checksum before mutating anything, and the cache
     // lookup does not, so this is the one check: a corrupt template is
     // reported here and never executes.

@@ -168,7 +168,7 @@ class Session
 {
   public:
     /**
-     * The session restores @p warm_template, a post-download KCMSNAP5
+     * The session restores @p warm_template, a post-download snapshot
      * template (the state a load() of the compiled image produces),
      * into its machine — the server's snapshot-template cache path.
      * The template buffer is shared between concurrent sessions and

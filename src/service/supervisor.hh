@@ -154,7 +154,7 @@ class Supervisor
     ~Supervisor();
 
     /**
-     * Admit a query that restores the shared post-download KCMSNAP5
+     * Admit a query that restores the shared post-download snapshot
      * template @p tmpl (Session verifies its checksums on restore).
      * Its outcome is delivered through @p done — also for a refused
      * or shed query, whose callback fires with the classified failure

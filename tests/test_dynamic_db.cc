@@ -3,7 +3,7 @@
  * Dynamic clause-store tests: ClauseStore unit behaviour (indexing,
  * logical update view, serialization, index ablation), differential
  * assert/retract semantics across the fast core, the decode-per-step
- * oracle and the baseline interpreter, and KCMSNAP5 snapshot/restore
+ * oracle and the baseline interpreter, and snapshot/restore
  * of mid-iteration dynamic-database state.
  */
 
@@ -391,7 +391,29 @@ TEST(DynamicDbDifferential, AnonymousVariablesStayDistinctInASharedStore)
               "X = _0, Y = _1");
 }
 
-// --- KCMSNAP5 snapshot/restore of dynamic state -------------------
+TEST(FactFile, LexerErrorsNameTheFileAndTheOpeningLine)
+{
+    // The --db-facts reader prefixes every diagnostic with the file,
+    // the lexer's (raised when the text is tokenized) as well as the
+    // parser's.
+    auto why = [](const char *text) -> std::string {
+        try {
+            KcmSystem::parseFactFile(text, "bad.pl");
+        } catch (const FatalError &err) {
+            return err.what();
+        }
+        return "no error";
+    };
+    EXPECT_NE(why("edge(a, b).\nedge('b, c).\n")
+                  .find("bad.pl: lexer: line 2: unterminated quoted token"),
+              std::string::npos)
+        << why("edge(a, b).\nedge('b, c).\n");
+    EXPECT_NE(why("edge(a, b).\nedge(b c).\n").find("bad.pl: parser: line 2"),
+              std::string::npos)
+        << why("edge(a, b).\nedge(b c).\n");
+}
+
+// --- snapshot/restore of dynamic state ----------------------------
 
 TEST(DynamicDbSnapshot, MidIterationStateRestoresBitIdentically)
 {

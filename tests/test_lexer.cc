@@ -204,6 +204,26 @@ TEST(Lexer, UnterminatedBlockCommentThrows)
     EXPECT_THROW(lexer.tokenize(), FatalError);
 }
 
+TEST(Lexer, UnterminatedTokensNameTheLineTheyOpenedOn)
+{
+    // The end of the text is past the last line, where nothing opened.
+    const std::pair<const char *, const char *> cases[] = {
+        {"a.\nb('c,\nd).\n", "lexer: line 2: unterminated quoted token"},
+        {"a.\n\"b\\", "lexer: line 2: unterminated escape"},
+        {"a.\n/* b\nc\n", "lexer: line 2: unterminated block comment"},
+    };
+    for (const auto &[text, want] : cases) {
+        SCOPED_TRACE(text);
+        try {
+            Lexer(text).tokenize();
+            ADD_FAILURE() << "no lexer error";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(want), std::string::npos)
+                << err.what();
+        }
+    }
+}
+
 TEST(AtomQuoting, NeedsQuotes)
 {
     EXPECT_FALSE(atomNeedsQuotes("foo"));

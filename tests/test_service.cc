@@ -482,7 +482,7 @@ TEST(Supervisor, AsyncSaturationShedsDeterministicallyUnderLoad)
 TEST(Supervisor, WarmTemplateAsyncMatchesColdImage)
 {
     // The warm snapshot-template path the server's image cache uses:
-    // a query warm-started from a post-download KCMSNAP5 template
+    // a query warm-started from a post-download snapshot template
     // must produce the same answer and the same simulated cycle count
     // as a bare machine that loads the compiled image.
     service::SupervisorOptions options;

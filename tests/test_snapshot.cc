@@ -15,10 +15,13 @@
  * recorded sparsely (nonzero entries, valid cells), so a post-load
  * template's size tracks its live state. The code image is a binary
  * record of every CodeImage field, checked against the text image
- * codec. The section checksum rejects every single-bit flip of a
- * template and every pair of top-bit flips, and a machine restoring
- * one template after another keeps its predecode equal to a decode of
- * every image word.
+ * codec, also when it is decoded into a machine that holds another
+ * image. The section checksum rejects every single-bit flip of a
+ * template and every pair of top-bit flips; a payload rewritten behind
+ * a recomputed checksum (bad memory extents, a short image record) is
+ * rejected before the target changes. A machine restoring one
+ * template after another, or reset to the pristine state and loaded,
+ * keeps its predecode equal to a decode of every image word.
  */
 
 #include <gtest/gtest.h>
@@ -532,9 +535,7 @@ TEST(Snapshot, PooledRestoreRedecodesExactlyTheChangedWords)
     }
 
     Machine pooled;
-    for (size_t i : {0, 1, 2, 0}) {
-        SCOPED_TRACE(i);
-        restoreSnapshot(pooled, templates[i]);
+    auto expect_predecode_follows_words = [&] {
         const std::vector<uint64_t> &words = pooled.image().words;
         const std::vector<DecodedInstr> &decoded = pooled.predecoded();
         ASSERT_EQ(decoded.size(), words.size());
@@ -552,14 +553,38 @@ TEST(Snapshot, PooledRestoreRedecodesExactlyTheChangedWords)
                 << "predecoded word " << k << " (" << words[k]
                 << ") does not decode its image word";
         }
-
+    };
+    auto expect_run_matches_fresh = [&](auto start_fresh) {
         Machine fresh;
-        restoreSnapshot(fresh, templates[i]);
+        start_fresh(fresh);
         ASSERT_EQ(fresh.run(), RunStatus::SolutionFound);
         ASSERT_EQ(pooled.run(), RunStatus::SolutionFound);
         EXPECT_EQ(metricsOf(pooled), metricsOf(fresh));
         EXPECT_EQ(pooled.lastSolution().toString(),
                   fresh.lastSolution().toString());
+    };
+    for (size_t i : {0, 1, 2, 0}) {
+        SCOPED_TRACE(i);
+        restoreSnapshot(pooled, templates[i]);
+        expect_predecode_follows_words();
+        expect_run_matches_fresh(
+            [&](Machine &fresh) { restoreSnapshot(fresh, templates[i]); });
+    }
+
+    // A compile miss: the pristine reset of the pooled machine (an
+    // empty image, so an empty predecode), then a load() of an image
+    // other than the one the machine held before the reset.
+    Machine blank;
+    const Snapshot pristine = takeSnapshot(blank);
+    for (size_t i : {1, 2}) {
+        SCOPED_TRACE(i);
+        restoreSnapshot(pooled, pristine);
+        EXPECT_TRUE(pooled.image().words.empty());
+        expect_predecode_follows_words();
+        EXPECT_EQ(takeSnapshot(pooled).bytes, pristine.bytes);
+        pooled.load(images[i]);
+        expect_predecode_follows_words();
+        expect_run_matches_fresh([&](Machine &fresh) { fresh.load(images[i]); });
     }
 }
 
@@ -721,9 +746,151 @@ TEST(Snapshot, ImageSectionRoundTripsEveryField)
     };
     Machine source;
     source.load(image);
+    const Snapshot snap = takeSnapshot(source);
+
+    // The decode merges into the target's own image: restore into a
+    // fresh machine, into one that holds an image with more of every
+    // part, and into one that holds an image with fewer.
+    KcmSystem larger_host;
+    larger_host.consultStandardLibrary();
+    larger_host.consult(std::string(program) +
+                        ":- dynamic(other/2).\n"
+                        ":- dynamic(third/1).\n"
+                        "other(1, x).\n"
+                        "third(z).\n"
+                        "seen(c).\n"
+                        "pick(N, Z) :- other(N, _), third(Z).\n");
+    const CodeImage larger =
+        larger_host.compileOnly("probe(Who, Pair), pick(N, Z)");
+    const CodeImage smaller = compileQuery(countProgram, "count(3)");
+    ASSERT_GT(larger.predicates.size(), image.predicates.size());
+    ASSERT_GT(larger.dynStubs.size(), image.dynStubs.size());
+    ASSERT_GT(larger.dynamicDecls.size(), image.dynamicDecls.size());
+    ASSERT_GT(larger.dynamicInit.size(), image.dynamicInit.size());
+    ASSERT_GT(larger.querySolutionSlots.size(),
+              image.querySolutionSlots.size());
+    ASSERT_LT(smaller.predicates.size(), image.predicates.size());
+    ASSERT_LT(smaller.querySolutionSlots.size(),
+              image.querySolutionSlots.size());
+    ASSERT_TRUE(smaller.dynStubs.empty() && smaller.dynamicDecls.empty() &&
+                smaller.dynamicInit.empty());
+
+    struct Held
+    {
+        const char *name;
+        const CodeImage *image;
+    };
+    for (const Held &held : {Held{"fresh", nullptr}, Held{"larger", &larger},
+                             Held{"smaller", &smaller}}) {
+        SCOPED_TRACE(held.name);
+        Machine target;
+        if (held.image)
+            target.load(*held.image);
+        restoreSnapshot(target, snap);
+        EXPECT_EQ(text(target.image()), text(image));
+        EXPECT_EQ(takeSnapshot(target).bytes, snap.bytes);
+        ASSERT_EQ(target.run(), RunStatus::SolutionFound);
+        EXPECT_EQ(target.lastSolution().toString(), "Who = a, Pair = [a,a]");
+    }
+}
+
+TEST(Snapshot, MalformedPayloadsAreRejectedBeforeAnythingMutates)
+{
+    // Payloads rewritten behind a recomputed checksum: memory extents
+    // past the board, empty, overlapping or out of order, and an image
+    // record one solution slot short of its count. Phase one rejects
+    // each before the target changes, though the image record is
+    // decoded in place and the extents are copied unchecked.
+    Machine source;
+    source.load(compileQuery(mklistProgram, "mklist(30, L)"));
+    const Snapshot good = takeSnapshot(source);
+
     Machine target;
-    restoreSnapshot(target, takeSnapshot(source));
-    EXPECT_EQ(text(target.image()), text(image));
+    target.load(compileQuery(
+        countProgram + std::string("pair(X, Y) :- count(3), X = a, Y = b.\n"),
+        "pair(X, Y)"));
     ASSERT_EQ(target.run(), RunStatus::SolutionFound);
-    EXPECT_EQ(target.lastSolution().toString(), "Who = a, Pair = [a,a]");
+    const std::vector<uint8_t> before = takeSnapshot(target).bytes;
+
+    // The payload offset of section @p s (image 0, memory 2).
+    auto payload_of = [&](size_t s) {
+        size_t pos = 8 + 4;
+        for (size_t k = 0;; ++k) {
+            uint64_t length;
+            std::memcpy(&length, good.bytes.data() + pos + 4, 8);
+            pos += 4 + 8 + 8;
+            if (k == s)
+                return pos;
+            pos += size_t(length);
+        }
+    };
+    auto u32_at = [&](const Snapshot &snap, size_t at) {
+        uint32_t v;
+        std::memcpy(&v, snap.bytes.data() + at, 4);
+        return v;
+    };
+    auto u64_at = [&](const Snapshot &snap, size_t at) {
+        uint64_t v;
+        std::memcpy(&v, snap.bytes.data() + at, 8);
+        return v;
+    };
+
+    // Memory: the geometry header (4 u64s), the extent count, then each
+    // extent's u32 start, u32 length and words.
+    const size_t mem = payload_of(2);
+    const uint64_t board = u64_at(good, mem);
+    ASSERT_GE(u64_at(good, mem + 32), 2u) << "test premise: two extents";
+    const size_t first = mem + 40;
+    const uint32_t first_start = u32_at(good, first);
+    const uint32_t first_length = u32_at(good, first + 4);
+    ASSERT_GE(first_length, 2u) << "test premise: a multi-word extent";
+    const size_t second = first + 8 + 8 * size_t(first_length);
+    ASSERT_GT(first_start, 0u) << "test premise: room below the first";
+
+    struct Edit
+    {
+        const char *name;
+        size_t at;
+        uint32_t value;
+    };
+    const Edit edits[] = {
+        {"extent past the board", first, uint32_t(board - 1)},
+        {"empty extent", first + 4, 0},
+        {"overlapping extents", second, first_start + 1},
+        {"extents out of order", second, first_start - 1},
+        {"adjacent extents", second, first_start + first_length},
+    };
+    for (const Edit &edit : edits) {
+        SCOPED_TRACE(edit.name);
+        Snapshot bad = good;
+        std::memcpy(bad.bytes.data() + edit.at, &edit.value, 4);
+        resealSnapshot(bad);
+        EXPECT_FALSE(validateSnapshot(bad));
+        EXPECT_THROW(restoreSnapshot(target, bad), FatalError);
+        EXPECT_EQ(takeSnapshot(target).bytes, before);
+    }
+
+    // Image: base and five entries (u32), the words, the predicates,
+    // stubs and declarations (fixed-size records), the dynamic-init
+    // strings, then the solution-slot count.
+    size_t at = payload_of(0) + 6 * 4;
+    at += 8 + 8 * size_t(u64_at(good, at));
+    at += 8 + (4 + 4 + 4 + 8 + 8 + 1) * size_t(u64_at(good, at));
+    at += 8 + (4 + 4 + 4) * size_t(u64_at(good, at));
+    at += 8 + (4 + 4) * size_t(u64_at(good, at));
+    const uint64_t inits = u64_at(good, at);
+    at += 8;
+    for (uint64_t k = 0; k < inits; ++k)
+        at += 8 + size_t(u64_at(good, at));
+    const uint64_t slots = u64_at(good, at) + 1;
+    Snapshot bad = good;
+    std::memcpy(bad.bytes.data() + at, &slots, 8);
+    resealSnapshot(bad);
+    EXPECT_FALSE(validateSnapshot(bad));
+    EXPECT_THROW(restoreSnapshot(target, bad), FatalError);
+    EXPECT_EQ(takeSnapshot(target).bytes, before);
+
+    // The unedited template still restores over the target.
+    restoreSnapshot(target, good);
+    EXPECT_EQ(takeSnapshot(target).bytes, good.bytes);
 }
